@@ -27,10 +27,9 @@ from .profiles import (
     profile_from_function,
     table_profile,
 )
-from .sampling import GridSpec, interior_gap, interior_points, x_grid
+from .sampling import GridSpec, interior_points, x_grid
 from .geometry import (
-    CoefficientBundle,
-    coefficient_bundle,
+    RadialCoefficients,
     det_closed_form,
     grid_csv_header,
     grid_csv_rows,
@@ -39,7 +38,7 @@ from .geometry import (
     metric_closed_form,
     potential,
     principal_minor,
-    require_interior,
+    radial_coefficients,
     wirtinger_hessian,
 )
 from .curvature import (

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .extremal import dbar_jacobian
-from .geometry import metric_closed_form, _scal_coeffs
+from .geometry import metric_closed_form, radial_coefficients
 from .curvature import scalar_curvature
 from .profiles import Profile, linear_profile
 from .sampling import GridSpec, interior_points, x_grid
@@ -150,9 +150,9 @@ def classify(profile: Profile, n: int = 2, spec: GridSpec | None = None,
     """
     spec = spec or GridSpec()
     xs = x_grid(profile, x_points, spec)
-    _, _, _, _, ell, _, _, _ = _scal_coeffs(profile, xs)
-    max_l = float(np.max(np.abs(ell)))
-    arg_x = float(xs[int(np.argmax(np.abs(ell)))])
+    rad = radial_coefficients(profile, xs)
+    max_l = float(np.max(np.abs(rad.L)))
+    arg_x = float(xs[int(np.argmax(np.abs(rad.L)))])
     base = dict(profile=profile.describe(), n=n, grid=spec.describe(), tol=tol,
                 max_abs_l=max_l, argmax_x=arg_x)
     if max_l > tol:
@@ -164,9 +164,9 @@ def classify(profile: Profile, n: int = 2, spec: GridSpec | None = None,
             rho0_spread=float(np.ptp(scal)), extremal_max_residual=res,
             verdict="NON_CONSTANT_CURVATURE",
         )
-    c1 = float(profile.deriv(0, 0.0))
-    c2 = float(-profile.deriv(1, 0.0))
-    fit_error = float(np.max(np.abs(profile.deriv(0, xs) - (c1 - c2 * xs))))
+    f0, f1 = profile.derivs(0.0, 1)
+    c1, c2 = float(f0), float(-f1)
+    fit_error = float(np.max(np.abs(rad.F[0] - (c1 - c2 * xs))))
     if fit_error > tol or c2 <= 0:
         return ClassificationReport(
             **base, c1=c1, c2=c2, fit_error=fit_error, pullback_max_error=None,

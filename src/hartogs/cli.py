@@ -75,26 +75,25 @@ def _run_curvature_report(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
     scal = np.array([r.scal for r in records])
     rho = np.stack([r.rho for r in records])
     h = metric_closed_form(pts, profile)
-    # oracle deviations; FD Hessians only on a subsample, they dominate the cost
-    sub = pts[: min(len(pts), 25)]
-    metric_ratio = max(
-        float(np.max(np.abs(metric_closed_form(z, profile)
-                            - wirtinger_hessian(lambda p: potential(p, profile), z, cfg.fd_step)))
-              / (cfg.tol_oracle * (1.0 + np.max(np.abs(metric_closed_form(z, profile))))))
-        for z in sub
-    )
-    ric_err = max(
-        float(np.max(np.abs(ricci_closed_form(z, profile) - ricci_numeric(z, profile, cfg.fd_step))))
-        for z in sub
-    )
-    det_err = float(np.max(np.abs(
-        det_closed_form(pts, profile) - np.linalg.det(h).real
-    ) / np.abs(det_closed_form(pts, profile))))
+    # oracle deviations; FD Hessians only on a subsample, they dominate the cost.
+    # Both Hessian oracles are judged relative to the size of the closed form.
+    metric_ratios, ric_errs, ricci_ratios = [], [], []
+    for z in pts[: min(len(pts), 25)]:
+        h_z = metric_closed_form(z, profile)
+        fd = wirtinger_hessian(lambda p: potential(p, profile), z, cfg.fd_step)
+        metric_ratios.append(float(
+            np.max(np.abs(h_z - fd)) / (cfg.tol_oracle * (1.0 + np.max(np.abs(h_z))))))
+        ric = ricci_closed_form(z, profile)
+        ric_errs.append(float(np.max(np.abs(ric - ricci_numeric(z, profile, cfg.fd_step)))))
+        ricci_ratios.append(ric_errs[-1] / (cfg.tol_oracle * (1.0 + float(np.max(np.abs(ric))))))
+    metric_ratio, ric_err = max(metric_ratios), max(ric_errs)
+    det = det_closed_form(pts, profile)
+    det_err = float(np.max(np.abs(det - np.linalg.det(h).real) / np.abs(det)))
     inv_err = float(np.max(np.abs(
         np.einsum("mab,mbc->mac", h, inverse_metric_closed_form(pts, profile))
         - np.eye(cfg.n)[None]
     )))
-    ok = metric_ratio <= 1.0 and ric_err <= 1e-4 and det_err <= 1e-8 and inv_err <= 1e-8
+    ok = metric_ratio <= 1.0 and max(ricci_ratios) <= 1.0 and det_err <= 1e-8 and inv_err <= 1e-8
     report = {
         "scal": {"min": float(scal.min()), "max": float(scal.max())},
         "rho": {"min": [float(v) for v in rho.min(axis=0)],
@@ -157,13 +156,13 @@ _RUNNERS = {
 def _write_curves(cfg: RunConfig, profile: Profile) -> None:
     """Developer-aid plot data: scal (along the fiber axis) and L versus x."""
     from .curvature import scalar_curvature
-    from .geometry import _scal_coeffs
+    from .geometry import radial_coefficients
 
     xs = x_grid(profile, max(cfg.grid.points, 101), cfg.grid)
     axis_pts = np.zeros((xs.size, cfg.n), dtype=complex)
     axis_pts[:, 0] = np.sqrt(xs)
     scal = scalar_curvature(axis_pts, profile)
-    _, _, _, _, ell, _, _, _ = _scal_coeffs(profile, xs)
+    ell = radial_coefficients(profile, xs).L
     for tag, values in (("scal", scal), ("L", ell)):
         np.savetxt(f"{cfg.curve_dump}.{tag}.csv",
                    np.column_stack([xs, values]), delimiter=",",

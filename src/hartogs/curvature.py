@@ -23,10 +23,9 @@ from .geometry import (
     det_closed_form,
     hermitize,
     metric_closed_form,
-    require_interior,
     wirtinger_hessian,
-    _scal_coeffs,
-    _split,
+    _interior_radial,
+    _metric,
 )
 from .profiles import Profile
 
@@ -42,6 +41,12 @@ __all__ = [
 ]
 
 
+def _ricci(z, x, a, rad) -> np.ndarray:
+    ric = -(z.shape[-1] + 1.0) * _metric(z, x, a, rad.F)
+    ric[..., 0, 0] -= rad.L
+    return ric
+
+
 def ricci_closed_form(z, profile: Profile) -> np.ndarray:
     """Ricci matrix ``-(n+1) h`` with ``-L`` added in the (0,0) slot.
 
@@ -50,12 +55,7 @@ def ricci_closed_form(z, profile: Profile) -> np.ndarray:
     ``L = (x (log B)')'``; the rest is ``-(n+1)`` times the potential's
     Hessian, i.e. the metric itself.
     """
-    z, x, _ = _split(z)
-    _, _, _, _, ell, _, _, _ = _scal_coeffs(profile, x)
-    n = z.shape[-1]
-    ric = -(n + 1.0) * metric_closed_form(z, profile)
-    ric[..., 0, 0] -= ell
-    return ric
+    return _ricci(*_interior_radial(z, profile))
 
 
 def ricci_numeric(z, profile: Profile, step: float = 1e-3) -> np.ndarray:
@@ -67,22 +67,22 @@ def ricci_numeric(z, profile: Profile, step: float = 1e-3) -> np.ndarray:
     return -wirtinger_hessian(logdet, np.asarray(z, dtype=complex), step)
 
 
-def scalar_curvature(z, profile: Profile):
-    """Scalar curvature ``-(A/B) F L - n(n+1)``.
+def _scal(n, a, rad):
+    return -(a / rad.B) * rad.F[0] * rad.L - n * (n + 1.0)
 
-    The equivalent grouping ``-n(n+1) + G A`` (with ``G = -LF/B``) is
-    evaluated alongside and must agree to 1e-12; a mismatch means the
-    coefficient pipeline is numerically broken at this point.
-    """
-    z, x, _ = _split(z)
-    n = z.shape[-1]
-    a = require_interior(z, profile)
-    f, _, _, b, ell, g, _, _ = _scal_coeffs(profile, x)
-    v1 = -(a / b) * f * ell - n * (n + 1.0)
-    v2 = -n * (n + 1.0) + g * a
-    if np.any(np.abs(v1 - v2) > 1e-12 * (1.0 + np.abs(v1))):
-        raise NumericError("scalar-curvature routes disagree beyond 1e-12")
-    return v1 if np.ndim(v1) else float(v1)
+
+def scalar_curvature(z, profile: Profile):
+    """Scalar curvature ``-(A/B) F L - n(n+1)``, equivalently ``-n(n+1) + G A``."""
+    z, _, a, rad = _interior_radial(z, profile)
+    out = _scal(z.shape[-1], a, rad)
+    return out if np.ndim(out) else float(out)
+
+
+def _rho(n, a, rad) -> np.ndarray:
+    lam = a * rad.F[0] * rad.L / rad.B
+    ks = np.arange(n)
+    pref = (n + 1.0) ** ks * (-1.0) ** (ks + 1) * np.array([comb(n - 1, k) for k in range(n)])
+    return pref * (n * (n + 1.0) / (ks + 1.0) + np.asarray(lam)[..., None])
 
 
 def generalized_scalars_closed(z, profile: Profile) -> np.ndarray:
@@ -91,15 +91,8 @@ def generalized_scalars_closed(z, profile: Profile) -> np.ndarray:
     ``rho_k = (n+1)^k (-1)^(k+1) C(n-1, k) [ n(n+1)/(k+1) + A F L / B ]``;
     the k = 0 entry is the scalar curvature.
     """
-    z, x, _ = _split(z)
-    n = z.shape[-1]
-    a = require_interior(z, profile)
-    f, _, _, b, ell, _, _, _ = _scal_coeffs(profile, x)
-    lam = a * f * ell / b
-    ks = np.arange(n)
-    pref = (n + 1.0) ** ks * (-1.0) ** (ks + 1) * np.array([comb(n - 1, k) for k in range(n)])
-    out = pref * (n * (n + 1.0) / (ks + 1.0) + np.asarray(lam)[..., None])
-    return out
+    z, _, a, rad = _interior_radial(z, profile)
+    return _rho(z.shape[-1], a, rad)
 
 
 def curvature_polynomial_coefficients(metric: np.ndarray, ricci: np.ndarray,
@@ -157,10 +150,11 @@ class CurvatureRecord:
 
 def curvature_record(z, profile: Profile) -> CurvatureRecord:
     """Assemble the full curvature record at one point."""
-    z = np.asarray(z, dtype=complex)
+    z, x, a, rad = _interior_radial(z, profile)
+    n = z.shape[-1]
     return CurvatureRecord(
         point=z,
-        ricci=hermitize(ricci_closed_form(z, profile)),
-        scal=float(scalar_curvature(z, profile)),
-        rho=generalized_scalars_closed(z, profile),
+        ricci=hermitize(_ricci(z, x, a, rad)),
+        scal=float(_scal(n, a, rad)),
+        rho=_rho(n, a, rad),
     )

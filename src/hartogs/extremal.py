@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StepError
-from .geometry import inverse_metric_closed_form, require_interior, _scal_coeffs, _split
+from .geometry import radial_coefficients, _interior_radial, _inverse
 from .profiles import Profile
 from .sampling import GridSpec, interior_points, x_grid
 
@@ -35,6 +35,13 @@ __all__ = [
 ]
 
 
+def _conjugate_gradient(z, a, rad) -> np.ndarray:
+    out = np.empty_like(z)
+    out[..., 0] = rad.dG * z[..., 0] * a + z[..., 0] * rad.G * rad.F[1]
+    out[..., 1:] = -np.asarray(rad.G)[..., None] * z[..., 1:]
+    return out
+
+
 def scal_conjugate_gradient(z, profile: Profile) -> np.ndarray:
     """Antiholomorphic gradient ``(d scal/dz~_0, ..., d scal/dz~_{n-1})``.
 
@@ -42,20 +49,15 @@ def scal_conjugate_gradient(z, profile: Profile) -> np.ndarray:
     ``G' z_0 A + z_0 G F'`` and the fiber components are ``-G z_i``.
     Requires five profile derivatives (``G'`` contains ``F^(5)``).
     """
-    z, x, _ = _split(z)
-    a = require_interior(z, profile)
-    f, f1, _, _, _, g, _, g1 = _scal_coeffs(profile, x)
-    out = np.empty_like(z)
-    out[..., 0] = g1 * z[..., 0] * a + z[..., 0] * g * f1
-    out[..., 1:] = -np.asarray(g)[..., None] * z[..., 1:]
-    return out
+    z, _, a, rad = _interior_radial(z, profile)
+    return _conjugate_gradient(z, a, rad)
 
 
 def hamiltonian_field(z, profile: Profile) -> np.ndarray:
     """(1,0)-part of the Hamiltonian field, ``X^a = sum_b g^{b a~} d scal/dz~_b``."""
-    minv = inverse_metric_closed_form(z, profile)
-    grad = scal_conjugate_gradient(z, profile)
-    return np.einsum("...ba,...b->...a", minv, grad)
+    z, x, a, rad = _interior_radial(z, profile)
+    minv = _inverse(z, x, a, rad.F, rad.B)
+    return np.einsum("...ba,...b->...a", minv, _conjugate_gradient(z, a, rad))
 
 
 def _dbar_jacobian_once(z, profile, step):
@@ -126,9 +128,10 @@ def reduced_conditions(profile: Profile, x: float) -> tuple[float, float]:
     xa = np.asarray(x, dtype=float)
     if not profile.exact_derivatives and np.any(xa == 0.0):
         raise DomainError("reduced conditions at x = 0 need exact derivatives")
-    f, f1, f2, _, _, g, _, g1 = _scal_coeffs(profile, xa)
-    r1 = g1 * f + g * f1
-    r2 = g1 * f1 * xa + g * (f1 + f2 * xa)
+    rad = radial_coefficients(profile, xa)
+    f, f1, f2 = rad.F[:3]
+    r1 = rad.dG * f + rad.G * f1
+    r2 = rad.dG * f1 * xa + rad.G * (f1 + f2 * xa)
     if np.ndim(xa):
         return r1, r2
     return float(r1), float(r2)

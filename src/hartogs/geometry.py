@@ -1,4 +1,4 @@
-"""Potential, metric matrix, determinant, inverse, and scalar coefficients.
+"""Potential, metric matrix, determinant, inverse, and radial coefficients.
 
 Everything here evaluates closed forms at points ``z`` of the domain
 
@@ -9,30 +9,36 @@ for a given profile ``F``.  The Kaehler potential is ``Phi = -log A`` with
 All functions broadcast over leading axes: ``z`` may be ``(n,)`` or
 ``(m, n)``, matrices come back as ``(..., n, n)``.
 
+Every evaluator reads ``F`` and its derivatives at ``|z_0|^2`` from one
+``Profile.derivs`` call per point batch (:func:`_interior`); the
+coefficients that depend on ``x`` alone are built once from that table
+(:class:`RadialCoefficients`).  The private formulas ``_metric``, ``_det``
+and ``_inverse`` take these precomputed pieces, so composite evaluators
+share one derivative evaluation.
+
 The finite-difference Wirtinger Hessian lives here too; it is the
 independent oracle against which every closed form is tested.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SingularCoefficientError, StepError
-from .profiles import Profile
+from .profiles import MAX_DERIV_ORDER, Profile
 
 __all__ = [
     "hermitize",
-    "require_interior",
     "potential",
     "metric_closed_form",
     "wirtinger_hessian",
     "det_closed_form",
     "principal_minor",
     "inverse_metric_closed_form",
-    "CoefficientBundle",
-    "coefficient_bundle",
+    "RadialCoefficients",
+    "radial_coefficients",
     "grid_csv_header",
     "grid_csv_rows",
 ]
@@ -48,46 +54,98 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
-def _split(z):
+def _table(profile: Profile, x, upto: int) -> tuple:
+    """``(F, ..., F^(upto))`` at ``x`` as arrays, from one ``derivs`` call."""
+    return tuple(np.asarray(v) for v in profile.derivs(x, upto))
+
+
+def _interior(z, profile: Profile, upto: int = 2):
+    """Split ``z``, evaluate the derivative table once and check membership.
+
+    Returns ``(z, x, A, F)``: the points as a complex array,
+    ``x = |z_0|^2``, the membership gap ``A > 0`` and the table
+    ``F = (F, ..., F^(upto))`` at ``x`` (``derivs`` also enforces
+    ``|z_0|^2 < x0``).
+    """
     z = np.asarray(z, dtype=complex)
     if z.shape[-1] < 2:
         raise DomainError(f"points need n >= 2 coordinates, got shape {z.shape}")
     x = np.abs(z[..., 0]) ** 2
     s = np.sum(np.abs(z[..., 1:]) ** 2, axis=-1)
-    return z, x, s
-
-
-def require_interior(z, profile: Profile):
-    """Validate strict interior membership; return the gap ``A > 0``."""
-    z, x, s = _split(z)
-    a = profile.deriv(0, x) - s      # deriv() also enforces |z_0|^2 < x0
-    if np.any(np.asarray(a) <= 0.0):
+    d = _table(profile, x, upto)
+    a = d[0] - s
+    if np.any(a <= 0.0):
         raise DomainError("point on or outside the boundary (gap A <= 0)")
-    return a
+    return z, x, a, d
+
+
+def _b(x, d):
+    """Determinant numerator ``B = F'^2 x - F (F' + F'' x)``."""
+    f, f1, f2 = d[:3]
+    return f1 ** 2 * x - f * (f1 + f2 * x)
+
+
+@dataclass(frozen=True)
+class RadialCoefficients:
+    """Coefficients of the geometry that depend on ``x = |z_0|^2`` alone.
+
+    * ``F`` -- the derivative table ``(F, F', ..., F^(5))`` at ``x``,
+    * ``B = F'^2 x - F (F' + F'' x)`` -- determinant numerator,
+    * ``L = (x (log B)')'`` -- Ricci correction in the (0,0) slot,
+    * ``G = -L F / B`` -- non-constant factor of the scalar curvature,
+    * ``dL``, ``dG`` -- their x-derivatives ``L'`` and ``G'``.
+
+    ``L`` and ``L'`` are expanded in ``B`` and its first three derivatives
+    (the third involves ``F^(5)``, which is why profiles carry five
+    orders), so built-in profiles evaluate them in closed form.
+    """
+
+    F: tuple
+    B: np.ndarray
+    L: np.ndarray
+    G: np.ndarray
+    dL: np.ndarray
+    dG: np.ndarray
+
+    @classmethod
+    def from_table(cls, x, d) -> "RadialCoefficients":
+        """Build the record from the table ``d = (F, ..., F^(5))`` at ``x``."""
+        f, f1, f2, f3, f4, f5 = d
+        b = _b(x, d)
+        if np.any(np.asarray(b) == 0.0):
+            raise SingularCoefficientError("coefficient B vanishes; metric degenerate")
+        b1 = x * f1 * f2 - 2.0 * f * f2 - x * f * f3
+        b2 = -f1 * f2 + x * f2 ** 2 - 3.0 * f * f3 - x * f * f4
+        b3 = -4.0 * f1 * f3 + 2.0 * x * f2 * f3 - 4.0 * f * f4 - x * f1 * f4 - x * f * f5
+        r1 = b1 / b
+        r2 = b2 / b - r1 ** 2
+        ell = r1 + x * r2
+        ell1 = 2.0 * r2 + x * (b3 / b - 3.0 * b1 * b2 / b ** 2 + 2.0 * r1 ** 3)
+        g = -ell * f / b
+        g1 = -(ell1 * f + ell * f1) / b + ell * f * b1 / b ** 2
+        return cls(F=d, B=b, L=ell, G=g, dL=ell1, dG=g1)
+
+
+def radial_coefficients(profile: Profile, x) -> RadialCoefficients:
+    """Radial coefficients at abscissae ``x``, vectorized."""
+    return RadialCoefficients.from_table(x, _table(profile, x, MAX_DERIV_ORDER))
+
+
+def _interior_radial(z, profile: Profile):
+    """``(z, x, A, R)``: :func:`_interior` to order five and the radial record ``R``."""
+    z, x, a, d = _interior(z, profile, MAX_DERIV_ORDER)
+    return z, x, a, RadialCoefficients.from_table(x, d)
 
 
 def potential(z, profile: Profile):
     """Kaehler potential ``-log A`` at interior points."""
-    a = require_interior(z, profile)
+    _, _, a, _ = _interior(z, profile, 0)
     return -np.log(a)
 
 
-def metric_closed_form(z, profile: Profile) -> np.ndarray:
-    """Metric matrix ``g_{a b~} = d^2 Phi / dz_a dz~_b`` in closed form.
-
-    Shape ``(..., n, n)``, exactly Hermitian.  The matrix is positive
-    definite precisely when ``kahler_indicator < 0`` at ``|z_0|^2``; for
-    non-admissible profiles the (indefinite) matrix is still returned so
-    that falsification sweeps can inspect it.
-    """
-    z, x, s = _split(z)
+def _metric(z, x, a, d) -> np.ndarray:
     n = z.shape[-1]
-    f = np.asarray(profile.deriv(0, x))
-    f1 = np.asarray(profile.deriv(1, x))
-    f2 = np.asarray(profile.deriv(2, x))
-    a = f - s
-    if np.any(a <= 0.0):
-        raise DomainError("point on or outside the boundary (gap A <= 0)")
+    f1, f2 = d[1], d[2]
     c = f1 ** 2 * x - (f2 * x + f1) * a
     a2 = a ** 2
     zf = z[..., 1:]
@@ -101,6 +159,17 @@ def metric_closed_form(z, profile: Profile) -> np.ndarray:
     block.reshape(block.shape[:-2] + (-1,))[..., :: step] += a[..., None]
     h[..., 1:, 1:] = block / a2[..., None, None]
     return hermitize(h)
+
+
+def metric_closed_form(z, profile: Profile) -> np.ndarray:
+    """Metric matrix ``g_{a b~} = d^2 Phi / dz_a dz~_b`` in closed form.
+
+    Shape ``(..., n, n)``, exactly Hermitian.  The matrix is positive
+    definite precisely when ``kahler_indicator < 0`` at ``|z_0|^2``; for
+    non-admissible profiles the (indefinite) matrix is still returned so
+    that falsification sweeps can inspect it.
+    """
+    return _metric(*_interior(z, profile))
 
 
 def _complex_hessian_once(f, z, step):
@@ -173,23 +242,19 @@ def wirtinger_hessian(f, z, step: float = 1e-3, richardson: bool = True) -> np.n
     return hermitize(h1)
 
 
+def _det(z, a, b):
+    out = b / a ** (z.shape[-1] + 1)
+    return out if np.ndim(out) else float(out)
+
+
 def det_closed_form(z, profile: Profile):
     """Metric determinant in product form, ``B(x) / A^(n+1)``.
 
     Equivalently ``-(F^2/A^(n+1)) * (x F'/F)'``; positive exactly when the
     profile is Kaehler-admissible at ``x = |z_0|^2``.
     """
-    z, x, s = _split(z)
-    n = z.shape[-1]
-    f = np.asarray(profile.deriv(0, x))
-    f1 = np.asarray(profile.deriv(1, x))
-    f2 = np.asarray(profile.deriv(2, x))
-    a = f - s
-    if np.any(a <= 0.0):
-        raise DomainError("point on or outside the boundary (gap A <= 0)")
-    b = f1 ** 2 * x - f * (f1 + f2 * x)
-    out = b / a ** (n + 1)
-    return out if np.ndim(out) else float(out)
+    z, x, a, d = _interior(z, profile)
+    return _det(z, a, _b(x, d))
 
 
 def principal_minor(z, profile: Profile, alpha: int):
@@ -199,35 +264,20 @@ def principal_minor(z, profile: Profile, alpha: int):
     ``A^2 h`` over rows and columns ``alpha..n-1`` equals
     ``A^(n-alpha) + A^(n-alpha-1) (|z_alpha|^2 + ... + |z_{n-1}|^2)``.
     """
-    z, x, s = _split(z)
+    z, _, a, _ = _interior(z, profile, 0)
     n = z.shape[-1]
     if not 1 <= alpha <= n - 1:
         raise ValueError(f"alpha must be in 1..{n - 1}, got {alpha}")
-    a = require_interior(z, profile)
     tail = np.sum(np.abs(z[..., alpha:]) ** 2, axis=-1)
     out = a ** (n - alpha) + a ** (n - alpha - 1) * tail
     return out if np.ndim(out) else float(out)
 
 
-def inverse_metric_closed_form(z, profile: Profile) -> np.ndarray:
-    """Inverse metric ``g^{a b~}`` as a matrix with rows indexed by ``a``.
-
-    Entries (with ``T = F' + F'' x`` and prefactor ``A/B``):
-    ``g^{0 0~} = (A/B) F``, ``g^{i 0~} = (A/B) F' z_0 z~_i``,
-    ``g^{i j~} = (A/B) T z_j z~_i`` off the fiber diagonal, and
-    ``g^{i i~} = (A/B) (B + T |z_i|^2)``.  Satisfies ``Minv @ h = I``.
-    """
-    z, x, s = _split(z)
-    n = z.shape[-1]
-    f = np.asarray(profile.deriv(0, x))
-    f1 = np.asarray(profile.deriv(1, x))
-    f2 = np.asarray(profile.deriv(2, x))
-    a = f - s
-    if np.any(a <= 0.0):
-        raise DomainError("point on or outside the boundary (gap A <= 0)")
-    b = f1 ** 2 * x - f * (f1 + f2 * x)
+def _inverse(z, x, a, d, b) -> np.ndarray:
     if np.any(np.abs(b) < 1e-14):
         raise SingularCoefficientError("metric coefficient B vanishes (degenerate metric)")
+    n = z.shape[-1]
+    f, f1, f2 = d[:3]
     t = f1 + f2 * x
     ab = a / b
     zf = z[..., 1:]
@@ -244,96 +294,16 @@ def inverse_metric_closed_form(z, profile: Profile) -> np.ndarray:
     return hermitize(minv)
 
 
-@dataclass(frozen=True)
-class CoefficientBundle:
-    """Scalar coefficients of the geometry at one point.
+def inverse_metric_closed_form(z, profile: Profile) -> np.ndarray:
+    """Inverse metric ``g^{a b~}`` as a matrix with rows indexed by ``a``.
 
-    ``A`` is the membership gap (the only field that sees the fiber
-    coordinates); all others depend on ``x = |z_0|^2`` alone:
-
-    * ``B = F'^2 x - F (F' + F'' x)`` -- determinant numerator,
-    * ``C = F'^2 x - (F'' x + F') A`` -- (0,0) Hessian numerator,
-    * ``L = (x (log B)')'`` -- Ricci correction in the (0,0) slot,
-    * ``G = -L F / B`` -- non-constant factor of the scalar curvature,
-
-    plus the inverse-metric split ``g^{00~} = P00 + Q00 S`` (and so on for
-    the other index patterns), where ``S`` is the total fiber radius.
+    Entries (with ``T = F' + F'' x`` and prefactor ``A/B``):
+    ``g^{0 0~} = (A/B) F``, ``g^{i 0~} = (A/B) F' z_0 z~_i``,
+    ``g^{i j~} = (A/B) T z_j z~_i`` off the fiber diagonal, and
+    ``g^{i i~} = (A/B) (B + T |z_i|^2)``.  Satisfies ``Minv @ h = I``.
     """
-
-    A: float
-    B: float
-    C: float
-    L: float
-    G: float
-    p00: float
-    q00: float
-    p0a: float
-    q0a: float
-    paa: float
-    qaa: float
-    raa: float
-    pab: float
-    qab: float
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def _b_derivatives(profile: Profile, x):
-    """``B`` and its first three derivatives from profile derivatives.
-
-    ``B'''`` involves ``F^(5)``, which is why profiles carry five orders.
-    """
-    f = np.asarray(profile.deriv(0, x))
-    f1 = np.asarray(profile.deriv(1, x))
-    f2 = np.asarray(profile.deriv(2, x))
-    f3 = np.asarray(profile.deriv(3, x))
-    f4 = np.asarray(profile.deriv(4, x))
-    f5 = np.asarray(profile.deriv(5, x))
-    b = f1 ** 2 * x - f * (f1 + f2 * x)
-    b1 = x * f1 * f2 - 2.0 * f * f2 - x * f * f3
-    b2 = -f1 * f2 + x * f2 ** 2 - 3.0 * f * f3 - x * f * f4
-    b3 = -4.0 * f1 * f3 + 2.0 * x * f2 * f3 - 4.0 * f * f4 - x * f1 * f4 - x * f * f5
-    return b, b1, b2, b3
-
-
-def _scal_coeffs(profile: Profile, x):
-    """``(F, F', F'', B, L, G, L', G')`` at ``x``, vectorized.
-
-    ``L = (x (log B)')'`` and its derivative are expanded in terms of
-    ``B .. B'''`` so that built-in profiles evaluate them in closed form.
-    """
-    f = np.asarray(profile.deriv(0, x))
-    f1 = np.asarray(profile.deriv(1, x))
-    f2 = np.asarray(profile.deriv(2, x))
-    b, b1, b2, b3 = _b_derivatives(profile, x)
-    if np.any(np.asarray(b) == 0.0):
-        raise SingularCoefficientError("coefficient B vanishes; metric degenerate")
-    r1 = b1 / b
-    r2 = b2 / b - r1 ** 2
-    ell = r1 + x * r2
-    ell1 = 2.0 * r2 + x * (b3 / b - 3.0 * b1 * b2 / b ** 2 + 2.0 * r1 ** 3)
-    g = -ell * f / b
-    g1 = -(ell1 * f + ell * f1) / b + ell * f * b1 / b ** 2
-    return f, f1, f2, b, ell, g, ell1, g1
-
-
-def coefficient_bundle(z, profile: Profile) -> CoefficientBundle:
-    """All scalar coefficients at a single point ``z``."""
-    z, x, s = _split(z)
-    if z.ndim != 1:
-        raise ValueError("coefficient_bundle expects a single point of shape (n,)")
-    a = float(require_interior(z, profile))
-    f, f1, f2, b, ell, g, _, _ = _scal_coeffs(profile, x)
-    t = f1 + f2 * x
-    c = f1 ** 2 * x - t * a
-    return CoefficientBundle(
-        A=a, B=float(b), C=float(c), L=float(ell), G=float(g),
-        p00=float(f ** 2 / b), q00=float(-f / b),
-        p0a=float(f1 * f / b), q0a=float(-f1 / b),
-        paa=float(f * t / b - 1.0), qaa=float(t / b), raa=float(t / b),
-        pab=float(f * t / b), qab=float(-t / b),
-    )
+    z, x, a, d = _interior(z, profile)
+    return _inverse(z, x, a, d, _b(x, d))
 
 
 def grid_csv_header(n: int) -> list[str]:
@@ -351,16 +321,14 @@ def grid_csv_rows(points: np.ndarray, profile: Profile) -> np.ndarray:
     the closed-form determinant, and the smallest eigenvalue of the metric
     (a positive-definiteness indicator).
     """
-    points = np.asarray(points, dtype=complex)
+    points, x, a, rad = _interior_radial(points, profile)
     n = points.shape[-1]
-    x = np.abs(points[..., 0]) ** 2
-    a = require_interior(points, profile)
-    f, f1, f2, b, ell, g, _, _ = _scal_coeffs(profile, x)
+    f1, f2 = rad.F[1], rad.F[2]
     c = f1 ** 2 * x - (f1 + f2 * x) * a
-    det = det_closed_form(points, profile)
-    min_eig = np.linalg.eigvalsh(metric_closed_form(points, profile))[..., 0]
+    det = _det(points, a, rad.B)
+    min_eig = np.linalg.eigvalsh(_metric(points, x, a, rad.F))[..., 0]
     cols = []
     for k in range(n):
         cols += [points[..., k].real, points[..., k].imag]
-    cols += [a, b + 0 * a, c, ell + 0 * a, g + 0 * a, det, min_eig]
+    cols += [a, rad.B + 0 * a, c, rad.L + 0 * a, rad.G + 0 * a, det, min_eig]
     return np.column_stack(cols)

@@ -57,27 +57,34 @@ class Profile:
     exact_derivatives : bool
         False for spline-backed (table) profiles, whose higher derivatives
         are interpolation artifacts rather than closed forms.
+
+    The family's ``_table(x, upto)`` returns ``F, ..., F^(upto)`` at ``x``
+    (at least ``upto + 1`` entries) from one evaluation.
     """
 
     x0: float
     kind: str
     params: dict = field(default_factory=dict)
-    _deriv: Callable = None
+    _table: Callable = None
     exact_derivatives: bool = True
 
-    def deriv(self, k: int, x):
-        """k-th derivative ``F^(k)(x)``, vectorized over ``x``.
+    def derivs(self, x, upto: int = MAX_DERIV_ORDER) -> tuple:
+        """``(F(x), F'(x), ..., F^(upto)(x))`` from one evaluation, vectorized over ``x``.
 
-        Raises ``DomainError`` if any ``x`` falls outside ``[0, x0)`` and
-        ``ValueError`` for unsupported orders.
+        Raises ``ValueError`` for unsupported orders and ``DomainError`` if
+        any ``x`` falls outside ``[0, x0)``.
         """
-        if not 0 <= k <= MAX_DERIV_ORDER:
-            raise ValueError(f"derivative order must be in 0..{MAX_DERIV_ORDER}, got {k}")
+        if not 0 <= upto <= MAX_DERIV_ORDER:
+            raise ValueError(f"derivative order must be in 0..{MAX_DERIV_ORDER}, got {upto}")
         xa = np.asarray(x, dtype=float)
         if np.any(xa < 0.0) or np.any(xa >= self.x0):
             raise DomainError(f"abscissa outside [0, {self.x0}): {x!r}")
-        out = np.asarray(self._deriv(k, xa), dtype=float)
-        return out if xa.ndim else float(out)
+        table = [np.asarray(v, dtype=float) for v in self._table(xa, upto)[: upto + 1]]
+        return tuple(table) if xa.ndim else tuple(float(v) for v in table)
+
+    def deriv(self, k: int, x):
+        """k-th derivative ``F^(k)(x)``; the last entry of ``derivs(x, k)``."""
+        return self.derivs(x, k)[k]
 
     def __call__(self, x):
         return self.deriv(0, x)
@@ -100,14 +107,10 @@ def linear_profile(c1: float, c2: float) -> Profile:
         raise ProfileError(f"linear profile needs c1 > 0 and c2 >= 0, got ({c1}, {c2})")
     x0 = math.inf if c2 == 0 else c1 / c2
 
-    def deriv(k, x):
-        if k == 0:
-            return c1 - c2 * x
-        if k == 1:
-            return np.full_like(x, -c2)
-        return np.zeros_like(x)
+    def table(x, upto):
+        return [c1 - c2 * x, np.full_like(x, -c2)] + [np.zeros_like(x) for _ in range(upto - 1)]
 
-    return Profile(x0=x0, kind="linear", params={"c1": c1, "c2": c2}, _deriv=deriv)
+    return Profile(x0=x0, kind="linear", params={"c1": c1, "c2": c2}, _table=table)
 
 
 def exp_profile(scale: float = 1.0) -> Profile:
@@ -115,10 +118,11 @@ def exp_profile(scale: float = 1.0) -> Profile:
     if scale <= 0:
         raise ProfileError(f"exp profile needs scale > 0, got {scale}")
 
-    def deriv(k, x):
-        return (-scale) ** k * np.exp(-scale * x)
+    def table(x, upto):
+        e = np.exp(-scale * x)
+        return [(-scale) ** k * e for k in range(upto + 1)]
 
-    return Profile(x0=math.inf, kind="exp", params={"scale": scale}, _deriv=deriv)
+    return Profile(x0=math.inf, kind="exp", params={"scale": scale}, _table=table)
 
 
 def power_profile(p: float) -> Profile:
@@ -126,11 +130,12 @@ def power_profile(p: float) -> Profile:
     if p <= 0:
         raise ProfileError(f"power profile needs p > 0, got {p}")
 
-    def deriv(k, x):
-        coef = (-1.0) ** k * math.prod(p - i for i in range(k))
-        return coef * (1.0 - x) ** (p - k)
+    def table(x, upto):
+        u = 1.0 - x
+        return [(-1.0) ** k * math.prod(p - i for i in range(k)) * u ** (p - k)
+                for k in range(upto + 1)]
 
-    return Profile(x0=1.0, kind="power", params={"p": p}, _deriv=deriv)
+    return Profile(x0=1.0, kind="power", params={"p": p}, _table=table)
 
 
 def profile_from_function(fn: Callable, x0: float, name: str = "custom",
@@ -141,11 +146,11 @@ def profile_from_function(fn: Callable, x0: float, name: str = "custom",
     only jet arithmetic; derivatives up to order 5 are then exact.
     """
 
-    def deriv(k, x):
-        return jets.derivatives(fn, x, MAX_DERIV_ORDER)[k]
+    def table(x, upto):
+        return jets.derivatives(fn, x, upto)
 
     return Profile(x0=x0, kind="custom", params=dict(params or {"name": name}),
-                   _deriv=deriv)
+                   _table=table)
 
 
 def table_profile(x: np.ndarray, f: np.ndarray, kind_params: dict | None = None) -> Profile:
@@ -166,15 +171,15 @@ def table_profile(x: np.ndarray, f: np.ndarray, kind_params: dict | None = None)
     if np.any(f <= 0):
         raise ProfileError("table profile values must be positive")
     spline = InterpolatedUnivariateSpline(x, f, k=5)
-    derivs = [spline] + [spline.derivative(k) for k in range(1, MAX_DERIV_ORDER + 1)]
+    splines = [spline] + [spline.derivative(k) for k in range(1, MAX_DERIV_ORDER + 1)]
 
-    def deriv(k, xx):
-        return derivs[k](xx)
+    def table(xx, upto):
+        return [s(xx) for s in splines[: upto + 1]]
 
     params = dict(kind_params or {})
     params.setdefault("rows", int(x.size))
     return Profile(x0=float(x[-1]), kind="table", params=params,
-                   _deriv=deriv, exact_derivatives=False)
+                   _table=table, exact_derivatives=False)
 
 
 def kahler_indicator(profile: Profile, x) -> float:
@@ -184,11 +189,9 @@ def kahler_indicator(profile: Profile, x) -> float:
     ``(x F'/F)' = (F' + x F'')/F - x (F'/F)^2``.
     """
     xa = np.asarray(x, dtype=float)
-    f = profile.deriv(0, xa)
+    f, f1, f2 = profile.derivs(xa, 2)
     if np.any(np.asarray(f) <= 0.0):
         raise ProfileError(f"profile non-positive at x={x!r}")
-    f1 = profile.deriv(1, xa)
-    f2 = profile.deriv(2, xa)
     out = (f1 + xa * f2) / f - xa * (f1 / f) ** 2
     return out if xa.ndim else float(out)
 
@@ -200,8 +203,8 @@ _STENCIL = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 def derivative_consistency(profile: Profile, x: float, step: float) -> float:
     """Largest mismatch between stated and finite-difference derivatives.
 
-    For each order ``k = 1..4`` the profile's ``deriv(k, x)`` is compared
-    against a five-point central difference of ``deriv(k-1)``, and the
+    For each order ``k = 1..4`` the profile's ``F^(k)(x)`` is compared
+    against a five-point central difference of ``F^(k-1)``, and the
     worst relative deviation ``|fd - deriv| / (1 + |deriv|)`` is returned.
     Chaining through the next-lower order keeps the finite-difference
     noise at first-derivative level for every k, so a healthy profile
@@ -212,9 +215,10 @@ def derivative_consistency(profile: Profile, x: float, step: float) -> float:
         raise StepError(f"step must be positive, got {step}")
     if x - 2 * step <= 0 or x + 2 * step >= profile.x0:
         raise DomainError(f"stencil [x-2*step, x+2*step] leaves (0, {profile.x0})")
+    stated = profile.derivs(x, 4)
+    shifted = [(w, profile.derivs(x + j * step, 3)) for j, w in _STENCIL]
     worst = 0.0
     for k in range(1, 5):
-        fd = sum(w * profile.deriv(k - 1, x + j * step) for j, w in _STENCIL) / (12.0 * step)
-        stated = profile.deriv(k, x)
-        worst = max(worst, abs(fd - stated) / (1.0 + abs(stated)))
+        fd = sum(w * d[k - 1] for w, d in shifted) / (12.0 * step)
+        worst = max(worst, abs(fd - stated[k]) / (1.0 + abs(stated[k])))
     return worst

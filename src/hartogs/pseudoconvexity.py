@@ -66,8 +66,7 @@ def boundary_point(profile: Profile, z0: complex, direction) -> BoundaryPoint:
     if norm == 0:
         raise ValueError("direction must be nonzero")
     x = abs(z0) ** 2
-    f = profile.deriv(0, x)        # raises DomainError when |z0|^2 >= x0
-    f1 = profile.deriv(1, x)
+    f, f1 = profile.derivs(x, 1)   # raises DomainError when |z0|^2 >= x0
     fiber = np.sqrt(f) * direction / norm
     coords = np.concatenate([[complex(z0)], fiber])
     normal = np.concatenate([[-f1 * np.conj(z0)], np.conj(fiber)])
@@ -83,8 +82,7 @@ def levi_form(point: BoundaryPoint, x_vec, profile: Profile) -> float:
     """
     x_vec = np.asarray(x_vec, dtype=complex)
     x = abs(point.z0) ** 2
-    f1 = profile.deriv(1, x)
-    f2 = profile.deriv(2, x)
+    _, f1, f2 = profile.derivs(x, 2)
     return float(np.sum(np.abs(x_vec[1:]) ** 2) - (f1 + f2 * x) * abs(x_vec[0]) ** 2)
 
 
@@ -118,8 +116,7 @@ def restricted_levi(point: BoundaryPoint, y, profile: Profile) -> float:
         raise DomainError("z_0 = 0 stratum: use the unrestricted Levi form")
     y = np.asarray(y, dtype=complex)
     x = abs(point.z0) ** 2
-    f1 = profile.deriv(1, x)
-    f2 = profile.deriv(2, x)
+    _, f1, f2 = profile.derivs(x, 2)
     pairing = np.sum(np.conj(point.fiber) * y)
     return float(np.sum(np.abs(y) ** 2) - (f1 + f2 * x) / (f1 ** 2 * x) * abs(pairing) ** 2)
 

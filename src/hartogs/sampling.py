@@ -18,7 +18,7 @@ from scipy.stats import qmc
 from .errors import DomainError
 from .profiles import Profile
 
-__all__ = ["GridSpec", "interior_points", "x_grid", "interior_gap"]
+__all__ = ["GridSpec", "interior_points", "x_grid"]
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,6 @@ class GridSpec:
 
     def describe(self) -> dict:
         return asdict(self)
-
-
-def interior_gap(z: np.ndarray, profile: Profile):
-    """Membership gap ``A = F(|z_0|^2) - sum_{k>=1} |z_k|^2`` (positive inside)."""
-    z = np.asarray(z, dtype=complex)
-    x = np.abs(z[..., 0]) ** 2
-    s = np.sum(np.abs(z[..., 1:]) ** 2, axis=-1)
-    return profile.deriv(0, x) - s
 
 
 def _x_max(profile: Profile, spec: GridSpec) -> float:

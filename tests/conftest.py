@@ -59,8 +59,10 @@ def constant_profile():
 
 
 def make_custom(deriv_fn, x0, exact=True, name="custom"):
+    """Profile whose table is ``deriv_fn(k, x)`` for ``k = 0..upto``."""
     return Profile(x0=x0, kind="custom", params={"name": name},
-                   _deriv=deriv_fn, exact_derivatives=exact)
+                   _table=lambda x, upto: [deriv_fn(k, x) for k in range(upto + 1)],
+                   exact_derivatives=exact)
 
 
 @pytest.fixture(scope="session")

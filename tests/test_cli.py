@@ -155,6 +155,21 @@ class TestCommands:
         assert main(["--config", loose, "--quiet"]) == 0
         assert main(["--config", tight, "--quiet"]) == 1
 
+    @pytest.mark.parametrize("settings", [
+        "profile.kind = exp\nn = 4\ngrid.points = 25\ngrid.seed = 1000010\n",
+        "profile.kind = power\nprofile.p = 2.0\nn = 4\ngrid.seed = 7\n",
+    ], ids=["exp-n4-seed1000010", "power2-n4-seed7"])
+    def test_ricci_oracle_relative_limit(self, tmp_path, settings):
+        # at these grids the FD Ricci error exceeds 1e-4 in absolute terms at
+        # points where |Ric| is in the hundreds; judged relative to |Ric|, as
+        # the metric oracle is, the closed form passes
+        out = tmp_path / "rep.json"
+        cfg = write_config(tmp_path, "c.txt", "command = curvature-report\n" + settings
+                           + f"output = {out}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        errors = json.loads(out.read_text())["report"]["oracle_errors"]
+        assert errors["ricci_abs"] > 1e-4
+
     def test_curve_dump(self, tmp_path):
         prefix = tmp_path / "curves"
         cfg = write_config(tmp_path, "c.txt",

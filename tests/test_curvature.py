@@ -5,7 +5,6 @@ import pytest
 
 from hartogs import (
     GridSpec,
-    coefficient_bundle,
     curvature_polynomial_coefficients,
     curvature_record,
     generalized_scalars_closed,
@@ -13,9 +12,11 @@ from hartogs import (
     interior_points,
     inverse_metric_closed_form,
     metric_closed_form,
+    radial_coefficients,
     ricci_closed_form,
     ricci_numeric,
     scalar_curvature,
+    table_profile,
 )
 
 
@@ -77,6 +78,20 @@ class TestScalarCurvature:
                 direct = scalar_curvature(pts, prof)
                 assert np.max(np.abs(traced.real - direct)) <= 1e-10, (name, n)
 
+    def test_two_groupings_agree(self, builtin_profiles, wiggle, grid_small):
+        # -(A/B) F L - n(n+1) against the regrouping -n(n+1) + G A, G = -L F / B
+        xs = np.linspace(0.0, 2.0, 200)
+        table = table_profile(xs, np.exp(-xs - 0.1 * xs ** 2))
+        profiles = dict(builtin_profiles, wiggle=wiggle, table=table)
+        for n in (2, 3, 4):
+            for name, prof in profiles.items():
+                pts = interior_points(prof, n, grid_small)
+                scal = scalar_curvature(pts, prof)
+                rad = radial_coefficients(prof, np.abs(pts[:, 0]) ** 2)
+                a = rad.F[0] - np.sum(np.abs(pts[:, 1:]) ** 2, axis=1)
+                regrouped = -n * (n + 1.0) + rad.G * a
+                assert np.all(np.abs(scal - regrouped) <= 1e-12 * (1.0 + np.abs(scal))), (name, n)
+
     def test_depends_only_on_radii(self, expp):
         # same |z_0| and same total fiber radius, different phases/splitting
         za = np.array([0.3 * np.exp(0.4j), 0.2 * np.exp(1.1j), 0.1 * np.exp(2.0j)])
@@ -128,10 +143,11 @@ class TestGeneralizedScalars:
         ric = ricci_closed_form(z, expp)
         m = np.linalg.solve(h, ric)
         lhs = np.linalg.det(np.eye(n) + t * m).real
-        b = coefficient_bundle(z, expp)
         x = abs(z[0]) ** 2
+        b = radial_coefficients(expp, x)
         f = expp.deriv(0, x)
-        rhs = (1 - (n + 1) * t) ** n - t * b.L * (1 - (n + 1) * t) ** (n - 1) * b.A * f / b.B
+        a = f - np.sum(np.abs(z[1:]) ** 2)
+        rhs = (1 - (n + 1) * t) ** n - t * b.L * (1 - (n + 1) * t) ** (n - 1) * a * f / b.B
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_constancy_propagation(self, lin11, expp):

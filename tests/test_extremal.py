@@ -5,7 +5,6 @@ import pytest
 
 from hartogs import (
     GridSpec,
-    coefficient_bundle,
     extremal_report,
     extremal_residual,
     hamiltonian_field,
@@ -13,11 +12,11 @@ from hartogs import (
     kahler_indicator,
     metric_closed_form,
     power_profile,
+    radial_coefficients,
     reduced_conditions,
     scal_conjugate_gradient,
     scalar_curvature,
 )
-from hartogs.geometry import _scal_coeffs
 
 
 def grad_conj_fd(profile, z, h=1e-4):
@@ -129,20 +128,21 @@ class TestReducedConditions:
         # the proof-level combinations are exact rearrangements of r1, r2
         for prof in builtin_profiles.values():
             for x in (0.05, 0.3, 0.7):
-                z = np.array([np.sqrt(x), 0.1], complex)
-                b = coefficient_bundle(z, prof)
-                _, _, _, _, _, g, _, g1 = _scal_coeffs(prof, np.asarray(x))
+                b = radial_coefficients(prof, np.asarray(x))
+                f, f1, f2 = b.F[:3]
+                g, g1 = b.G, b.dG
+                q00, q0a, raa = -f / b.B, -f1 / b.B, (f1 + f2 * x) / b.B
                 r1, r2 = reduced_conditions(prof, x)
-                assert b.q00 * g1 + g * b.q0a == pytest.approx(-r1 / b.B, abs=1e-10)
-                assert -g1 * x * b.q0a + g * b.raa == pytest.approx(r2 / b.B, abs=1e-10)
+                assert q00 * g1 + g * q0a == pytest.approx(-r1 / b.B, abs=1e-10)
+                assert -g1 * x * q0a + g * raa == pytest.approx(r2 / b.B, abs=1e-10)
 
     def test_g_prime_against_fd(self, expp, pw2):
         # cross-check the closed-form G' with differences of the bundle G
         from conftest import fd1
         for prof, x in ((expp, 0.8), (pw2, 0.3)):
             def g_of(t):
-                return coefficient_bundle(np.array([np.sqrt(t), 0.0], complex), prof).G
-            _, _, _, _, _, _, _, g1 = _scal_coeffs(prof, np.asarray(x))
+                return float(radial_coefficients(prof, t).G)
+            g1 = radial_coefficients(prof, np.asarray(x)).dG
             assert float(g1) == pytest.approx(fd1(g_of, x, 1e-3), rel=1e-7)
 
     def test_table_profile_rejected_at_zero(self):

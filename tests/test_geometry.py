@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hartogs import (
+    MAX_DERIV_ORDER,
     DomainError,
+    Profile,
     SingularCoefficientError,
-    coefficient_bundle,
+    curvature_record,
     det_closed_form,
     grid_csv_header,
     grid_csv_rows,
+    hamiltonian_field,
     hermitize,
     interior_points,
     inverse_metric_closed_form,
@@ -19,6 +22,9 @@ from hartogs import (
     metric_closed_form,
     potential,
     principal_minor,
+    radial_coefficients,
+    ricci_closed_form,
+    scalar_curvature,
     wirtinger_hessian,
     GridSpec,
 )
@@ -188,18 +194,19 @@ class TestInverseMetric:
 
 
 class TestCoefficientBundle:
+    """The radial coefficient record and the split of the inverse metric."""
+
     def test_linear(self, lin11):
-        b = coefficient_bundle(np.array([0.0, 0.3], complex), lin11)
+        b = radial_coefficients(lin11, 0.0)
         assert b.B == pytest.approx(1.0, abs=1e-15)
         assert b.L == pytest.approx(0.0, abs=1e-15)
         assert b.G == pytest.approx(0.0, abs=1e-15)
-        assert b.q00 == pytest.approx(-1.0, abs=1e-15)
-        assert b.p00 == pytest.approx(1.0, abs=1e-15)
+        assert -b.F[0] / b.B == pytest.approx(-1.0, abs=1e-15)       # q00
+        assert b.F[0] ** 2 / b.B == pytest.approx(1.0, abs=1e-15)    # p00
 
     def test_exponential(self, expp):
-        z = np.array([0.5, 0.3], complex)
-        b = coefficient_bundle(z, expp)
         x = 0.25
+        b = radial_coefficients(expp, x)
         assert b.B == pytest.approx(np.exp(-2 * x), rel=1e-13)
         assert b.L == pytest.approx(-2.0, abs=1e-12)
         assert b.G == pytest.approx(2 * np.exp(x), rel=1e-12)
@@ -209,37 +216,46 @@ class TestCoefficientBundle:
     def test_power_l_value(self, pw2):
         # L = -2/(1-x)^2 for F = (1-x)^2, cross-checked by the FD oracle
         z = np.array([np.sqrt(0.3), 0.2], complex)
-        b = coefficient_bundle(z, pw2)
+        b = radial_coefficients(pw2, abs(z[0]) ** 2)
         assert b.L == pytest.approx(-2.0 / 0.7 ** 2, rel=1e-11)
         assert b.L == pytest.approx(l_coefficient_fd(pw2, 0.3), abs=1e-5)
 
     def test_internal_identities(self, builtin_profiles):
+        # the inverse metric splits as P + Q S in the total fiber radius S,
+        # with P, Q built from the radial record; C is the (0,0) Hessian numerator
         rng = np.random.default_rng(8)
+        header = grid_csv_header(3)
         for prof in builtin_profiles.values():
             z = np.array([0.4 * rng.standard_normal() + 0.1j, 0.3 + 0.1j, 0.2j])
-            b = coefficient_bundle(z, prof)
             x = abs(z[0]) ** 2
-            f, f1, f2 = (prof.deriv(k, x) for k in range(3))
+            s = np.sum(np.abs(z[1:]) ** 2)
+            b = radial_coefficients(prof, x)
+            f, f1, f2 = b.F[:3]
             t = f1 + f2 * x
-            assert b.p00 == pytest.approx(f ** 2 / b.B, rel=1e-13)
-            assert b.q00 == pytest.approx(-f / b.B, rel=1e-13)
-            assert b.p0a == pytest.approx(f1 * f / b.B, rel=1e-13)
-            assert b.q0a == pytest.approx(-f1 / b.B, rel=1e-13)
-            assert b.paa == pytest.approx(f * t / b.B - 1.0, rel=1e-12)
-            assert b.pab == pytest.approx(b.paa + 1.0, rel=1e-12)
-            assert b.qaa == b.raa
-            assert b.qab == -b.qaa
-            assert b.C == pytest.approx(f1 ** 2 * x - t * b.A, rel=1e-12)
+            minv = inverse_metric_closed_form(z, prof)
+            row = grid_csv_rows(z[None], prof)[0]
+            a = row[header.index("A")]
+            assert a == pytest.approx(f - s, rel=1e-13)
+            assert minv[0, 0] == pytest.approx(f ** 2 / b.B + (-f / b.B) * s, rel=1e-13)
+            assert minv[1, 0] == pytest.approx(
+                (f1 * f / b.B + (-f1 / b.B) * s) * z[0] * np.conj(z[1]), rel=1e-13)
+            assert minv[1, 2] == pytest.approx(
+                (f * t / b.B + (-t / b.B) * s) * np.conj(z[1]) * z[2], rel=1e-12)
+            assert minv[1, 1] == pytest.approx(
+                a + (f * t / b.B + (-t / b.B) * s) * abs(z[1]) ** 2, rel=1e-12)
+            assert row[header.index("C")] == pytest.approx(f1 ** 2 * x - t * a, rel=1e-12)
             assert b.G == pytest.approx(-b.L * f / b.B, rel=1e-12, abs=1e-15)
 
     def test_b_positive_iff_admissible(self, builtin_profiles, wiggle):
         for prof in builtin_profiles.values():
             for x in np.linspace(0.01, min(prof.x0, 5.0) * 0.9, 23):
-                z = np.array([np.sqrt(x), 0.0], complex)
-                assert (coefficient_bundle(z, prof).B > 0) == (kahler_indicator(prof, x) < 0)
+                assert (radial_coefficients(prof, x).B > 0) == (kahler_indicator(prof, x) < 0)
         for x in (0.3, 0.8):  # wiggle straddles the sign change
-            z = np.array([np.sqrt(x), 0.0], complex)
-            assert (coefficient_bundle(z, wiggle).B > 0) == (kahler_indicator(wiggle, x) < 0)
+            assert (radial_coefficients(wiggle, x).B > 0) == (kahler_indicator(wiggle, x) < 0)
+
+    def test_singular_coefficient(self, constant_profile):
+        with pytest.raises(SingularCoefficientError):
+            radial_coefficients(constant_profile, 0.3)
 
 
 class TestPositivity:
@@ -297,3 +313,24 @@ def test_hermitize_exactness(seed):
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = hermitize(m)
     assert np.array_equal(h, np.conj(h.T))
+
+
+@pytest.mark.parametrize("evaluator", [
+    metric_closed_form, inverse_metric_closed_form, ricci_closed_form,
+    scalar_curvature, hamiltonian_field, curvature_record,
+])
+def test_one_derivative_evaluation_per_call(evaluator, expp, monkeypatch):
+    calls = []
+    derivs = Profile.derivs
+
+    def counted(self, x, upto=MAX_DERIV_ORDER):
+        calls.append(np.shape(x))
+        return derivs(self, x, upto)
+
+    monkeypatch.setattr(Profile, "derivs", counted)
+    pts = interior_points(expp, 3, GridSpec(points=7, seed=2))
+    batches = [pts[0]] if evaluator is curvature_record else [pts[0], pts]
+    for z in batches:
+        calls.clear()
+        evaluator(z, expp)
+        assert calls == [np.shape(z)[:-1]], evaluator.__name__

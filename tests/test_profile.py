@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hartogs import (
+    MAX_DERIV_ORDER,
     DomainError,
     ProfileError,
     StepError,
@@ -18,6 +19,7 @@ from hartogs import (
     profile_from_function,
     table_profile,
 )
+from hartogs import jets
 from conftest import fd1, make_custom
 
 
@@ -178,3 +180,55 @@ def test_profile_from_function_matches_builtin(expp):
     for k in range(6):
         np.testing.assert_allclose(custom.deriv(k, xs), expp.deriv(k, xs),
                                    rtol=1e-12, atol=1e-12)
+
+
+def _gauss(j):
+    return (-j - j * j * 0.25).exp()
+
+
+class TestDerivs:
+    @pytest.fixture
+    def zoo(self):
+        xs = np.linspace(0.0, 2.0, 200)
+        return {
+            "linear": linear_profile(2.0, 0.5),
+            "exp": exp_profile(1.5),
+            "power": power_profile(2.5),
+            "table": table_profile(xs, np.exp(-xs - 0.1 * xs ** 2)),
+            "jet": profile_from_function(_gauss, x0=math.inf, name="gauss"),
+        }
+
+    def test_matches_deriv_bit_for_bit(self, zoo):
+        for name, prof in zoo.items():
+            for x in (0.7, np.linspace(0.05, 0.95, 13)):
+                for upto in range(MAX_DERIV_ORDER + 1):
+                    table = prof.derivs(x, upto)
+                    assert len(table) == upto + 1
+                    for k in range(upto + 1):
+                        stated = prof.deriv(k, x)
+                        assert type(table[k]) is type(stated), (name, upto, k)
+                        np.testing.assert_array_equal(table[k], stated)
+
+    def test_jet_table_matches_full_order_jet(self, zoo):
+        # a lower-order jet carries the same leading coefficients, bit for bit
+        xs = np.linspace(0.05, 0.95, 13)
+        full = jets.derivatives(_gauss, xs, MAX_DERIV_ORDER)
+        for upto in range(MAX_DERIV_ORDER + 1):
+            for k, v in enumerate(zoo["jet"].derivs(xs, upto)):
+                np.testing.assert_array_equal(v, full[k])
+
+    def test_default_order(self, expp):
+        assert len(expp.derivs(0.5)) == MAX_DERIV_ORDER + 1
+
+    def test_same_errors_as_deriv(self, zoo):
+        for prof in zoo.values():
+            for bad in (-0.1, np.array([0.2, -1e-9]), prof.x0):
+                with pytest.raises(DomainError):
+                    prof.derivs(bad)
+                with pytest.raises(DomainError):
+                    prof.deriv(0, bad)
+            for order in (-1, MAX_DERIV_ORDER + 1):
+                with pytest.raises(ValueError):
+                    prof.derivs(0.5, order)
+                with pytest.raises(ValueError):
+                    prof.deriv(order, 0.5)
