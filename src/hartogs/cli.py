@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__
 from .classification import classify
 from .config import RunConfig, build_profile, load_config
-from .curvature import curvature_record, ricci_closed_form, ricci_numeric
-from .errors import ConfigError, HartogsError
+from .curvature import CurvatureRecord, curvature_record, ricci_numeric
+from .errors import ConfigError, HartogsError, NumericError
 from .extremal import extremal_report
 from .geometry import (
     det_closed_form,
@@ -69,38 +69,45 @@ def _run_check_kahler(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
     return report, verdict
 
 
+def _finite_max(values, what: str) -> float:
+    """Largest of ``values``; a NaN or inf raises instead of turning into a verdict."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NumericError(f"non-finite {what}")
+    return float(np.max(values))
+
+
 def _run_curvature_report(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
     pts = interior_points(profile, cfg.n, cfg.grid)
-    records = [curvature_record(z, profile) for z in pts]
-    scal = np.array([r.scal for r in records])
-    rho = np.stack([r.rho for r in records])
+    batch = curvature_record(pts, profile)
     h = metric_closed_form(pts, profile)
     # oracle deviations; FD Hessians only on a subsample, they dominate the cost.
     # Both Hessian oracles are judged relative to the size of the closed form.
     metric_ratios, ric_errs, ricci_ratios = [], [], []
-    for z in pts[: min(len(pts), 25)]:
-        h_z = metric_closed_form(z, profile)
+    for z, h_z, ric in zip(pts[:25], h, batch.ricci):
         fd = wirtinger_hessian(lambda p: potential(p, profile), z, cfg.fd_step)
-        metric_ratios.append(float(
-            np.max(np.abs(h_z - fd)) / (cfg.tol_oracle * (1.0 + np.max(np.abs(h_z))))))
-        ric = ricci_closed_form(z, profile)
-        ric_errs.append(float(np.max(np.abs(ric - ricci_numeric(z, profile, cfg.fd_step)))))
-        ricci_ratios.append(ric_errs[-1] / (cfg.tol_oracle * (1.0 + float(np.max(np.abs(ric))))))
-    metric_ratio, ric_err = max(metric_ratios), max(ric_errs)
+        metric_ratios.append(
+            np.max(np.abs(h_z - fd)) / (cfg.tol_oracle * (1.0 + np.max(np.abs(h_z)))))
+        ric_errs.append(np.max(np.abs(ric - ricci_numeric(z, profile, cfg.fd_step))))
+        ricci_ratios.append(ric_errs[-1] / (cfg.tol_oracle * (1.0 + np.max(np.abs(ric)))))
+    metric_ratio = _finite_max(metric_ratios, "metric oracle error")
+    ric_err = _finite_max(ric_errs, "Ricci oracle error")
+    ricci_ratio = _finite_max(ricci_ratios, "Ricci oracle error")
     det = det_closed_form(pts, profile)
-    det_err = float(np.max(np.abs(det - np.linalg.det(h).real) / np.abs(det)))
-    inv_err = float(np.max(np.abs(
+    det_err = _finite_max(np.abs(det - np.linalg.det(h).real) / np.abs(det), "determinant error")
+    inv_err = _finite_max(np.abs(
         np.einsum("mab,mbc->mac", h, inverse_metric_closed_form(pts, profile))
         - np.eye(cfg.n)[None]
-    )))
-    ok = metric_ratio <= 1.0 and max(ricci_ratios) <= 1.0 and det_err <= 1e-8 and inv_err <= 1e-8
+    ), "inverse error")
+    ok = metric_ratio <= 1.0 and ricci_ratio <= 1.0 and det_err <= 1e-8 and inv_err <= 1e-8
     report = {
-        "scal": {"min": float(scal.min()), "max": float(scal.max())},
-        "rho": {"min": [float(v) for v in rho.min(axis=0)],
-                "max": [float(v) for v in rho.max(axis=0)]},
+        "scal": {"min": float(batch.scal.min()), "max": float(batch.scal.max())},
+        "rho": {"min": [float(v) for v in batch.rho.min(axis=0)],
+                "max": [float(v) for v in batch.rho.max(axis=0)]},
         "oracle_errors": {"metric_over_tolerance": metric_ratio, "ricci_abs": ric_err,
                           "det_rel": det_err, "inverse_abs": inv_err},
-        "records": [r.to_json() for r in records],
+        "records": [CurvatureRecord(*fields).to_json()
+                    for fields in zip(batch.point, batch.ricci, batch.scal, batch.rho)],
     }
     return report, "PASS" if ok else "FAIL"
 

@@ -22,11 +22,15 @@ Grammar (one assignment per line)::
     curve_dump = curves          # optional: writes curves.scal.csv, curves.L.csv
 
 Values are parsed as int, float, bool (true/false) or string, in that
-order.  Dotted keys nest; duplicate keys are an error.
+order.  Dotted keys nest; duplicate keys are an error.  ``n``,
+``grid.points`` and ``grid.seed`` must be integral numbers and the other
+numeric keys finite numbers; ``grid``, ``profile`` and ``tolerances`` are
+sections.  Anything else is a :class:`ConfigError`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -137,6 +141,34 @@ def build_profile(spec: dict, base_dir: Path | None = None) -> Profile:
     raise ConfigError(f"unknown profile kind {kind!r} (use linear/exp/power/table)")
 
 
+def _integer(value, key: str) -> int:
+    """``value`` as an int; a non-number or a non-integral number is a ConfigError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    """``value`` as a float; a non-number, NaN or inf is a ConfigError."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:   # an integer literal beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
+def _section(tree: dict, name: str) -> dict:
+    node = tree.get(name, {})
+    if not isinstance(node, dict):
+        raise ConfigError(f"'{name}' must be a section ({name}.key = ...)")
+    return node
+
+
 def _from_tree(tree: dict) -> RunConfig:
     if "command" not in tree:
         raise ConfigError("config needs a 'command' entry")
@@ -145,25 +177,23 @@ def _from_tree(tree: dict) -> RunConfig:
         raise ConfigError(f"unknown command {command!r}; choose one of {COMMANDS}")
     if command != "full-suite" and "profile" not in tree:
         raise ConfigError("config needs a profile section")
-    grid_tree = tree.get("grid", {})
-    if not isinstance(grid_tree, dict):
-        raise ConfigError("'grid' must be a section (grid.points = ...)")
+    grid_tree = _section(tree, "grid")
     grid = GridSpec(
-        points=int(grid_tree.get("points", 200)),
-        seed=int(grid_tree.get("seed", 0)),
-        a_margin=float(grid_tree.get("a_margin", 0.05)),
-        x_cap=float(grid_tree.get("x_cap", 5.0)),
+        points=_integer(grid_tree.get("points", 200), "grid.points"),
+        seed=_integer(grid_tree.get("seed", 0), "grid.seed"),
+        a_margin=_number(grid_tree.get("a_margin", 0.05), "grid.a_margin"),
+        x_cap=_number(grid_tree.get("x_cap", 5.0), "grid.x_cap"),
     )
-    tol = tree.get("tolerances", {})
+    tol = _section(tree, "tolerances")
     cfg = RunConfig(
         command=command,
-        profile=dict(tree.get("profile", {})),
-        n=int(tree.get("n", 2)),
+        profile=dict(_section(tree, "profile")),
+        n=_integer(tree.get("n", 2), "n"),
         grid=grid,
-        fd_step=float(tree.get("fd_step", 1e-3)),
-        tol_oracle=float(tol.get("oracle", 1e-5)),
-        tol_extremal=float(tol.get("extremal", 1e-5)),
-        tol_classify=float(tol.get("classify", 1e-8)),
+        fd_step=_number(tree.get("fd_step", 1e-3), "fd_step"),
+        tol_oracle=_number(tol.get("oracle", 1e-5), "tolerances.oracle"),
+        tol_extremal=_number(tol.get("extremal", 1e-5), "tolerances.extremal"),
+        tol_classify=_number(tol.get("classify", 1e-8), "tolerances.classify"),
         output=tree.get("output"),
         expect=tree.get("expect"),
         csv_dump=tree.get("csv_dump"),

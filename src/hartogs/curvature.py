@@ -132,7 +132,11 @@ def generalized_scalars_poly(z, profile: Profile) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurvatureRecord:
-    """Curvature data of one point, JSON-serializable with fixed field names."""
+    """Curvature data of one point, JSON-serializable with fixed field names.
+
+    A batched record (see :func:`curvature_record`) holds the same fields
+    with a leading point axis; :meth:`to_json` takes single records.
+    """
 
     point: np.ndarray
     ricci: np.ndarray
@@ -149,12 +153,18 @@ class CurvatureRecord:
 
 
 def curvature_record(z, profile: Profile) -> CurvatureRecord:
-    """Assemble the full curvature record at one point."""
+    """Assemble the full curvature record at one point.
+
+    Broadcasts: points of shape ``(m, n)`` give one record whose fields
+    carry the leading axis (``scal`` of shape ``(m,)`` and so on); record
+    ``i`` of the batch equals the record of point ``i``.
+    """
     z, x, a, rad = _interior_radial(z, profile)
     n = z.shape[-1]
+    scal = _scal(n, a, rad)
     return CurvatureRecord(
         point=z,
         ricci=hermitize(_ricci(z, x, a, rad)),
-        scal=float(_scal(n, a, rad)),
+        scal=scal if np.ndim(scal) else float(scal),
         rho=_rho(n, a, rad),
     )

@@ -85,6 +85,18 @@ def _b(x, d):
     return f1 ** 2 * x - f * (f1 + f2 * x)
 
 
+def _nonzero_b(b):
+    """``b`` unchanged; raises ``SingularCoefficientError`` where ``B == 0``.
+
+    The one rule for every evaluator that divides by ``B``.  It is exact
+    zero, not a cutoff on ``|B|``: ``B`` scales like ``F^2``, and the
+    closed forms stay accurate for tiny nonzero ``B``.
+    """
+    if np.any(np.asarray(b) == 0.0):
+        raise SingularCoefficientError("coefficient B vanishes; metric degenerate")
+    return b
+
+
 @dataclass(frozen=True)
 class RadialCoefficients:
     """Coefficients of the geometry that depend on ``x = |z_0|^2`` alone.
@@ -111,9 +123,7 @@ class RadialCoefficients:
     def from_table(cls, x, d) -> "RadialCoefficients":
         """Build the record from the table ``d = (F, ..., F^(5))`` at ``x``."""
         f, f1, f2, f3, f4, f5 = d
-        b = _b(x, d)
-        if np.any(np.asarray(b) == 0.0):
-            raise SingularCoefficientError("coefficient B vanishes; metric degenerate")
+        b = _nonzero_b(_b(x, d))
         b1 = x * f1 * f2 - 2.0 * f * f2 - x * f * f3
         b2 = -f1 * f2 + x * f2 ** 2 - 3.0 * f * f3 - x * f * f4
         b3 = -4.0 * f1 * f3 + 2.0 * x * f2 * f3 - 4.0 * f * f4 - x * f1 * f4 - x * f * f5
@@ -274,8 +284,7 @@ def principal_minor(z, profile: Profile, alpha: int):
 
 
 def _inverse(z, x, a, d, b) -> np.ndarray:
-    if np.any(np.abs(b) < 1e-14):
-        raise SingularCoefficientError("metric coefficient B vanishes (degenerate metric)")
+    """Inverse metric from the pieces; ``b`` has passed :func:`_nonzero_b`."""
     n = z.shape[-1]
     f, f1, f2 = d[:3]
     t = f1 + f2 * x
@@ -303,7 +312,7 @@ def inverse_metric_closed_form(z, profile: Profile) -> np.ndarray:
     ``g^{i i~} = (A/B) (B + T |z_i|^2)``.  Satisfies ``Minv @ h = I``.
     """
     z, x, a, d = _interior(z, profile)
-    return _inverse(z, x, a, d, _b(x, d))
+    return _inverse(z, x, a, d, _nonzero_b(_b(x, d)))
 
 
 def grid_csv_header(n: int) -> list[str]:

@@ -1,10 +1,13 @@
-"""Deterministic point grids inside a Hartogs domain.
+"""Deterministic point samples inside and on the boundary of a Hartogs domain.
 
 Interior sweeps use a scrambled Halton sequence mapped through polar
 coordinates: one dimension drives ``|z_0|^2``, one its phase, one the total
 fiber radius, and the rest split the fiber energy across coordinates and
 phases.  Points too close to the boundary are rejected because the closed
 forms blow up like ``A^-(n+1)`` there; the margin is configurable.
+
+Boundary samples for the Levi-form test are pseudo-random draws from a
+seeded ``numpy`` generator (:func:`boundary_samples`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from scipy.stats import qmc
 from .errors import DomainError
 from .profiles import Profile
 
-__all__ = ["GridSpec", "interior_points", "x_grid"]
+__all__ = ["GridSpec", "interior_points", "x_grid", "boundary_samples"]
 
 
 @dataclass(frozen=True)
@@ -87,3 +90,45 @@ def interior_points(profile: Profile, n: int, spec: GridSpec | None = None) -> n
     if pts.shape[0] < spec.points:
         raise DomainError("could not draw enough interior points; margin too tight?")
     return pts[: spec.points]
+
+
+def _norm(v) -> np.ndarray:
+    """Euclidean norm over the last axis, summing real and imaginary parts
+    apart as ``np.linalg.norm`` does for one complex vector."""
+    return np.sqrt(np.sum(v.real ** 2, axis=-1) + np.sum(v.imag ** 2, axis=-1))
+
+
+def _unit_rows(re, im) -> np.ndarray:
+    v = re + 1j * im
+    return v / _norm(v)[..., None]
+
+
+def boundary_samples(profile: Profile, n: int, samples: int, seed: int = 0,
+                     x_cap: float = 5.0) -> tuple:
+    """Random abscissae, base points and unit fiber/tangent directions.
+
+    Returns ``(x, z0, fiber, tangent)`` with shapes ``(m,)``, ``(m,)``,
+    ``(m, n-1)`` and ``(m, n-1)``, ``m = samples``: ``x`` is uniform in
+    ``(eps, xmax - eps)`` with ``xmax = min(x0, x_cap)`` and
+    ``eps = 1e-3 xmax``, ``z0 = sqrt(x) e^(2 pi i u)`` with ``u`` uniform,
+    and both directions are uniform on the unit sphere of C^(n-1).
+
+    Each sample draws, in this order, ``x``, ``u`` and ``4(n-1)`` standard
+    normals (real and imaginary parts of the fiber direction, then of the
+    tangent direction), so a seed fixes the same stream at every ``samples``.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    xmax = min(profile.x0, x_cap)
+    eps = 1e-3 * xmax
+    x = np.empty(samples)
+    u = np.empty(samples)
+    normals = np.empty((samples, 4, n - 1))
+    for k in range(samples):
+        x[k] = rng.uniform(eps, xmax - eps)
+        u[k] = rng.uniform()
+        normals[k] = rng.standard_normal((4, n - 1))
+    z0 = np.sqrt(x) * np.exp(2j * np.pi * u)
+    fiber = _unit_rows(normals[:, 0], normals[:, 1])
+    return x, z0, fiber, _unit_rows(normals[:, 2], normals[:, 3])

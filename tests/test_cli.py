@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hartogs.cli
 from hartogs.cli import main
 from hartogs.config import ConfigError, build_profile, load_config, parse_config_text
 
@@ -50,6 +52,16 @@ class TestConfigParsing:
         for i, text in enumerate(bad):
             with pytest.raises(ConfigError):
                 load_config(write_config(tmp_path, f"bad{i}.txt", text))
+
+    @pytest.mark.parametrize("line", ["grid.points = abc", "n = 2.5", "fd_step = nan",
+                                      "fd_step = 1" + "0" * 400, "tolerances = 5"],
+                             ids=["points-abc", "n-2.5", "fd-nan", "fd-huge-int", "tol-scalar"])
+    def test_type_errors_exit_2(self, tmp_path, capsys, line):
+        cfg = write_config(tmp_path, "bad.txt",
+                           "command = classify\nprofile.kind = exp\n" + line + "\n")
+        assert main(["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and line.split(" =")[0] in err
 
     def test_unknown_profile_kind(self):
         with pytest.raises(ConfigError):
@@ -170,6 +182,25 @@ class TestCommands:
         errors = json.loads(out.read_text())["report"]["oracle_errors"]
         assert errors["ricci_abs"] > 1e-4
 
+    def test_non_finite_oracle_value_is_an_error(self, tmp_path, monkeypatch, capsys):
+        # a NaN from the Ricci oracle at the third subsample point must not
+        # be dropped by the reduction and turn into a PASS
+        calls = []
+        real = hartogs.cli.ricci_numeric
+
+        def ricci_nan_third(z, profile, step):
+            calls.append(1)
+            out = real(z, profile, step)
+            return np.full_like(out, np.nan) if len(calls) == 3 else out
+
+        monkeypatch.setattr(hartogs.cli, "ricci_numeric", ricci_nan_third)
+        cfg = write_config(tmp_path, "c.txt",
+                           "command = curvature-report\nprofile.kind = exp\n"
+                           "n = 2\ngrid.points = 25\n")
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert len(calls) >= 3
+
     def test_curve_dump(self, tmp_path):
         prefix = tmp_path / "curves"
         cfg = write_config(tmp_path, "c.txt",
@@ -200,6 +231,16 @@ class TestCommands:
         assert rows["exp"]["classify"] == "NON_CONSTANT_CURVATURE"
         assert rows["power(2)"]["extremal"] == "NOT_EXTREMAL"
         assert all(r["pseudoconvexity"] == "CONSISTENT" for r in rows.values())
+
+    def test_full_suite_golden_report(self, tmp_path, monkeypatch):
+        # reference bytes of this config, kept from before the boundary
+        # sampling of equivalence_check was batched
+        golden = Path(__file__).parent / "data" / "full_suite_n2_40.json"
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.txt").write_text("command = full-suite\nn = 2\ngrid.points = 40\n"
+                                        "grid.seed = 1\noutput = report.json\n")
+        assert main(["--config", "c.txt", "--quiet"]) == 0
+        assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
 
 
 def test_console_entry_point(tmp_path):

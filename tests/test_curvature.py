@@ -174,3 +174,18 @@ class TestCurvatureRecord:
         rec = curvature_record(np.zeros(2, complex), lin11)
         assert rec.scal == pytest.approx(-6.0, abs=1e-12)
         np.testing.assert_allclose(rec.ricci, -3.0 * np.eye(2), atol=1e-13)
+
+    def test_batch_equals_single(self, builtin_profiles, sample_points):
+        # one batched record holds the per-point records; |z_0|^2 of a single
+        # point may round differently from the array path, hence rtol
+        for name, prof in builtin_profiles.items():
+            pts = sample_points[name, 3]
+            batch = curvature_record(pts, prof)
+            assert batch.scal.shape == (60,) and batch.ricci.shape == (60, 3, 3)
+            for k, z in enumerate(pts):
+                one = curvature_record(z, prof)
+                assert isinstance(one.scal, float)
+                np.testing.assert_array_equal(batch.point[k], one.point)
+                np.testing.assert_allclose(batch.ricci[k], one.ricci, rtol=1e-13, atol=1e-13)
+                assert batch.scal[k] == pytest.approx(one.scal, rel=1e-13)
+                np.testing.assert_allclose(batch.rho[k], one.rho, rtol=1e-13)

@@ -192,6 +192,21 @@ class TestInverseMetric:
         with pytest.raises(SingularCoefficientError):
             inverse_metric_closed_form(np.array([0.3, 0.4], complex), constant_profile)
 
+    def test_one_singularity_rule(self, constant_profile):
+        # B = 1e-15 is tiny but nonzero: every evaluator that divides by B
+        # evaluates, and the inverse is still accurate; at B == 0 all raise
+        z = np.array([0.3, 0.2], complex)
+        nearly_constant = linear_profile(1.0, 1e-15)
+        assert radial_coefficients(nearly_constant, 0.09).B > 0.0
+        assert scalar_curvature(z, nearly_constant) == pytest.approx(-6.0, abs=1e-12)
+        minv = inverse_metric_closed_form(z, nearly_constant)
+        np.testing.assert_allclose(metric_closed_form(z, nearly_constant) @ minv,
+                                   np.eye(2), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(hamiltonian_field(z, nearly_constant), 0.0, atol=1e-12)
+        for evaluator in (scalar_curvature, inverse_metric_closed_form, hamiltonian_field):
+            with pytest.raises(SingularCoefficientError):
+                evaluator(z, constant_profile)
+
 
 class TestCoefficientBundle:
     """The radial coefficient record and the split of the inverse metric."""

@@ -5,14 +5,21 @@ import pytest
 
 from hartogs import (
     DomainError,
+    NumericError,
     boundary_point,
     equivalence_check,
+    exp_profile,
     kahler_indicator,
     levi_form,
+    linear_profile,
+    power_profile,
     restricted_levi,
     tangent_vector,
     wirtinger_hessian,
 )
+from hartogs.sampling import boundary_samples
+
+from conftest import make_custom
 
 
 def rho_of(profile):
@@ -217,3 +224,106 @@ class TestEquivalenceCheck:
                     "max_indicator", "verdict"):
             assert key in doc
         assert len(doc["argmin"]["point"]) == 4
+
+
+class TestBatchedLevi:
+    """Batched calls equal the single-point calls, point by point."""
+
+    # power profiles: the array power may round differently from the 0-d one
+    CASES = [("linear", lambda: linear_profile(1.0, 1.0), 0.0),
+             ("exp", lambda: exp_profile(1.0), 0.0),
+             ("power(2)", lambda: power_profile(2.0), 1e-14),
+             ("power(3)", lambda: power_profile(3.0), 1e-14)]
+
+    @staticmethod
+    def _same(batch, single, rtol):
+        if rtol == 0.0:
+            np.testing.assert_array_equal(batch, single)
+        else:
+            np.testing.assert_allclose(batch, single, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("name,make,rtol", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_batch_equals_single(self, name, make, rtol, n):
+        prof = make()
+        x, z0, fiber, tangent = boundary_samples(prof, n, 40, seed=17, x_cap=2.0)
+        rng = np.random.default_rng(4)
+        x_vecs = rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))
+        pts = boundary_point(prof, z0, fiber)
+        assert pts.coords.shape == (40, n) and pts.normal.shape == (40, n)
+        levi = levi_form(pts, x_vecs, prof)
+        rlevi = restricted_levi(pts, tangent, prof)
+        tvec = tangent_vector(pts, tangent, prof)
+        for k in range(40):
+            one = boundary_point(prof, z0[k], fiber[k])
+            self._same(pts.coords[k], one.coords, rtol)
+            self._same(pts.normal[k], one.normal, rtol)
+            single = levi_form(one, x_vecs[k], prof)
+            assert isinstance(single, float)
+            self._same(levi[k], single, rtol)
+            self._same(rlevi[k], restricted_levi(one, tangent[k], prof), rtol)
+            self._same(tvec[k], tangent_vector(one, tangent[k], prof), rtol)
+
+    def test_point_broadcasts_over_directions(self, expp):
+        _, z0, fiber, tangent = boundary_samples(expp, 3, 6, seed=2)
+        pts = boundary_point(expp, z0[:, None], fiber[:, None])
+        ys = np.stack([tangent, fiber], axis=1)
+        vals = restricted_levi(pts, ys, expp)
+        assert vals.shape == (6, 2)
+        for k in range(6):
+            one = boundary_point(expp, z0[k], fiber[k])
+            for j in range(2):
+                assert vals[k, j] == restricted_levi(one, ys[k, j], expp)
+
+
+def _reference_equivalence(profile, samples, seed, n, x_cap=5.0):
+    """The sample-by-sample loop: same draws, single-point calls, strict updates."""
+    rng = np.random.default_rng(seed)
+    xmax = min(profile.x0, x_cap)
+    eps = 1e-3 * xmax
+
+    def unit(dim):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        return v / np.linalg.norm(v)
+
+    min_levi, arg_pt, arg_dir = np.inf, None, None
+    max_ind, arg_x = -np.inf, 0.0
+    for _ in range(samples):
+        x = rng.uniform(eps, xmax - eps)
+        z0 = np.sqrt(x) * np.exp(2j * np.pi * rng.uniform())
+        pt = boundary_point(profile, z0, unit(n - 1))
+        ind = kahler_indicator(profile, x)
+        if ind > max_ind:
+            max_ind, arg_x = ind, x
+        for y in (unit(n - 1), pt.fiber / np.linalg.norm(pt.fiber)):
+            val = restricted_levi(pt, y, profile)
+            if val < min_levi:
+                min_levi, arg_pt, arg_dir = val, pt.coords, y
+    return min_levi, arg_pt, arg_dir, max_ind, arg_x
+
+
+class TestEquivalenceReference:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_reference_loop(self, expp, n):
+        rep = equivalence_check(expp, samples=500, seed=3, n=n)
+        min_levi, arg_pt, arg_dir, max_ind, arg_x = _reference_equivalence(expp, 500, 3, n)
+        assert (rep.max_indicator, rep.argmax_x) == (max_ind, arg_x)
+        if n == 2:
+            assert rep.min_levi == min_levi
+            np.testing.assert_array_equal(rep.argmin_point, arg_pt)
+            np.testing.assert_array_equal(rep.argmin_direction, arg_dir)
+        else:   # the batched row norm sums in another order than np.linalg.norm
+            assert rep.min_levi == pytest.approx(min_levi, rel=1e-13)
+            np.testing.assert_allclose(rep.argmin_point, arg_pt, rtol=1e-13)
+            np.testing.assert_allclose(rep.argmin_direction, arg_dir, rtol=1e-13)
+
+    def test_non_finite_levi_is_an_error(self):
+        # exp(-x) with F'' replaced by NaN beyond x = 2: the Levi form and
+        # the indicator turn NaN there and must not be skipped
+        def deriv(k, x):
+            val = (-1.0) ** k * np.exp(-np.asarray(x, dtype=float))
+            return np.where(np.asarray(x) > 2.0, np.nan, val) if k == 2 else val
+
+        prof = make_custom(deriv, x0=float("inf"), name="nan-beyond-2")
+        with pytest.raises(NumericError):
+            equivalence_check(prof, samples=200, seed=1)
