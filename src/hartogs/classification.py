@@ -136,14 +136,15 @@ class ClassificationReport:
 
 def classify(profile: Profile, n: int = 2, spec: GridSpec | None = None,
              tol: float = 1e-8, pullback_tol: float = 1e-10,
-             x_points: int = 101) -> ClassificationReport:
+             x_points: int = 101, step: float = 1e-3) -> ClassificationReport:
     """Decide whether the metric is the hyperbolic one in disguise.
 
     Pipeline: sweep ``L`` over an abscissa grid; if it vanishes to ``tol``,
     fit ``c1 = F(0)``, ``c2 = -F'(0)``, verify the fit pointwise, and
     confirm the pullback identity -> HYPERBOLIC.  A non-vanishing ``L``
     yields NON_CONSTANT_CURVATURE together with the spread of the scalar
-    curvature and the extremality residual over an interior grid.  A
+    curvature and the extremality residual (difference step ``step``, as
+    in :func:`hartogs.extremal.extremal_report`) over an interior grid.  A
     vanishing ``L`` whose fit or pullback check fails yields INCONSISTENT:
     either the tolerances are misconfigured or the profile data violates
     the standing hypotheses.
@@ -158,7 +159,7 @@ def classify(profile: Profile, n: int = 2, spec: GridSpec | None = None,
     if max_l > tol:
         pts = interior_points(profile, n, spec)
         scal = scalar_curvature(pts, profile)
-        res = float(np.max(np.abs(dbar_jacobian(pts, profile))))
+        res = float(np.max(np.abs(dbar_jacobian(pts, profile, step))))
         return ClassificationReport(
             **base, c1=None, c2=None, fit_error=None, pullback_max_error=None,
             rho0_spread=float(np.ptp(scal)), extremal_max_residual=res,

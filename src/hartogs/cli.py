@@ -124,7 +124,7 @@ def _run_pseudoconvexity(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
 
 
 def _run_classify(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
-    rep = classify(profile, cfg.n, cfg.grid, tol=cfg.tol_classify)
+    rep = classify(profile, cfg.n, cfg.grid, tol=cfg.tol_classify, step=cfg.fd_step)
     return rep.to_json(), rep.verdict
 
 

@@ -24,8 +24,9 @@ Grammar (one assignment per line)::
 Values are parsed as int, float, bool (true/false) or string, in that
 order.  Dotted keys nest; duplicate keys are an error.  ``n``,
 ``grid.points`` and ``grid.seed`` must be integral numbers and the other
-numeric keys finite numbers; ``grid``, ``profile`` and ``tolerances`` are
-sections.  Anything else is a :class:`ConfigError`.
+numeric keys finite numbers (``grid.x_cap`` and ``fd_step`` positive);
+``grid``, ``profile`` and ``tolerances`` are sections.  Anything else is a
+:class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -205,6 +206,8 @@ def _from_tree(tree: dict) -> RunConfig:
         raise ConfigError(f"grid.points must be >= 1, got {cfg.grid.points}")
     if not 0.0 < cfg.grid.a_margin < 1.0:
         raise ConfigError(f"grid.a_margin must be in (0, 1), got {cfg.grid.a_margin}")
+    if cfg.grid.x_cap <= 0:
+        raise ConfigError(f"grid.x_cap must be positive, got {cfg.grid.x_cap}")
     if cfg.fd_step <= 0:
         raise ConfigError("fd_step must be positive")
     for name, value in (("oracle", cfg.tol_oracle), ("extremal", cfg.tol_extremal),

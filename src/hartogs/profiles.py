@@ -72,13 +72,16 @@ class Profile:
         """``(F(x), F'(x), ..., F^(upto)(x))`` from one evaluation, vectorized over ``x``.
 
         Raises ``ValueError`` for unsupported orders and ``DomainError`` if
-        any ``x`` falls outside ``[0, x0)``.
+        any ``x`` falls outside ``[0, x0)`` (NaN included); the message gives
+        the count and the first offending value.
         """
         if not 0 <= upto <= MAX_DERIV_ORDER:
             raise ValueError(f"derivative order must be in 0..{MAX_DERIV_ORDER}, got {upto}")
         xa = np.asarray(x, dtype=float)
-        if np.any(xa < 0.0) or np.any(xa >= self.x0):
-            raise DomainError(f"abscissa outside [0, {self.x0}): {x!r}")
+        outside = ~((xa >= 0.0) & (xa < self.x0))
+        if np.any(outside):
+            raise DomainError(f"{np.count_nonzero(outside)} abscissa(e) outside "
+                              f"[0, {self.x0}), first {float(xa[outside].flat[0])!r}")
         table = [np.asarray(v, dtype=float) for v in self._table(xa, upto)[: upto + 1]]
         return tuple(table) if xa.ndim else tuple(float(v) for v in table)
 

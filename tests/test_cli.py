@@ -63,6 +63,15 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and line.split(" =")[0] in err
 
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_nonpositive_x_cap_exit_2(self, tmp_path, capsys, cap):
+        cfg = write_config(tmp_path, "bad.txt", "command = classify\nprofile.kind = exp\n"
+                           f"grid.x_cap = {cap}\n")
+        assert main(["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "grid.x_cap" in err
+        assert err.count("\n") == 1
+
     def test_unknown_profile_kind(self):
         with pytest.raises(ConfigError):
             build_profile({"kind": "spline"})
@@ -233,14 +242,35 @@ class TestCommands:
         assert all(r["pseudoconvexity"] == "CONSISTENT" for r in rows.values())
 
     def test_full_suite_golden_report(self, tmp_path, monkeypatch):
-        # reference bytes of this config, kept from before the boundary
-        # sampling of equivalence_check was batched
+        # reference bytes of this config; re-recorded when the Hamiltonian
+        # field stopped forming the inverse metric, which moved the two
+        # non-linear residuals at roundoff (pinned in the next test)
         golden = Path(__file__).parent / "data" / "full_suite_n2_40.json"
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.txt").write_text("command = full-suite\nn = 2\ngrid.points = 40\n"
                                         "grid.seed = 1\noutput = report.json\n")
         assert main(["--config", "c.txt", "--quiet"]) == 0
         assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
+
+    def test_full_suite_residuals_before_the_field_rewrite(self):
+        # the golden report's two residuals as written before the Hamiltonian
+        # field dropped the inverse-metric matrix; they moved only at roundoff
+        from hartogs import GridSpec, exp_profile, extremal_report, power_profile
+        for profile, before in ((exp_profile(1.0), 0.999999988440307),
+                                (power_profile(2.0), 0.5900994081584056)):
+            rep = extremal_report(profile, 2, GridSpec(points=40, seed=1))
+            assert rep.max_residual_offaxis == pytest.approx(before, rel=1e-12)
+
+    def test_classify_uses_fd_step(self, tmp_path):
+        from hartogs import GridSpec, exp_profile, extremal_report
+        out = tmp_path / "rep.json"
+        cfg = write_config(tmp_path, "c.txt", "command = classify\nprofile.kind = exp\n"
+                           "n = 3\nfd_step = 5e-4\ngrid.points = 30\ngrid.seed = 4\n"
+                           f"expect = NON_CONSTANT_CURVATURE\noutput = {out}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        residual = json.loads(out.read_text())["report"]["extremal_max_residual"]
+        rep = extremal_report(exp_profile(1.0), 3, GridSpec(points=30, seed=4), step=5e-4)
+        assert residual == rep.max_residual
 
 
 def test_console_entry_point(tmp_path):

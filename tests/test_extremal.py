@@ -5,10 +5,13 @@ import pytest
 
 from hartogs import (
     GridSpec,
+    StepError,
+    dbar_jacobian,
     extremal_report,
     extremal_residual,
     hamiltonian_field,
     interior_points,
+    inverse_metric_closed_form,
     kahler_indicator,
     metric_closed_form,
     power_profile,
@@ -16,7 +19,30 @@ from hartogs import (
     reduced_conditions,
     scal_conjugate_gradient,
     scalar_curvature,
+    table_profile,
 )
+
+
+def dbar_reference(z, profile, step):
+    """One stencil pass that evaluates the field at every stencil point."""
+    m, n = z.shape
+    disp = np.zeros((4 * n, n), dtype=complex)
+    for c in range(n):
+        disp[4 * c:4 * c + 4, c] = (step, -step, 1j * step, -1j * step)
+    pts = (z[:, None, :] + disp[None]).reshape(m * 4 * n, n)
+    vals = hamiltonian_field(pts, profile).reshape(m, 4 * n, n)
+    out = np.empty((m, n, n), dtype=complex)
+    for c in range(n):
+        dx = (vals[:, 4 * c] - vals[:, 4 * c + 1]) / (2.0 * step)
+        dy = (vals[:, 4 * c + 2] - vals[:, 4 * c + 3]) / (2.0 * step)
+        out[:, :, c] = 0.5 * (dx + 1j * dy)
+    return out
+
+
+@pytest.fixture(scope="module")
+def field_profiles(builtin_profiles, wiggle):
+    xs = np.linspace(0.0, 3.0, 200)
+    return dict(builtin_profiles, table=table_profile(xs, np.exp(-xs)), wiggle=wiggle)
 
 
 def grad_conj_fd(profile, z, h=1e-4):
@@ -64,6 +90,17 @@ class TestHamiltonianField:
             x = hamiltonian_field(np.zeros(n, complex), expp)
             assert np.max(np.abs(x)) == 0.0
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_against_matrix_route(self, field_profiles, n):
+        # the O(n) field against the inverse metric contracted with the gradient
+        for name, prof in field_profiles.items():
+            pts = interior_points(prof, n, GridSpec(points=40, seed=n, x_cap=2.5))
+            closed = hamiltonian_field(pts, prof)
+            ref = np.einsum("...ba,...b->...a", inverse_metric_closed_form(pts, prof),
+                            scal_conjugate_gradient(pts, prof))
+            err = np.max(np.abs(closed - ref), axis=-1)
+            assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=-1)), name
+
     def test_against_linear_solve(self, builtin_profiles, sample_points):
         # X^a contracts the inverse over its first index: X = Minv^T grad,
         # equivalently the solution of h^T X = grad
@@ -77,7 +114,6 @@ class TestHamiltonianField:
 
 class TestResidual:
     def test_linear_certificate(self, lin11, lin2_05):
-        from hartogs import dbar_jacobian
         for prof in (lin11, lin2_05):
             for n in (2, 3):
                 pts = interior_points(prof, n, GridSpec(points=200, seed=2))
@@ -85,6 +121,25 @@ class TestResidual:
                 assert np.max(np.abs(res)) <= 1e-6
         # single-point API agrees with the batched sweep
         assert extremal_residual(np.array([0.2, 0.3], complex), lin11).max_abs <= 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_shared_record_matches_pointwise_field(self, field_profiles, n):
+        # the stencil shares one radial record per abscissa; the reference
+        # evaluates hamiltonian_field at every stencil point
+        for name, prof in field_profiles.items():
+            pts = interior_points(prof, n, GridSpec(points=40, seed=2, x_cap=2.5))
+            ref = (4.0 * dbar_reference(pts, prof, 5e-4) - dbar_reference(pts, prof, 1e-3)) / 3.0
+            err = np.max(np.abs(dbar_jacobian(pts, prof) - ref), axis=(1, 2))
+            assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=(1, 2))), name
+
+    def test_fiber_displacement_leaves_domain(self, lin11):
+        # |z_0|^2 + |z_1|^2 < 1: the axial neighbours of (0, 0.9995) stay
+        # inside, the fiber neighbour z_1 + step does not
+        z = np.array([0.0, 0.9995], complex)
+        for z0 in (1e-3, -1e-3, 1e-3j, -1e-3j):
+            hamiltonian_field(z + np.array([z0, 0.0]), lin11)
+        with pytest.raises(StepError):
+            dbar_jacobian(z, lin11, step=1e-3)
 
     def test_exponential_falsified(self, expp):
         res = extremal_residual(np.array([0.7, 0.4], complex), expp)
