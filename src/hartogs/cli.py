@@ -2,15 +2,17 @@
 
 Exit status: 0 when the verdict matches expectations, 1 on verdict
 failure, 2 on configuration errors.  Reports are deterministic byte for
-byte for a fixed config (fixed seeds, serial reductions, sorted keys).
+byte for a fixed config (fixed seeds, serial reductions, sorted keys);
+they are written with the bytes of ``json.dumps(document,
+sort_keys=True, indent=2)`` by a writer that fills row tables from arrays.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from . import __version__
 from .classification import classify
 from .config import RunConfig, build_profile, load_config
-from .curvature import CurvatureRecord, curvature_record, ricci_numeric
+from .curvature import curvature_record, ricci_numeric
 from .errors import ConfigError, HartogsError, NumericError
 from .extremal import extremal_report
 from .geometry import (
@@ -77,22 +79,151 @@ def _finite_max(values, what: str) -> float:
     return float(np.max(values))
 
 
+class _Slot:
+    """A number in a :class:`_Rows` template: column ``column`` of the values."""
+
+    __slots__ = ("column",)
+
+    def __init__(self, column: int):
+        self.column = column
+
+
+@dataclasses.dataclass(frozen=True)
+class _Rows:
+    """A JSON list of rows that share one layout, filled from a number array.
+
+    ``template`` is one row whose numbers are :class:`_Slot` leaves; row
+    ``i`` of the list is the template with ``values[i, slot.column]`` at
+    each slot.  :func:`_dumps` renders the layout once and fills it for
+    every row in one formatting pass.
+    """
+
+    template: object
+    values: np.ndarray
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(text: str) -> str:
+    """JSON spelling of a ``float.__repr__`` text (``nan`` is ``NaN`` and so on)."""
+    return _NON_FINITE.get(text, text)
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte, plus :class:`_Rows`.
+
+    Takes str, None, bool, int, float (NumPy ``float64`` included), lists,
+    tuples and dicts with str keys; anything else is a ``TypeError``.
+    """
+    out: list = []
+    _encode(obj, 0, out)
+    return "".join(out)
+
+
+def _encode(obj, level: int, out: list) -> None:
+    """Append the text of ``obj`` at nesting ``level`` to ``out``.
+
+    Inside a :class:`_Rows` template a :class:`_Slot` is appended as is;
+    :func:`_encode_rows` turns it into a format slot.
+    """
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(float.__repr__(obj)))
+    elif isinstance(obj, _Slot):
+        out.append(obj)
+    elif isinstance(obj, _Rows):
+        _encode_rows(obj, level, out)
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        indent = "\n" + "  " * (level + 1)
+        if isinstance(obj, dict):
+            for i, key in enumerate(sorted(obj)):
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be str, not {type(key).__name__}")
+                out.append(("," if i else "{") + indent + encode_basestring_ascii(key) + ": ")
+                _encode(obj[key], level + 1, out)
+            out.append("\n" + "  " * level + "}")
+        else:
+            for i, item in enumerate(obj):
+                out.append(("," if i else "[") + indent)
+                _encode(item, level + 1, out)
+            out.append("\n" + "  " * level + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _encode_rows(rows: _Rows, level: int, out: list) -> None:
+    """Append the list ``rows`` stands for: its layout rendered once, then filled."""
+    if not len(rows.values):
+        out.append("[]")
+        return
+    layout: list = []
+    _encode(rows.template, level + 1, layout)
+    columns = [part.column for part in layout if isinstance(part, _Slot)]
+    row = "".join("%s" if isinstance(part, _Slot) else part.replace("%", "%%")
+                  for part in layout)
+    values = rows.values[:, columns]
+    texts = list(map(float.__repr__, values.ravel().tolist()))
+    if not np.all(np.isfinite(values)):
+        texts = list(map(_float_text, texts))
+    indent = "\n" + "  " * (level + 1)
+    out.append("[" + indent + ("," + indent).join([row] * len(values)) % tuple(texts)
+               + "\n" + "  " * level + "]")
+
+
+def _record_rows(batch) -> _Rows:
+    """The ``records`` list of ``curvature-report`` from one batched record.
+
+    Row ``i`` is ``CurvatureRecord.to_json()`` of point ``i``: the point as
+    interleaved real and imaginary parts, Ricci as ``[re, im]`` pairs in
+    row-major order, the scalar curvature and ``rho``.
+    """
+    m, n = batch.point.shape
+    values = np.column_stack([
+        np.stack([batch.point.real, batch.point.imag], axis=-1).reshape(m, 2 * n),
+        np.stack([batch.ricci.real, batch.ricci.imag], axis=-1).reshape(m, 2 * n * n),
+        batch.scal, batch.rho,
+    ])
+    slots = iter([_Slot(k) for k in range(values.shape[1])])
+
+    def take(count):
+        return [next(slots) for _ in range(count)]
+
+    # slots in the column order above; the writer renders the keys sorted
+    template = {"point": take(2 * n), "ricci": [take(2) for _ in range(n * n)],
+                "scal": next(slots), "rho": take(n)}
+    return _Rows(template, values)
+
+
 def _run_curvature_report(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
     pts = interior_points(profile, cfg.n, cfg.grid)
     batch = curvature_record(pts, profile)
     h = metric_closed_form(pts, profile)
     # oracle deviations; FD Hessians only on a subsample, they dominate the cost.
-    # Both Hessian oracles are judged relative to the size of the closed form.
-    metric_ratios, ric_errs, ricci_ratios = [], [], []
-    for z, h_z, ric in zip(pts[:25], h, batch.ricci):
-        fd = wirtinger_hessian(lambda p: potential(p, profile), z, cfg.fd_step)
-        metric_ratios.append(
-            np.max(np.abs(h_z - fd)) / (cfg.tol_oracle * (1.0 + np.max(np.abs(h_z)))))
-        ric_errs.append(np.max(np.abs(ric - ricci_numeric(z, profile, cfg.fd_step))))
-        ricci_ratios.append(ric_errs[-1] / (cfg.tol_oracle * (1.0 + np.max(np.abs(ric)))))
-    metric_ratio = _finite_max(metric_ratios, "metric oracle error")
+    # Both Hessian oracles are judged per point relative to the size of the closed form.
+    sub, h_sub, ric = pts[:25], h[:25], batch.ricci[:25]
+    fd = wirtinger_hessian(lambda p: potential(p, profile), sub, cfg.fd_step)
+    metric_ratio = _finite_max(
+        np.max(np.abs(h_sub - fd), axis=(-2, -1))
+        / (cfg.tol_oracle * (1.0 + np.max(np.abs(h_sub), axis=(-2, -1)))),
+        "metric oracle error")
+    ric_errs = np.max(np.abs(ric - ricci_numeric(sub, profile, cfg.fd_step)), axis=(-2, -1))
     ric_err = _finite_max(ric_errs, "Ricci oracle error")
-    ricci_ratio = _finite_max(ricci_ratios, "Ricci oracle error")
+    ricci_ratio = _finite_max(
+        ric_errs / (cfg.tol_oracle * (1.0 + np.max(np.abs(ric), axis=(-2, -1)))),
+        "Ricci oracle error")
     det = det_closed_form(pts, profile)
     det_err = _finite_max(np.abs(det - np.linalg.det(h).real) / np.abs(det), "determinant error")
     inv_err = _finite_max(np.abs(
@@ -106,8 +237,7 @@ def _run_curvature_report(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
                 "max": [float(v) for v in batch.rho.max(axis=0)]},
         "oracle_errors": {"metric_over_tolerance": metric_ratio, "ricci_abs": ric_err,
                           "det_rel": det_err, "inverse_abs": inv_err},
-        "records": [CurvatureRecord(*fields).to_json()
-                    for fields in zip(batch.point, batch.ricci, batch.scal, batch.rho)],
+        "records": _record_rows(batch),
     }
     return report, "PASS" if ok else "FAIL"
 
@@ -177,7 +307,12 @@ def _write_curves(cfg: RunConfig, profile: Profile) -> None:
 
 
 def run(cfg: RunConfig, base_dir: Path | None = None) -> tuple[dict, str, int]:
-    """Execute the configured command; return (document, verdict, exit status)."""
+    """Execute the configured command; return (document, verdict, exit status).
+
+    The document holds JSON values, except that the ``records`` of
+    ``curvature-report`` are a ``_Rows`` table; ``main`` writes it with
+    ``_dumps``.
+    """
     if cfg.command == "full-suite":
         report, verdict = _run_full_suite(cfg)
     else:
@@ -225,7 +360,7 @@ def main(argv=None) -> int:
     except HartogsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = json.dumps(document, sort_keys=True, indent=2) + "\n"
+    payload = _dumps(document) + "\n"
     if cfg.output:
         Path(cfg.output).write_text(payload)
     if not args.quiet:

@@ -7,8 +7,9 @@ contraction, and the generalized curvatures are the coefficients of the
 one-variable polynomial ``det(g + t Ric)/det(g)``.
 
 Each quantity has two routes: the closed form and an independent numeric
-route (finite differences of ``log det``, or polynomial interpolation of
-the determinant ratio), so the two can be played against each other.
+route (finite differences of ``log det``, or the eigenvalues of
+``g^{-1} Ric``, whose elementary symmetric functions are the coefficients
+of the determinant ratio), so the two can be played against each other.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import NumericError
 from .geometry import (
     det_closed_form,
     hermitize,
-    metric_closed_form,
     wirtinger_hessian,
     _interior_radial,
     _metric,
@@ -59,7 +58,12 @@ def ricci_closed_form(z, profile: Profile) -> np.ndarray:
 
 
 def ricci_numeric(z, profile: Profile, step: float = 1e-3) -> np.ndarray:
-    """Ricci via ``-dd~ log det(h)`` with finite differences (the oracle)."""
+    """Ricci via ``-dd~ log det(h)`` with finite differences (the oracle).
+
+    Broadcasts like :func:`wirtinger_hessian`: ``z`` of shape ``(n,)``
+    gives ``(n, n)``, a batch ``(m, n)`` gives ``(m, n, n)`` from one
+    stencil evaluation, each entry equal to the single-point result.
+    """
 
     def logdet(pts):
         return np.log(det_closed_form(pts, profile))
@@ -95,39 +99,34 @@ def generalized_scalars_closed(z, profile: Profile) -> np.ndarray:
     return _rho(z.shape[-1], a, rad)
 
 
-def curvature_polynomial_coefficients(metric: np.ndarray, ricci: np.ndarray,
-                                      const_tol: float = 1e-10) -> np.ndarray:
+def curvature_polynomial_coefficients(metric: np.ndarray, ricci: np.ndarray) -> np.ndarray:
     """Coefficients of ``t^1..t^n`` in ``det(g + t Ric)/det(g)``.
 
-    Evaluates ``det(I + t_j M)`` with ``M = g^{-1} Ric`` at ``n+1`` nodes
-    placed well inside the region where ``I + t M`` stays away from
-    singularity, then solves the Vandermonde system.  The recovered
-    constant term must equal 1 to ``const_tol``; if not, the nodes are
-    contracted once and the solve retried before giving up.
+    ``det(g + t Ric)/det(g) = det(I + t M)`` with ``M = g^{-1} Ric``, and
+    ``det(I + t M) = prod_i (1 + t lambda_i) = sum_k e_k(lambda) t^k`` over
+    the eigenvalues of ``M``, so the coefficients are the elementary
+    symmetric functions ``e_1..e_n`` of ``eig(M)``.  The polynomial is real
+    for Hermitian ``g`` and ``Ric``, so the real parts are returned.
+    Broadcasts over leading axes: ``(..., n, n)`` inputs give ``(..., n)``.
     """
     metric = np.asarray(metric, dtype=complex)
     ricci = np.asarray(ricci, dtype=complex)
-    n = metric.shape[-1]
-    m = np.linalg.solve(metric, ricci)
-    scale = 1.0 / (2.0 * (n + 1.0) * (1.0 + np.max(np.abs(m))))
-    for attempt in range(2):
-        nodes = scale * np.arange(n + 1) / (2.0 ** attempt)
-        dets = np.array([np.linalg.det(np.eye(n) + t * m) for t in nodes])
-        vander = np.vander(nodes, n + 1, increasing=True)
-        coeffs = np.linalg.solve(vander, dets)
-        if abs(coeffs[0] - 1.0) <= const_tol and np.max(np.abs(coeffs.imag)) <= const_tol:
-            return coeffs[1:].real
-    raise NumericError("polynomial interpolation of det(g + t Ric)/det(g) is ill-conditioned")
+    lam = np.linalg.eigvals(np.linalg.solve(metric, ricci))
+    n = lam.shape[-1]
+    e = np.zeros(lam.shape[:-1] + (n + 1,), dtype=complex)
+    e[..., 0] = 1.0
+    for j in range(n):  # multiply in the factor (1 + t lambda_j)
+        e[..., 1:] = e[..., 1:] + lam[..., j, None] * e[..., :-1]
+    return e[..., 1:].real
 
 
 def generalized_scalars_poly(z, profile: Profile) -> np.ndarray:
-    """Generalized curvatures via the determinant-polynomial route (oracle)."""
-    z = np.asarray(z, dtype=complex)
-    if z.ndim != 1:
-        raise ValueError("generalized_scalars_poly expects a single point")
-    h = metric_closed_form(z, profile)
-    ric = ricci_closed_form(z, profile)
-    return curvature_polynomial_coefficients(h, ric)
+    """Generalized curvatures via the determinant-polynomial route (oracle).
+
+    Broadcasts: ``(n,)`` points give ``(n,)``, ``(m, n)`` give ``(m, n)``.
+    """
+    z, x, a, rad = _interior_radial(z, profile)
+    return curvature_polynomial_coefficients(_metric(z, x, a, rad.F), _ricci(z, x, a, rad))
 
 
 @dataclass(frozen=True)

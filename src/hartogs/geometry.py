@@ -17,7 +17,8 @@ and ``_inverse`` take these precomputed pieces, so composite evaluators
 share one derivative evaluation.
 
 The finite-difference Wirtinger Hessian lives here too; it is the
-independent oracle against which every closed form is tested.
+independent oracle against which every closed form is tested, and it
+evaluates the stencils of a whole point batch in one call.
 """
 
 from __future__ import annotations
@@ -182,41 +183,42 @@ def metric_closed_form(z, profile: Profile) -> np.ndarray:
     return _metric(*_interior(z, profile))
 
 
-def _complex_hessian_once(f, z, step):
-    n = z.shape[0]
+def _stencil(m: int) -> np.ndarray:
+    """Unit displacements of the central-difference stencil in ``m`` real coordinates.
+
+    Rows: ``+e_k, -e_k`` for each ``k``, then ``e_p + e_q, e_p - e_q,
+    -e_p + e_q, -e_p - e_q`` for each pair ``p < q`` in row-major order.
+    Each row is formed from unit vectors by those same additions, so its
+    signed zeros, scaled by the step, match a stencil built vector by vector.
+    """
+    e = np.eye(m)
+    p, q = np.triu_indices(m, 1)
+    ep, eq = e[p], e[q]
+    return np.concatenate([
+        np.stack([e, -e], axis=1).reshape(-1, m),
+        np.stack([ep + eq, ep - eq, -ep + eq, -ep - eq], axis=1).reshape(-1, m),
+    ])
+
+
+def _complex_hessian_once(vals, f0, n, step):
+    """Wirtinger Hessians ``(k, n, n)`` from one step's stencil values.
+
+    ``vals`` has shape ``(k, 8 n^2)``, its columns in the row order of
+    :func:`_stencil` over the ``m = 2n`` real coordinates; ``f0`` holds
+    the ``k`` centre values.
+    """
     m = 2 * n
-    u0 = np.concatenate([z.real, z.imag])
-    disp = [np.zeros(m)]
-    diag_idx = []
-    for p in range(m):
-        e = np.zeros(m)
-        e[p] = step
-        diag_idx.append(len(disp))
-        disp += [e, -e]
-    off_idx = {}
-    for p in range(m):
-        ep = np.zeros(m)
-        ep[p] = step
-        for q in range(p + 1, m):
-            eq = np.zeros(m)
-            eq[q] = step
-            off_idx[(p, q)] = len(disp)
-            disp += [ep + eq, ep - eq, -ep + eq, -ep - eq]
-    u = u0[None, :] + np.asarray(disp)
-    pts = u[:, :n] + 1j * u[:, n:]
-    vals = np.asarray(f(pts), dtype=float)
-    f0 = vals[0]
-    h = np.empty((m, m))
-    for p in range(m):
-        i = diag_idx[p]
-        h[p, p] = (vals[i] - 2.0 * f0 + vals[i + 1]) / step ** 2
-    for (p, q), i in off_idx.items():
-        v = (vals[i] - vals[i + 1] - vals[i + 2] + vals[i + 3]) / (4.0 * step ** 2)
-        h[p, q] = h[q, p] = v
-    hxx = h[:n, :n]
-    hyy = h[n:, n:]
-    hxy = h[:n, n:]
-    return 0.25 * ((hxx + hyy) + 1j * (hxy - hxy.T))
+    p, q = np.triu_indices(m, 1)
+    pairs = vals[:, 2 * m:].reshape(len(vals), -1, 4)
+    h = np.empty((len(vals), m, m))
+    diag = np.arange(m)
+    h[:, diag, diag] = (vals[:, 0:2 * m:2] - 2.0 * f0[:, None] + vals[:, 1:2 * m:2]) / step ** 2
+    h[:, p, q] = h[:, q, p] = (
+        pairs[..., 0] - pairs[..., 1] - pairs[..., 2] + pairs[..., 3]) / (4.0 * step ** 2)
+    hxx = h[:, :n, :n]
+    hyy = h[:, n:, n:]
+    hxy = h[:, :n, n:]
+    return 0.25 * ((hxx + hyy) + 1j * (hxy - np.swapaxes(hxy, -1, -2)))
 
 
 def wirtinger_hessian(f, z, step: float = 1e-3, richardson: bool = True) -> np.ndarray:
@@ -225,31 +227,47 @@ def wirtinger_hessian(f, z, step: float = 1e-3, richardson: bool = True) -> np.n
     Parameters
     ----------
     f : callable
-        Maps an ``(m, n)`` complex array of points to ``(m,)`` real values;
-        must be evaluable on a ``4 * step`` ball around ``z``.
-    z : array_like, shape (n,)
-        Expansion point.
+        Maps a ``(k, n)`` complex array of points to ``(k,)`` real values;
+        must be evaluable on a ``4 * step`` ball around each point of ``z``.
+    z : array_like, shape (n,) or (m, n)
+        Expansion point, or a batch of them; the result has shape
+        ``(n, n)`` or ``(m, n, n)``.
     step : float
         Base step; with ``richardson=True`` the step-halved estimate is
         combined to cancel the leading error term.
 
-    The second derivatives over the ``2n`` real coordinates are assembled
-    into Wirtinger form ``(Hxx + Hyy + i(Hxy - Hxy^T)) / 4`` and the result
-    is symmetrized to exact Hermitian form.
+    The stencil covers the ``2n`` real coordinates (centre, ``4n`` axial
+    and ``4n(2n - 1)`` diagonal displacements per step).  ``f`` is called
+    once, on the stencils of every point and both steps (``1 + 16 n^2``
+    points each with ``richardson``, the centre shared), and each batch
+    entry equals the Hessian of that point alone bit for bit.  The second
+    derivatives are assembled into Wirtinger form
+    ``(Hxx + Hyy + i(Hxy - Hxy^T)) / 4`` and the result is symmetrized to
+    exact Hermitian form.  If any stencil point of any batch entry leaves
+    the domain of ``f`` (a ``DomainError``), the call raises ``StepError``.
     """
     z = np.asarray(z, dtype=complex)
-    if z.ndim != 1:
-        raise ValueError("wirtinger_hessian expects a single point of shape (n,)")
+    if z.ndim not in (1, 2):
+        raise ValueError(f"wirtinger_hessian expects shape (n,) or (m, n), got {z.shape}")
     if step <= 0:
         raise StepError(f"step must be positive, got {step}")
+    n = z.shape[-1]
+    pts = z.reshape(-1, n)
+    disp = _stencil(2 * n)
+    steps = (step, step / 2.0) if richardson else (step,)
+    offsets = np.concatenate([np.zeros((1, 2 * n))] + [disp * s for s in steps])
+    u = np.concatenate([pts.real, pts.imag], axis=-1)[:, None, :] + offsets
     try:
-        h1 = _complex_hessian_once(f, z, step)
-        if richardson:
-            h2 = _complex_hessian_once(f, z, step / 2.0)
-            h1 = (4.0 * h2 - h1) / 3.0
+        vals = np.asarray(f((u[..., :n] + 1j * u[..., n:]).reshape(-1, n)), dtype=float)
     except DomainError as exc:
         raise StepError(f"stencil with step {step} leaves the domain") from exc
-    return hermitize(h1)
+    vals = vals.reshape(len(pts), -1)
+    f0, width = vals[:, 0], len(disp)
+    h1 = _complex_hessian_once(vals[:, 1:1 + width], f0, n, step)
+    if richardson:
+        h2 = _complex_hessian_once(vals[:, 1 + width:], f0, n, step / 2.0)
+        h1 = (4.0 * h2 - h1) / 3.0
+    return hermitize(h1).reshape(z.shape + (n,))
 
 
 def _det(z, a, b):

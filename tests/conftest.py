@@ -10,6 +10,7 @@ from hartogs import (
     linear_profile,
     power_profile,
     profile_from_function,
+    table_profile,
 )
 from hartogs.profiles import Profile
 
@@ -50,6 +51,14 @@ def wiggle():
     return profile_from_function(
         lambda j: (-j + (j * 6.0).sin() * (1.0 / 12.0)).exp(),
         x0=float("inf"), name="wiggle")
+
+
+@pytest.fixture(scope="session")
+def oracle_profiles(builtin_profiles, wiggle):
+    """Built-ins, a spline-backed table profile and the jet-backed ``wiggle``."""
+    xs = np.linspace(0.0, 3.0, 200)
+    return dict(builtin_profiles, table=table_profile(xs, np.exp(-xs - 0.1 * xs ** 2)),
+                wiggle=wiggle)
 
 
 @pytest.fixture(scope="session")

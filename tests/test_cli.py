@@ -7,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hartogs.cli
-from hartogs.cli import main
+from hartogs.cli import _dumps, _Rows, _Slot, main
 from hartogs.config import ConfigError, build_profile, load_config, parse_config_text
 
 
@@ -191,24 +192,41 @@ class TestCommands:
         errors = json.loads(out.read_text())["report"]["oracle_errors"]
         assert errors["ricci_abs"] > 1e-4
 
+    @staticmethod
+    def _nan_in_row_2(monkeypatch, name):
+        """Make the batched oracle ``hartogs.cli.<name>`` return NaN in row 2."""
+        calls = []
+        real = getattr(hartogs.cli, name)
+
+        def nan_row_2(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(out.shape)
+            out[2] = np.nan
+            return out
+
+        monkeypatch.setattr(hartogs.cli, name, nan_row_2)
+        return calls
+
     def test_non_finite_oracle_value_is_an_error(self, tmp_path, monkeypatch, capsys):
         # a NaN from the Ricci oracle at the third subsample point must not
         # be dropped by the reduction and turn into a PASS
-        calls = []
-        real = hartogs.cli.ricci_numeric
-
-        def ricci_nan_third(z, profile, step):
-            calls.append(1)
-            out = real(z, profile, step)
-            return np.full_like(out, np.nan) if len(calls) == 3 else out
-
-        monkeypatch.setattr(hartogs.cli, "ricci_numeric", ricci_nan_third)
+        calls = self._nan_in_row_2(monkeypatch, "ricci_numeric")
         cfg = write_config(tmp_path, "c.txt",
                            "command = curvature-report\nprofile.kind = exp\n"
                            "n = 2\ngrid.points = 25\n")
         assert main(["--config", cfg, "--quiet"]) == 2
         assert "non-finite" in capsys.readouterr().err
-        assert len(calls) >= 3
+        assert calls == [(25, 2, 2)]
+
+    def test_non_finite_metric_oracle_value_is_an_error(self, tmp_path, monkeypatch, capsys):
+        # the same for the FD metric oracle
+        calls = self._nan_in_row_2(monkeypatch, "wirtinger_hessian")
+        cfg = write_config(tmp_path, "c.txt",
+                           "command = curvature-report\nprofile.kind = exp\n"
+                           "n = 2\ngrid.points = 25\n")
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert "non-finite metric oracle error" in capsys.readouterr().err
+        assert calls == [(25, 2, 2)]
 
     def test_curve_dump(self, tmp_path):
         prefix = tmp_path / "curves"
@@ -271,6 +289,72 @@ class TestCommands:
         residual = json.loads(out.read_text())["report"]["extremal_max_residual"]
         rep = extremal_report(exp_profile(1.0), 3, GridSpec(points=30, seed=4), step=5e-4)
         assert residual == rep.max_residual
+
+
+_SPECIAL_TEXT = ["", "%", "%s", '"', "\\", "\n\t\b\f\r", "\x00\x1f\x7f", "é", "Ωμέγα",
+                 "\u2028", "\U0001f600", "\ud83d", "point", "rho"]
+_SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e308,
+                   -1e308, 1e16, 1e-7, 0.1]
+_texts = st.one_of(st.text(max_size=8), st.sampled_from(_SPECIAL_TEXT))
+_floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), _floats,
+                     _floats.map(np.float64), _texts)
+_trees = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_texts, inner, max_size=4)),
+    max_leaves=24)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_trees)
+    def test_matches_stdlib_layout(self, tree):
+        assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(_floats, min_size=3, max_size=3), max_size=5),
+           st.lists(_texts, min_size=2, max_size=2, unique=True), st.integers(0, 2))
+    def test_rows_match_their_expansion(self, values, keys, depth):
+        # a row table renders like the list of rows it stands for, at any depth
+        template = {keys[0]: [_Slot(2), {"%s": _Slot(0)}], keys[1]: _Slot(1), "flag": True}
+        values = np.array(values, dtype=float).reshape(-1, 3)
+        expanded = [{keys[0]: [row[2], {"%s": row[0]}], keys[1]: row[1], "flag": True}
+                    for row in values.tolist()]
+        doc, plain = _Rows(template, values), expanded
+        for _ in range(depth):
+            doc, plain = {"x": [doc]}, {"x": [plain]}
+        assert _dumps(doc) == json.dumps(plain, sort_keys=True, indent=2)
+
+    def test_rejects_what_json_rejects(self):
+        for bad in (np.float32(1.0), np.int64(1), {1: 2}, {"a": {1, 2}}):
+            with pytest.raises(TypeError):
+                _dumps(bad)
+
+    def test_curvature_report_golden(self, tmp_path, monkeypatch):
+        # reference bytes of this config, written before the report writer and
+        # the batched oracles replaced json.dumps and the per-point oracle loop
+        golden = Path(__file__).parent / "data" / "curvature_report_exp_n3_40.json"
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.txt").write_text("command = curvature-report\nprofile.kind = exp\n"
+                                        "n = 3\ngrid.points = 40\ngrid.seed = 1\n"
+                                        "output = report.json\n")
+        assert main(["--config", "c.txt", "--quiet"]) == 0
+        assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
+
+    def test_records_equal_per_point_to_json(self, tmp_path):
+        # the rows are CurvatureRecord.to_json() of each point of the batch
+        from hartogs import CurvatureRecord, GridSpec, curvature_record, interior_points
+        from hartogs import power_profile
+        out = tmp_path / "rep.json"
+        cfg = write_config(tmp_path, "c.txt", "command = curvature-report\nprofile.kind = power\n"
+                           f"profile.p = 2.0\nn = 3\ngrid.points = 30\noutput = {out}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        prof = power_profile(2.0)
+        batch = curvature_record(interior_points(prof, 3, GridSpec(points=30)), prof)
+        expected = [CurvatureRecord(*fields).to_json()
+                    for fields in zip(batch.point, batch.ricci, batch.scal, batch.rho)]
+        assert json.loads(out.read_text())["report"]["records"] == expected
 
 
 def test_console_entry_point(tmp_path):

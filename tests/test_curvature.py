@@ -47,6 +47,18 @@ class TestRicci:
                     err = np.abs(ricci_closed_form(z, prof) - ricci_numeric(z, prof, 2.5e-4))
                     assert np.max(err) <= 1e-4, (name, n)
 
+    def test_numeric_batch_equals_single_points(self, oracle_profiles):
+        # NaN where log det is taken of a negative determinant (wiggle's
+        # non-admissible points) sits at the same entries in both
+        for name, prof in oracle_profiles.items():
+            for n in range(2, 13):
+                pts = interior_points(prof, n, GridSpec(points=3, seed=n))
+                with np.errstate(invalid="ignore"):
+                    batch = ricci_numeric(pts, prof, 1e-3)
+                    single = [ricci_numeric(z, prof, 1e-3) for z in pts]
+                assert batch.shape == (3, n, n) and single[0].shape == (n, n)
+                np.testing.assert_array_equal(batch, np.stack(single), err_msg=name)
+
     def test_einstein_identity_linear(self, lin2_05, sample_points):
         pts = sample_points["linear(2,0.5)", 3]
         ric = ricci_closed_form(pts, lin2_05)
@@ -128,6 +140,16 @@ class TestGeneralizedScalars:
                     closed = generalized_scalars_closed(z, prof)
                     poly = generalized_scalars_poly(z, prof)
                     assert np.max(np.abs(closed - poly)) <= 1e-8, (name, n)
+
+    def test_poly_route_matches_closed_up_to_n12(self, oracle_profiles):
+        for n in range(2, 13):
+            for name, prof in oracle_profiles.items():
+                pts = interior_points(prof, n, GridSpec(points=20, seed=n))
+                closed = generalized_scalars_closed(pts, prof)
+                poly = generalized_scalars_poly(pts, prof)
+                assert poly.shape == (20, n)
+                assert np.max(np.abs(closed - poly)) <= 1e-8 * (1.0 + np.max(np.abs(closed))), (
+                    name, n)
 
     def test_zero_ricci_gives_zero(self, lin11):
         h = metric_closed_form(np.array([0.2, 0.3], complex), lin11)

@@ -122,6 +122,24 @@ class TestWirtingerHessian:
         from hartogs import StepError
         with pytest.raises(StepError):
             wirtinger_hessian(lambda p: potential(p, lin11), z, 1e-2)
+        # in a batch, one point whose stencil leaves the domain is enough
+        inside = np.array([[0.2, 0.3], [0.1 + 0.1j, -0.2j]], complex)
+        wirtinger_hessian(lambda p: potential(p, lin11), inside, 1e-2)
+        with pytest.raises(StepError):
+            wirtinger_hessian(lambda p: potential(p, lin11), np.vstack([inside, z]), 1e-2)
+
+    def test_batch_equals_single_points(self, oracle_profiles):
+        # one stencil evaluation for the batch gives each point's Hessian bit for bit
+        for name, prof in oracle_profiles.items():
+            for n in range(2, 13):
+                pts = interior_points(prof, n, GridSpec(points=3, seed=n))
+                for richardson in (True, False):
+                    batch = wirtinger_hessian(lambda p: potential(p, prof), pts, 1e-3,
+                                              richardson=richardson)
+                    single = [wirtinger_hessian(lambda p: potential(p, prof), z, 1e-3,
+                                                richardson=richardson) for z in pts]
+                    assert batch.shape == (3, n, n) and single[0].shape == (n, n)
+                    np.testing.assert_array_equal(batch, np.stack(single), err_msg=name)
 
 
 class TestDeterminant:
