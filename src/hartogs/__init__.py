@@ -53,10 +53,8 @@ from .curvature import (
 )
 from .extremal import (
     ExtremalReport,
-    ExtremalResidual,
     dbar_jacobian,
     extremal_report,
-    extremal_residual,
     hamiltonian_field,
     reduced_conditions,
     scal_conjugate_gradient,

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .extremal import dbar_jacobian
-from .geometry import metric_closed_form, radial_coefficients
-from .curvature import scalar_curvature
+from .extremal import _radial_parts, _radial_residual
+from .geometry import _interior_radial, metric_closed_form, radial_coefficients
+from .curvature import _scal
 from .profiles import Profile, linear_profile
 from .sampling import GridSpec, interior_points, x_grid
 
@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 _BALL = linear_profile(1.0, 1.0)
+# abscissae of the L sweep in classify
+X_POINTS = 101
+# largest pullback error for which classify accepts the isometry
+PULLBACK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ class PullbackReport:
 
 
 def pullback_check(c1: float, c2: float, n: int, spec: GridSpec | None = None,
-                   tol: float = 1e-10) -> PullbackReport:
+                   tol: float = PULLBACK_TOL) -> PullbackReport:
     """Compare ``J^H g_hyp(phi(z)) J`` with the linear-profile metric.
 
     The Jacobian ``J`` of the rescaling is constant and diagonal, so the
@@ -135,31 +139,30 @@ class ClassificationReport:
 
 
 def classify(profile: Profile, n: int = 2, spec: GridSpec | None = None,
-             tol: float = 1e-8, pullback_tol: float = 1e-10,
-             x_points: int = 101, step: float = 1e-3) -> ClassificationReport:
+             tol: float = 1e-8) -> ClassificationReport:
     """Decide whether the metric is the hyperbolic one in disguise.
 
     Pipeline: sweep ``L`` over an abscissa grid; if it vanishes to ``tol``,
     fit ``c1 = F(0)``, ``c2 = -F'(0)``, verify the fit pointwise, and
     confirm the pullback identity -> HYPERBOLIC.  A non-vanishing ``L``
     yields NON_CONSTANT_CURVATURE together with the spread of the scalar
-    curvature and the extremality residual (difference step ``step``, as
-    in :func:`hartogs.extremal.extremal_report`) over an interior grid.  A
+    curvature and the radial extremality residual over an interior grid
+    (the ``max_residual`` of :func:`hartogs.extremal.extremal_report`).  A
     vanishing ``L`` whose fit or pullback check fails yields INCONSISTENT:
     either the tolerances are misconfigured or the profile data violates
     the standing hypotheses.
     """
     spec = spec or GridSpec()
-    xs = x_grid(profile, x_points, spec)
+    xs = x_grid(profile, X_POINTS, spec)
     rad = radial_coefficients(profile, xs)
     max_l = float(np.max(np.abs(rad.L)))
     arg_x = float(xs[int(np.argmax(np.abs(rad.L)))])
     base = dict(profile=profile.describe(), n=n, grid=spec.describe(), tol=tol,
                 max_abs_l=max_l, argmax_x=arg_x)
     if max_l > tol:
-        pts = interior_points(profile, n, spec)
-        scal = scalar_curvature(pts, profile)
-        res = float(np.max(np.abs(dbar_jacobian(pts, profile, step))))
+        _, x, a, grid_rad = _interior_radial(interior_points(profile, n, spec), profile)
+        scal = _scal(n, a, grid_rad)
+        res = float(np.max(_radial_residual(*_radial_parts(x, a, grid_rad))))
         return ClassificationReport(
             **base, c1=None, c2=None, fit_error=None, pullback_max_error=None,
             rho0_spread=float(np.ptp(scal)), extremal_max_residual=res,
@@ -173,7 +176,7 @@ def classify(profile: Profile, n: int = 2, spec: GridSpec | None = None,
             **base, c1=c1, c2=c2, fit_error=fit_error, pullback_max_error=None,
             rho0_spread=None, extremal_max_residual=None, verdict="INCONSISTENT",
         )
-    pull = pullback_check(c1, c2, n, spec, pullback_tol)
+    pull = pullback_check(c1, c2, n, spec)
     verdict = "HYPERBOLIC" if pull.passed else "INCONSISTENT"
     return ClassificationReport(
         **base, c1=c1, c2=c2, fit_error=fit_error,

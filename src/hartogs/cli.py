@@ -254,7 +254,7 @@ def _run_pseudoconvexity(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
 
 
 def _run_classify(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
-    rep = classify(profile, cfg.n, cfg.grid, tol=cfg.tol_classify, step=cfg.fd_step)
+    rep = classify(profile, cfg.n, cfg.grid, tol=cfg.tol_classify)
     return rep.to_json(), rep.verdict
 
 
@@ -275,7 +275,7 @@ def _run_full_suite(cfg: RunConfig) -> tuple[dict, str]:
         rows.append({
             "profile": label, "kahler": kahler, "classify": cls_verdict,
             "extremal": ext_verdict, "pseudoconvexity": pc_verdict,
-            "max_residual_offaxis": ext["max_residual_offaxis"],
+            "max_residual": ext["max_residual"],
             "max_abs_l": cls["L_grid"]["max_abs"], "as_expected": row_ok,
         })
     return {"profiles": rows}, "SUITE_PASS" if ok else "SUITE_FAIL"

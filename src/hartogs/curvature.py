@@ -19,6 +19,7 @@ from math import comb
 
 import numpy as np
 
+from .errors import NumericError
 from .geometry import (
     det_closed_form,
     hermitize,
@@ -63,10 +64,17 @@ def ricci_numeric(z, profile: Profile, step: float = 1e-3) -> np.ndarray:
     Broadcasts like :func:`wirtinger_hessian`: ``z`` of shape ``(n,)``
     gives ``(n, n)``, a batch ``(m, n)`` gives ``(m, n, n)`` from one
     stencil evaluation, each entry equal to the single-point result.
+    A stencil point whose determinant is not positive (the profile is not
+    Kaehler-admissible there) raises ``NumericError``: ``log det`` is
+    undefined, and a NaN must not stand in for the oracle.
     """
 
     def logdet(pts):
-        return np.log(det_closed_form(pts, profile))
+        det = det_closed_form(pts, profile)
+        if not np.all(det > 0.0):
+            raise NumericError("metric determinant <= 0 on the Ricci stencil "
+                               "(profile not Kaehler-admissible there)")
+        return np.log(det)
 
     return -wirtinger_hessian(logdet, np.asarray(z, dtype=complex), step)
 

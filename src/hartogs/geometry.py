@@ -16,9 +16,10 @@ coefficients that depend on ``x`` alone are built once from that table
 and ``_inverse`` take these precomputed pieces, so composite evaluators
 share one derivative evaluation.
 
-The finite-difference Wirtinger Hessian lives here too; it is the
-independent oracle against which every closed form is tested, and it
-evaluates the stencils of a whole point batch in one call.
+The one finite-difference engine lives here too: the Wirtinger Hessian,
+the independent oracle against which every closed form is tested, and a
+first-derivative ``d/dz~`` mode on the axial rows of the same stencil.
+Each evaluates the stencils of a whole point batch in one call.
 """
 
 from __future__ import annotations
@@ -221,6 +222,39 @@ def _complex_hessian_once(vals, f0, n, step):
     return 0.25 * ((hxx + hyy) + 1j * (hxy - np.swapaxes(hxy, -1, -2)))
 
 
+def _central_differences(f, z, step, richardson, disp, assemble):
+    """The one central-difference engine behind every FD oracle.
+
+    ``f`` maps ``(k, n)`` points to ``(k, ...)`` values and is called once,
+    on the centres ``z`` (``(n,)`` or ``(m, n)``) and their displacements by
+    the rows of ``disp`` (unit steps in the ``2n`` real coordinates) at every
+    step.  ``assemble(vals, f0, n, s)`` turns one step's values and the
+    centre values into the estimate for step ``s``; ``richardson`` combines
+    it with the step-halved one.  A ``DomainError`` from ``f`` becomes
+    ``StepError``.
+    """
+    if z.ndim not in (1, 2):
+        raise ValueError(f"stencil centres must have shape (n,) or (m, n), got {z.shape}")
+    if step <= 0:
+        raise StepError(f"step must be positive, got {step}")
+    n = z.shape[-1]
+    pts = z.reshape(-1, n)
+    steps = (step, step / 2.0) if richardson else (step,)
+    offsets = np.concatenate([np.zeros((1, 2 * n))] + [disp * s for s in steps])
+    u = np.concatenate([pts.real, pts.imag], axis=-1)[:, None, :] + offsets
+    try:
+        vals = np.asarray(f((u[..., :n] + 1j * u[..., n:]).reshape(-1, n)))
+    except DomainError as exc:
+        raise StepError(f"stencil with step {step} leaves the domain") from exc
+    vals = vals.reshape((len(pts), len(offsets)) + vals.shape[1:])
+    f0, width = vals[:, 0], len(disp)
+    d1 = assemble(vals[:, 1:1 + width], f0, n, step)
+    if richardson:
+        d2 = assemble(vals[:, 1 + width:], f0, n, step / 2.0)
+        d1 = (4.0 * d2 - d1) / 3.0
+    return d1
+
+
 def wirtinger_hessian(f, z, step: float = 1e-3, richardson: bool = True) -> np.ndarray:
     """Complex Hessian ``d^2 f / dz_a dz~_b`` by central differences.
 
@@ -247,27 +281,28 @@ def wirtinger_hessian(f, z, step: float = 1e-3, richardson: bool = True) -> np.n
     the domain of ``f`` (a ``DomainError``), the call raises ``StepError``.
     """
     z = np.asarray(z, dtype=complex)
-    if z.ndim not in (1, 2):
-        raise ValueError(f"wirtinger_hessian expects shape (n,) or (m, n), got {z.shape}")
-    if step <= 0:
-        raise StepError(f"step must be positive, got {step}")
     n = z.shape[-1]
-    pts = z.reshape(-1, n)
-    disp = _stencil(2 * n)
-    steps = (step, step / 2.0) if richardson else (step,)
-    offsets = np.concatenate([np.zeros((1, 2 * n))] + [disp * s for s in steps])
-    u = np.concatenate([pts.real, pts.imag], axis=-1)[:, None, :] + offsets
-    try:
-        vals = np.asarray(f((u[..., :n] + 1j * u[..., n:]).reshape(-1, n)), dtype=float)
-    except DomainError as exc:
-        raise StepError(f"stencil with step {step} leaves the domain") from exc
-    vals = vals.reshape(len(pts), -1)
-    f0, width = vals[:, 0], len(disp)
-    h1 = _complex_hessian_once(vals[:, 1:1 + width], f0, n, step)
-    if richardson:
-        h2 = _complex_hessian_once(vals[:, 1 + width:], f0, n, step / 2.0)
-        h1 = (4.0 * h2 - h1) / 3.0
-    return hermitize(h1).reshape(z.shape + (n,))
+    h = _central_differences(f, z, step, richardson, _stencil(2 * n), _complex_hessian_once)
+    return hermitize(h).reshape(z.shape + (n,))
+
+
+def _dbar_once(vals, f0, n, step):
+    """``d f / dz~_c`` on axis 1 from one step's axial stencil values ``(k, 4n, ...)``."""
+    d = (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * step)
+    return 0.5 * (d[:, :n] + 1j * d[:, n:])
+
+
+def _dbar(f, z, step: float = 1e-3, richardson: bool = True) -> np.ndarray:
+    """``d f / dz~_c`` by central differences on the ``4n`` axial stencil rows.
+
+    The first-derivative mode of the engine under :func:`wirtinger_hessian`.
+    ``f`` maps ``(k, n)`` points to ``(k, ...)`` values; points of shape
+    ``(n,)`` or ``(m, n)`` give ``(...) + (n,)`` or ``(m, ...) + (n,)``.
+    """
+    z = np.asarray(z, dtype=complex)
+    n = z.shape[-1]
+    d = _central_differences(f, z, step, richardson, _stencil(2 * n)[:4 * n], _dbar_once)
+    return np.moveaxis(d, 1, -1).reshape(z.shape[:-1] + d.shape[2:] + (n,))
 
 
 def _det(z, a, b):

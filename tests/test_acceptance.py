@@ -156,22 +156,22 @@ def test_criterion_6_generalized_curvatures(grids):
 def test_criterion_7_extremality():
     results = {}
     for name, prof in PROFILES.items():
-        rep = extremal_report(prof, 2, SPEC, tol=1e-5, offaxis_cut=0.05)
-        results[name] = rep
-    linear_ok = all(results[k].verdict == "EXTREMAL" and results[k].max_residual <= 1e-5
+        results[name] = extremal_report(prof, 2, SPEC, tol=1e-5)
+    linear_ok = all(results[k].verdict == "EXTREMAL" and results[k].max_residual == 0.0
                     for k in ("linear(1,1)", "linear(2,0.5)"))
     falsified_ok = all(results[k].verdict == "NOT_EXTREMAL"
-                       and results[k].max_residual_offaxis >= 1e-3
+                       and results[k].max_residual >= 1e-3
                        for k in ("exp", "power(2)"))
+    oracle = max(rep.oracle_fiber_error for rep in results.values())
     xs = np.linspace(0.1, 3.0, 59)
     r1, r2 = reduced_conditions(PROFILES["exp"], xs)
     reduced_ok = (np.max(np.abs(r1)) <= 1e-10 and np.max(np.abs(r2 + 2.0)) <= 1e-8)
-    ok = linear_ok and falsified_ok and reduced_ok
-    report(7, ok, "linear residual <= 1e-5: %s; exp/power off-axis >= 1e-3: %s "
-                  "(%.2e, %.2e); exp reduced r1 <= 1e-10, r2 = -2 +- 1e-8: %s" % (
-                      linear_ok, falsified_ok,
-                      results["exp"].max_residual_offaxis,
-                      results["power(2)"].max_residual_offaxis, reduced_ok))
+    ok = linear_ok and falsified_ok and oracle <= 1e-8 and reduced_ok
+    report(7, ok, "linear radial residual = 0 (<= 1e-5): %s; exp/power radial residual "
+                  ">= 1e-3: %s (%.2e, %.2e); FD oracle fiber error %.2e (<= 1e-8); "
+                  "exp reduced r1 <= 1e-10, r2 = -2 +- 1e-8: %s" % (
+                      linear_ok, falsified_ok, results["exp"].max_residual,
+                      results["power(2)"].max_residual, oracle, reduced_ok))
 
 
 def test_criterion_8_pseudoconvexity_equivalence():

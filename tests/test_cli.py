@@ -262,7 +262,8 @@ class TestCommands:
     def test_full_suite_golden_report(self, tmp_path, monkeypatch):
         # reference bytes of this config; re-recorded when the Hamiltonian
         # field stopped forming the inverse metric, which moved the two
-        # non-linear residuals at roundoff (pinned in the next test)
+        # non-linear residuals at roundoff (pinned in the next test), and
+        # again when the rows' off-axis FD residual became the radial one
         golden = Path(__file__).parent / "data" / "full_suite_n2_40.json"
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.txt").write_text("command = full-suite\nn = 2\ngrid.points = 40\n"
@@ -271,15 +272,31 @@ class TestCommands:
         assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
 
     def test_full_suite_residuals_before_the_field_rewrite(self):
-        # the golden report's two residuals as written before the Hamiltonian
-        # field dropped the inverse-metric matrix; they moved only at roundoff
-        from hartogs import GridSpec, exp_profile, extremal_report, power_profile
+        # the golden report's two off-axis FD residuals as written before the
+        # Hamiltonian field dropped the inverse-metric matrix and became the
+        # radial form; the FD oracle still reproduces them at roundoff
+        from hartogs import GridSpec, dbar_jacobian, exp_profile, interior_points
+        from hartogs import power_profile
         for profile, before in ((exp_profile(1.0), 0.999999988440307),
                                 (power_profile(2.0), 0.5900994081584056)):
-            rep = extremal_report(profile, 2, GridSpec(points=40, seed=1))
-            assert rep.max_residual_offaxis == pytest.approx(before, rel=1e-12)
+            pts = interior_points(profile, 2, GridSpec(points=40, seed=1))
+            mags = np.abs(pts)
+            off_axis = (mags[:, :1] * mags[:, 1:]).min(axis=1) > 0.05
+            residual = np.max(np.abs(dbar_jacobian(pts[off_axis], profile)))
+            assert residual == pytest.approx(before, rel=1e-12)
 
-    def test_classify_uses_fd_step(self, tmp_path):
+    def test_extremal_test_at_n12(self, tmp_path):
+        # a verdict at the largest n on a large grid: no off-axis cut to starve
+        cfg = write_config(tmp_path, "c.txt", "command = extremal-test\nprofile.kind = exp\n"
+                           "n = 12\ngrid.points = 2000\nexpect = NOT_EXTREMAL\n"
+                           f"output = {tmp_path / 'rep.json'}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        report = json.loads((tmp_path / "rep.json").read_text())["report"]
+        assert report["oracle_fiber_error"] <= 1e-8
+
+    def test_classify_reports_the_radial_residual(self, tmp_path):
+        # classify's extremal_max_residual is extremal-test's max_residual on
+        # the same grid, whatever fd_step is
         from hartogs import GridSpec, exp_profile, extremal_report
         out = tmp_path / "rep.json"
         cfg = write_config(tmp_path, "c.txt", "command = classify\nprofile.kind = exp\n"
@@ -287,7 +304,7 @@ class TestCommands:
                            f"expect = NON_CONSTANT_CURVATURE\noutput = {out}\n")
         assert main(["--config", cfg, "--quiet"]) == 0
         residual = json.loads(out.read_text())["report"]["extremal_max_residual"]
-        rep = extremal_report(exp_profile(1.0), 3, GridSpec(points=30, seed=4), step=5e-4)
+        rep = extremal_report(exp_profile(1.0), 3, GridSpec(points=30, seed=4))
         assert residual == rep.max_residual
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from hartogs import (
     GridSpec,
+    NumericError,
     curvature_polynomial_coefficients,
     curvature_record,
     generalized_scalars_closed,
@@ -48,16 +49,35 @@ class TestRicci:
                     assert np.max(err) <= 1e-4, (name, n)
 
     def test_numeric_batch_equals_single_points(self, oracle_profiles):
-        # NaN where log det is taken of a negative determinant (wiggle's
-        # non-admissible points) sits at the same entries in both
+        # bit for bit where every stencil determinant is positive; where one
+        # is not (wiggle's non-admissible points), the batch call and the
+        # call on such a point both raise
         for name, prof in oracle_profiles.items():
             for n in range(2, 13):
                 pts = interior_points(prof, n, GridSpec(points=3, seed=n))
-                with np.errstate(invalid="ignore"):
-                    batch = ricci_numeric(pts, prof, 1e-3)
-                    single = [ricci_numeric(z, prof, 1e-3) for z in pts]
+                single, failed = [], 0
+                for z in pts:
+                    try:
+                        single.append(ricci_numeric(z, prof, 1e-3))
+                    except NumericError:
+                        failed += 1
+                if failed:
+                    with pytest.raises(NumericError):
+                        ricci_numeric(pts, prof, 1e-3)
+                    continue
+                batch = ricci_numeric(pts, prof, 1e-3)
                 assert batch.shape == (3, n, n) and single[0].shape == (n, n)
                 np.testing.assert_array_equal(batch, np.stack(single), err_msg=name)
+
+    def test_numeric_rejects_non_admissible_points(self, wiggle):
+        # log det of a negative determinant would be NaN; the oracle raises
+        pts = interior_points(wiggle, 3, GridSpec(points=6, seed=3))
+        for i in (0, 3):
+            with pytest.raises(NumericError):
+                ricci_numeric(pts[i], wiggle, 1e-3)
+        with pytest.raises(NumericError):
+            ricci_numeric(pts, wiggle, 1e-3)
+        ricci_numeric(pts[[1, 2, 4, 5]], wiggle, 1e-3)
 
     def test_einstein_identity_linear(self, lin2_05, sample_points):
         pts = sample_points["linear(2,0.5)", 3]
