@@ -1,18 +1,21 @@
 """Command-line front end: runs a configured pipeline and writes JSON reports.
 
 Exit status: 0 when the verdict matches expectations, 1 on verdict
-failure, 2 on configuration errors.  Reports are deterministic byte for
-byte for a fixed config (fixed seeds, serial reductions, sorted keys);
-they are written with the bytes of ``json.dumps(document,
-sort_keys=True, indent=2)`` by a writer that fills row tables from arrays.
+failure, 2 on configuration, numeric and write errors.  Reports are
+deterministic byte for byte for a fixed config (fixed seeds, serial
+reductions, sorted keys).  They are written with ``json.dumps(document,
+sort_keys=True, indent=2)``, except that the curvature records are
+formatted once from the batch arrays as a row table and spliced into that
+text with the same bytes ``json.dumps`` would give them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import json
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +23,11 @@ import numpy as np
 from . import __version__
 from .classification import classify
 from .config import RunConfig, build_profile, load_config
-from .curvature import curvature_record, ricci_numeric
+from .curvature import CurvatureRecord, curvature_record, ricci_numeric
 from .errors import ConfigError, HartogsError, NumericError
 from .extremal import extremal_report
 from .geometry import (
+    _interleave,
     det_closed_form,
     grid_csv_header,
     grid_csv_rows,
@@ -79,132 +83,49 @@ def _finite_max(values, what: str) -> float:
     return float(np.max(values))
 
 
-class _Slot:
-    """A number in a :class:`_Rows` template: column ``column`` of the values."""
-
-    __slots__ = ("column",)
-
-    def __init__(self, column: int):
-        self.column = column
-
-
-@dataclasses.dataclass(frozen=True)
-class _Rows:
-    """A JSON list of rows that share one layout, filled from a number array.
-
-    ``template`` is one row whose numbers are :class:`_Slot` leaves; row
-    ``i`` of the list is the template with ``values[i, slot.column]`` at
-    each slot.  :func:`_dumps` renders the layout once and fills it for
-    every row in one formatting pass.
-    """
-
-    template: object
-    values: np.ndarray
-
-
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-
-def _float_text(text: str) -> str:
-    """JSON spelling of a ``float.__repr__`` text (``nan`` is ``NaN`` and so on)."""
-    return _NON_FINITE.get(text, text)
-
-
-def _dumps(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte, plus :class:`_Rows`.
-
-    Takes str, None, bool, int, float (NumPy ``float64`` included), lists,
-    tuples and dicts with str keys; anything else is a ``TypeError``.
-    """
-    out: list = []
-    _encode(obj, 0, out)
-    return "".join(out)
+# Where the records table goes in the report text: the one key ``records``
+# at depth 2.  Every depth-2 key is fixed by the program (user-set keys such
+# as ``profile.*`` sit at depth 3 or deeper), and a JSON string cannot hold
+# a raw newline, so this text occurs exactly once.
+_RECORDS_SLOT = '\n    "records": []'
 
 
-def _encode(obj, level: int, out: list) -> None:
-    """Append the text of ``obj`` at nesting ``level`` to ``out``.
+def _records_text(batch: CurvatureRecord) -> str:
+    """``records`` of ``curvature-report`` as it sits in the report at depth 2.
 
-    Inside a :class:`_Rows` template a :class:`_Slot` is appended as is;
-    :func:`_encode_rows` turns it into a format slot.
-    """
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_float_text(float.__repr__(obj)))
-    elif isinstance(obj, _Slot):
-        out.append(obj)
-    elif isinstance(obj, _Rows):
-        _encode_rows(obj, level, out)
-    elif isinstance(obj, (list, tuple, dict)):
-        if not obj:
-            out.append("{}" if isinstance(obj, dict) else "[]")
-            return
-        indent = "\n" + "  " * (level + 1)
-        if isinstance(obj, dict):
-            for i, key in enumerate(sorted(obj)):
-                if not isinstance(key, str):
-                    raise TypeError(f"report keys must be str, not {type(key).__name__}")
-                out.append(("," if i else "{") + indent + encode_basestring_ascii(key) + ": ")
-                _encode(obj[key], level + 1, out)
-            out.append("\n" + "  " * level + "}")
-        else:
-            for i, item in enumerate(obj):
-                out.append(("," if i else "[") + indent)
-                _encode(item, level + 1, out)
-            out.append("\n" + "  " * level + "]")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _encode_rows(rows: _Rows, level: int, out: list) -> None:
-    """Append the list ``rows`` stands for: its layout rendered once, then filled."""
-    if not len(rows.values):
-        out.append("[]")
-        return
-    layout: list = []
-    _encode(rows.template, level + 1, layout)
-    columns = [part.column for part in layout if isinstance(part, _Slot)]
-    row = "".join("%s" if isinstance(part, _Slot) else part.replace("%", "%%")
-                  for part in layout)
-    values = rows.values[:, columns]
-    texts = list(map(float.__repr__, values.ravel().tolist()))
-    if not np.all(np.isfinite(values)):
-        texts = list(map(_float_text, texts))
-    indent = "\n" + "  " * (level + 1)
-    out.append("[" + indent + ("," + indent).join([row] * len(values)) % tuple(texts)
-               + "\n" + "  " * level + "]")
-
-
-def _record_rows(batch) -> _Rows:
-    """The ``records`` list of ``curvature-report`` from one batched record.
-
-    Row ``i`` is ``CurvatureRecord.to_json()`` of point ``i``: the point as
-    interleaved real and imaginary parts, Ricci as ``[re, im]`` pairs in
-    row-major order, the scalar curvature and ``rho``.
+    Row ``i`` is ``CurvatureRecord.to_json()`` of point ``i``.  The row
+    layout comes from ``json.dumps`` of a template whose numbers are
+    ``"%s"`` slots; all rows are filled in one ``%`` pass over the
+    ``float.__repr__`` texts of the value matrix, whose columns follow the
+    sorted keys (``point``, ``rho``, ``ricci``, ``scal``).
     """
     m, n = batch.point.shape
-    values = np.column_stack([
-        np.stack([batch.point.real, batch.point.imag], axis=-1).reshape(m, 2 * n),
-        np.stack([batch.ricci.real, batch.ricci.imag], axis=-1).reshape(m, 2 * n * n),
-        batch.scal, batch.rho,
-    ])
-    slots = iter([_Slot(k) for k in range(values.shape[1])])
+    if not m:
+        return "[]"
+    values = np.column_stack([_interleave(batch.point), batch.rho,
+                              _interleave(batch.ricci.reshape(m, n * n)), batch.scal])
+    template = {"point": ["%s"] * (2 * n), "rho": ["%s"] * n,
+                "ricci": [["%s", "%s"]] * (n * n), "scal": "%s"}
+    indent = "\n      "
+    row = json.dumps(template, sort_keys=True, indent=2).replace('"%s"', "%s")
+    row = row.replace("\n", indent)
+    texts = list(map(float.__repr__, values.ravel().tolist()))
+    if not np.all(np.isfinite(values)):
+        texts = [_NON_FINITE.get(text, text) for text in texts]
+    return "[" + indent + ("," + indent).join([row] * m) % tuple(texts) + "\n    ]"
 
-    def take(count):
-        return [next(slots) for _ in range(count)]
 
-    # slots in the column order above; the writer renders the keys sorted
-    template = {"point": take(2 * n), "ricci": [take(2) for _ in range(n * n)],
-                "scal": next(slots), "rho": take(n)}
-    return _Rows(template, values)
+def _dumps(document: dict) -> str:
+    """``json.dumps(document, sort_keys=True, indent=2)``, the records spliced in as text."""
+    records = document["report"].get("records")
+    if not isinstance(records, CurvatureRecord):
+        return json.dumps(document, sort_keys=True, indent=2)
+    text = json.dumps({**document, "report": {**document["report"], "records": []}},
+                      sort_keys=True, indent=2)
+    head, tail = text.split(_RECORDS_SLOT)
+    return head + _RECORDS_SLOT.replace("[]", _records_text(records)) + tail
 
 
 def _run_curvature_report(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
@@ -237,7 +158,7 @@ def _run_curvature_report(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
                 "max": [float(v) for v in batch.rho.max(axis=0)]},
         "oracle_errors": {"metric_over_tolerance": metric_ratio, "ricci_abs": ric_err,
                           "det_rel": det_err, "inverse_abs": inv_err},
-        "records": _record_rows(batch),
+        "records": batch,
     }
     return report, "PASS" if ok else "FAIL"
 
@@ -290,6 +211,15 @@ _RUNNERS = {
 }
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an ``OSError`` from writing ``path`` into a ``HartogsError`` (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise HartogsError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_curves(cfg: RunConfig, profile: Profile) -> None:
     """Developer-aid plot data: scal (along the fiber axis) and L versus x."""
     from .curvature import scalar_curvature
@@ -301,17 +231,18 @@ def _write_curves(cfg: RunConfig, profile: Profile) -> None:
     scal = scalar_curvature(axis_pts, profile)
     ell = radial_coefficients(profile, xs).L
     for tag, values in (("scal", scal), ("L", ell)):
-        np.savetxt(f"{cfg.curve_dump}.{tag}.csv",
-                   np.column_stack([xs, values]), delimiter=",",
-                   header=f"x,{tag}", comments="")
+        path = f"{cfg.curve_dump}.{tag}.csv"
+        with _writing(path):
+            np.savetxt(path, np.column_stack([xs, values]), delimiter=",",
+                       header=f"x,{tag}", comments="")
 
 
 def run(cfg: RunConfig, base_dir: Path | None = None) -> tuple[dict, str, int]:
     """Execute the configured command; return (document, verdict, exit status).
 
     The document holds JSON values, except that the ``records`` of
-    ``curvature-report`` are a ``_Rows`` table; ``main`` writes it with
-    ``_dumps``.
+    ``curvature-report`` are the batched :class:`CurvatureRecord`; ``main``
+    writes it with ``_dumps``.
     """
     if cfg.command == "full-suite":
         report, verdict = _run_full_suite(cfg)
@@ -322,7 +253,8 @@ def run(cfg: RunConfig, base_dir: Path | None = None) -> tuple[dict, str, int]:
             pts = interior_points(profile, cfg.n, cfg.grid)
             rows = grid_csv_rows(pts, profile)
             header = ",".join(grid_csv_header(cfg.n))
-            np.savetxt(cfg.csv_dump, rows, delimiter=",", header=header, comments="")
+            with _writing(cfg.csv_dump):
+                np.savetxt(cfg.csv_dump, rows, delimiter=",", header=header, comments="")
         if cfg.curve_dump:
             _write_curves(cfg, profile)
     document = {
@@ -354,15 +286,16 @@ def main(argv=None) -> int:
         if args.output:
             cfg = dataclasses.replace(cfg, output=args.output)
         document, verdict, status = run(cfg, base_dir=Path(args.config).resolve().parent)
+        payload = _dumps(document) + "\n"
+        if cfg.output:
+            with _writing(cfg.output):
+                Path(cfg.output).write_text(payload)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except HartogsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = _dumps(document) + "\n"
-    if cfg.output:
-        Path(cfg.output).write_text(payload)
     if not args.quiet:
         target = cfg.output or "<stdout>"
         print(f"{cfg.command}: verdict {verdict} (report: {target})")

@@ -25,6 +25,7 @@ from .geometry import (
     hermitize,
     wirtinger_hessian,
     _interior_radial,
+    _interleave,
     _metric,
 )
 from .profiles import Profile
@@ -151,11 +152,9 @@ class CurvatureRecord:
     rho: np.ndarray
 
     def to_json(self) -> dict:
-        pt = []
-        for c in self.point:
-            pt += [float(c.real), float(c.imag)]
-        ric = [[float(v.real), float(v.imag)] for v in self.ricci.reshape(-1)]
-        return {"point": pt, "ricci": ric, "scal": float(self.scal),
+        return {"point": _interleave(self.point).tolist(),
+                "ricci": _interleave(self.ricci.reshape(-1, 1)).tolist(),
+                "scal": float(self.scal),
                 "rho": [float(r) for r in self.rho]}
 
 

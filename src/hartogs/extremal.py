@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .geometry import _dbar, _interior_radial, radial_coefficients
+from .geometry import _dbar, _interior_radial, _interleave, radial_coefficients
 from .profiles import Profile
 from .sampling import GridSpec, interior_points, x_grid
 
@@ -115,14 +115,14 @@ def hamiltonian_field(z, profile: Profile) -> np.ndarray:
     return _scaled(z, a * c0, a * c1)
 
 
-def dbar_jacobian(z, profile: Profile, step: float = 1e-3, richardson: bool = True):
+def dbar_jacobian(z, profile: Profile, step: float = 1e-3):
     """Residual matrices ``d X^a / dz~_c`` by central differences (the oracle).
 
     Broadcasts like :func:`hartogs.geometry.wirtinger_hessian`: ``(m, n)``
     points give ``(m, n, n)`` from one field evaluation on every stencil
     point; a stencil point outside the domain raises ``StepError``.
     """
-    return _dbar(lambda p: hamiltonian_field(p, profile), z, step, richardson)
+    return _dbar(lambda p: hamiltonian_field(p, profile), z, step)
 
 
 def reduced_conditions(profile: Profile, x: float) -> tuple[float, float]:
@@ -160,15 +160,12 @@ class ExtremalReport:
     verdict: str
 
     def to_json(self) -> dict:
-        pt = []
-        for c in self.argmax_point:
-            pt += [float(c.real), float(c.imag)]
         return {
             "profile": self.profile, "n": self.n, "grid": self.grid,
             "step": self.step, "tol": self.tol,
             "max_residual": self.max_residual,
             "oracle_fiber_error": self.oracle_fiber_error,
-            "argmax_point": pt,
+            "argmax_point": _interleave(self.argmax_point).tolist(),
             "reduced_conditions": {
                 "x": [float(v) for v in self.x],
                 "r1": [float(v) for v in self.r1],

@@ -56,6 +56,15 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
+def _interleave(v) -> np.ndarray:
+    """Complex vectors as ``[re_0, im_0, re_1, im_1, ...]`` along the last axis.
+
+    The one real spelling of a complex vector in reports and dumps.
+    """
+    v = np.asarray(v)
+    return np.stack([v.real, v.imag], axis=-1).reshape(v.shape[:-1] + (2 * v.shape[-1],))
+
+
 def _table(profile: Profile, x, upto: int) -> tuple:
     """``(F, ..., F^(upto))`` at ``x`` as arrays, from one ``derivs`` call."""
     return tuple(np.asarray(v) for v in profile.derivs(x, upto))
@@ -222,16 +231,16 @@ def _complex_hessian_once(vals, f0, n, step):
     return 0.25 * ((hxx + hyy) + 1j * (hxy - np.swapaxes(hxy, -1, -2)))
 
 
-def _central_differences(f, z, step, richardson, disp, assemble):
+def _central_differences(f, z, step, disp, assemble):
     """The one central-difference engine behind every FD oracle.
 
     ``f`` maps ``(k, n)`` points to ``(k, ...)`` values and is called once,
     on the centres ``z`` (``(n,)`` or ``(m, n)``) and their displacements by
-    the rows of ``disp`` (unit steps in the ``2n`` real coordinates) at every
-    step.  ``assemble(vals, f0, n, s)`` turns one step's values and the
-    centre values into the estimate for step ``s``; ``richardson`` combines
-    it with the step-halved one.  A ``DomainError`` from ``f`` becomes
-    ``StepError``.
+    the rows of ``disp`` (unit steps in the ``2n`` real coordinates) at
+    ``step`` and ``step / 2``.  ``assemble(vals, f0, n, s)`` turns one step's
+    values and the centre values into the estimate for step ``s``; one
+    Richardson step combines the two estimates.  A ``DomainError`` from
+    ``f`` becomes ``StepError``.
     """
     if z.ndim not in (1, 2):
         raise ValueError(f"stencil centres must have shape (n,) or (m, n), got {z.shape}")
@@ -239,8 +248,7 @@ def _central_differences(f, z, step, richardson, disp, assemble):
         raise StepError(f"step must be positive, got {step}")
     n = z.shape[-1]
     pts = z.reshape(-1, n)
-    steps = (step, step / 2.0) if richardson else (step,)
-    offsets = np.concatenate([np.zeros((1, 2 * n))] + [disp * s for s in steps])
+    offsets = np.concatenate([np.zeros((1, 2 * n)), disp * step, disp * (step / 2.0)])
     u = np.concatenate([pts.real, pts.imag], axis=-1)[:, None, :] + offsets
     try:
         vals = np.asarray(f((u[..., :n] + 1j * u[..., n:]).reshape(-1, n)))
@@ -249,13 +257,11 @@ def _central_differences(f, z, step, richardson, disp, assemble):
     vals = vals.reshape((len(pts), len(offsets)) + vals.shape[1:])
     f0, width = vals[:, 0], len(disp)
     d1 = assemble(vals[:, 1:1 + width], f0, n, step)
-    if richardson:
-        d2 = assemble(vals[:, 1 + width:], f0, n, step / 2.0)
-        d1 = (4.0 * d2 - d1) / 3.0
-    return d1
+    d2 = assemble(vals[:, 1 + width:], f0, n, step / 2.0)
+    return (4.0 * d2 - d1) / 3.0
 
 
-def wirtinger_hessian(f, z, step: float = 1e-3, richardson: bool = True) -> np.ndarray:
+def wirtinger_hessian(f, z, step: float = 1e-3) -> np.ndarray:
     """Complex Hessian ``d^2 f / dz_a dz~_b`` by central differences.
 
     Parameters
@@ -267,14 +273,14 @@ def wirtinger_hessian(f, z, step: float = 1e-3, richardson: bool = True) -> np.n
         Expansion point, or a batch of them; the result has shape
         ``(n, n)`` or ``(m, n, n)``.
     step : float
-        Base step; with ``richardson=True`` the step-halved estimate is
-        combined to cancel the leading error term.
+        Base step; the step-halved estimate is combined with it to cancel
+        the leading error term (one Richardson step).
 
     The stencil covers the ``2n`` real coordinates (centre, ``4n`` axial
     and ``4n(2n - 1)`` diagonal displacements per step).  ``f`` is called
     once, on the stencils of every point and both steps (``1 + 16 n^2``
-    points each with ``richardson``, the centre shared), and each batch
-    entry equals the Hessian of that point alone bit for bit.  The second
+    points each, the centre shared), and each batch entry equals the
+    Hessian of that point alone bit for bit.  The second
     derivatives are assembled into Wirtinger form
     ``(Hxx + Hyy + i(Hxy - Hxy^T)) / 4`` and the result is symmetrized to
     exact Hermitian form.  If any stencil point of any batch entry leaves
@@ -282,7 +288,7 @@ def wirtinger_hessian(f, z, step: float = 1e-3, richardson: bool = True) -> np.n
     """
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
-    h = _central_differences(f, z, step, richardson, _stencil(2 * n), _complex_hessian_once)
+    h = _central_differences(f, z, step, _stencil(2 * n), _complex_hessian_once)
     return hermitize(h).reshape(z.shape + (n,))
 
 
@@ -292,7 +298,7 @@ def _dbar_once(vals, f0, n, step):
     return 0.5 * (d[:, :n] + 1j * d[:, n:])
 
 
-def _dbar(f, z, step: float = 1e-3, richardson: bool = True) -> np.ndarray:
+def _dbar(f, z, step: float = 1e-3) -> np.ndarray:
     """``d f / dz~_c`` by central differences on the ``4n`` axial stencil rows.
 
     The first-derivative mode of the engine under :func:`wirtinger_hessian`.
@@ -301,7 +307,7 @@ def _dbar(f, z, step: float = 1e-3, richardson: bool = True) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
-    d = _central_differences(f, z, step, richardson, _stencil(2 * n)[:4 * n], _dbar_once)
+    d = _central_differences(f, z, step, _stencil(2 * n)[:4 * n], _dbar_once)
     return np.moveaxis(d, 1, -1).reshape(z.shape[:-1] + d.shape[2:] + (n,))
 
 
@@ -389,8 +395,5 @@ def grid_csv_rows(points: np.ndarray, profile: Profile) -> np.ndarray:
     c = f1 ** 2 * x - (f1 + f2 * x) * a
     det = _det(points, a, rad.B)
     min_eig = np.linalg.eigvalsh(_metric(points, x, a, rad.F))[..., 0]
-    cols = []
-    for k in range(n):
-        cols += [points[..., k].real, points[..., k].imag]
-    cols += [a, rad.B + 0 * a, c, rad.L + 0 * a, rad.G + 0 * a, det, min_eig]
-    return np.column_stack(cols)
+    return np.column_stack([_interleave(points).reshape(-1, 2 * n), a, rad.B + 0 * a, c,
+                            rad.L + 0 * a, rad.G + 0 * a, det, min_eig])

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
+from .geometry import _interleave
 from .profiles import Profile, kahler_indicator
 from .sampling import _norm, boundary_samples
 
@@ -161,17 +162,12 @@ class EquivalenceReport:
     verdict: str
 
     def to_json(self) -> dict:
-        pt = []
-        for c in self.argmin_point:
-            pt += [float(c.real), float(c.imag)]
-        d = []
-        for c in self.argmin_direction:
-            d += [float(c.real), float(c.imag)]
         return {
             "profile": self.profile, "n": self.n,
             "samples": self.samples, "seed": self.seed,
             "min_levi": self.min_levi,
-            "argmin": {"point": pt, "direction": d},
+            "argmin": {"point": _interleave(self.argmin_point).tolist(),
+                       "direction": _interleave(self.argmin_direction).tolist()},
             "max_indicator": self.max_indicator, "argmax_x": self.argmax_x,
             "verdict": self.verdict,
         }

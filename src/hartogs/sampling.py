@@ -44,13 +44,10 @@ def _x_max(profile: Profile, spec: GridSpec) -> float:
     return hi
 
 
-def x_grid(profile: Profile, count: int, spec: GridSpec | None = None,
-           lo: float | None = None, hi: float | None = None) -> np.ndarray:
+def x_grid(profile: Profile, count: int, spec: GridSpec | None = None) -> np.ndarray:
     """Uniform abscissa grid in ``(0, min(x0, x_cap))`` away from endpoints."""
-    spec = spec or GridSpec()
-    hi = _x_max(profile, spec) if hi is None else hi
-    lo = 1e-3 * hi if lo is None else lo
-    return np.linspace(lo, hi, count)
+    hi = _x_max(profile, spec or GridSpec())
+    return np.linspace(1e-3 * hi, hi, count)
 
 
 def interior_points(profile: Profile, n: int, spec: GridSpec | None = None) -> np.ndarray:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hartogs.cli
-from hartogs.cli import _dumps, _Rows, _Slot, main
+from hartogs.cli import _records_text, main
+from hartogs.curvature import CurvatureRecord
 from hartogs.config import ConfigError, build_profile, load_config, parse_config_text
 
 
@@ -243,6 +244,15 @@ class TestCommands:
         np.testing.assert_allclose(scal[:, 1], -4.0, atol=1e-10)
         np.testing.assert_allclose(ell[:, 1], -2.0, atol=1e-10)
 
+    @pytest.mark.parametrize("key", ["output", "csv_dump", "curve_dump"])
+    def test_unwritable_path_exit_2(self, tmp_path, capsys, key):
+        target = tmp_path / "nonexistent" / "r.json"
+        cfg = write_config(tmp_path, "c.txt", "command = check-kahler\nprofile.kind = exp\n"
+                           f"grid.points = 20\n{key} = {target}\n")
+        assert main(["--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+
     def test_full_suite_pattern(self, tmp_path):
         out = tmp_path / "suite.json"
         cfg = write_config(tmp_path, "c.txt",
@@ -308,45 +318,56 @@ class TestCommands:
         assert residual == rep.max_residual
 
 
-_SPECIAL_TEXT = ["", "%", "%s", '"', "\\", "\n\t\b\f\r", "\x00\x1f\x7f", "é", "Ωμέγα",
-                 "\u2028", "\U0001f600", "\ud83d", "point", "rho"]
 _SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e308,
                    -1e308, 1e16, 1e-7, 0.1]
-_texts = st.one_of(st.text(max_size=8), st.sampled_from(_SPECIAL_TEXT))
 _floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
-_scalars = st.one_of(st.none(), st.booleans(), st.integers(), _floats,
-                     _floats.map(np.float64), _texts)
-_trees = st.recursive(
-    _scalars,
-    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
-                            st.dictionaries(_texts, inner, max_size=4)),
-    max_leaves=24)
+
+
+def _complex(re, im):
+    # set the parts directly: re + 1j * im would turn an inf part into NaN
+    z = np.zeros(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
 
 
 class TestReportWriter:
-    @settings(max_examples=300, deadline=None)
-    @given(_trees)
-    def test_matches_stdlib_layout(self, tree):
-        assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4), st.integers(2, 3), st.data())
+    def test_records_match_their_expansion(self, m, n, data):
+        # the row table renders like json.dumps of the list of rows it stands for
+        def draw(*shape):
+            count = int(np.prod(shape))
+            return np.array(data.draw(st.lists(_floats, min_size=count, max_size=count)),
+                            dtype=float).reshape(shape)
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.lists(_floats, min_size=3, max_size=3), max_size=5),
-           st.lists(_texts, min_size=2, max_size=2, unique=True), st.integers(0, 2))
-    def test_rows_match_their_expansion(self, values, keys, depth):
-        # a row table renders like the list of rows it stands for, at any depth
-        template = {keys[0]: [_Slot(2), {"%s": _Slot(0)}], keys[1]: _Slot(1), "flag": True}
-        values = np.array(values, dtype=float).reshape(-1, 3)
-        expanded = [{keys[0]: [row[2], {"%s": row[0]}], keys[1]: row[1], "flag": True}
-                    for row in values.tolist()]
-        doc, plain = _Rows(template, values), expanded
-        for _ in range(depth):
-            doc, plain = {"x": [doc]}, {"x": [plain]}
-        assert _dumps(doc) == json.dumps(plain, sort_keys=True, indent=2)
+        point = _complex(draw(m, n), draw(m, n))
+        ricci = _complex(draw(m, n, n), draw(m, n, n))
+        scal, rho = draw(m), draw(m, n)
+        rows = []
+        for i in range(m):
+            pt = []
+            for c in point[i]:
+                pt += [float(c.real), float(c.imag)]
+            rows.append({"point": pt,
+                         "ricci": [[float(v.real), float(v.imag)] for v in ricci[i].reshape(-1)],
+                         "scal": float(scal[i]), "rho": [float(r) for r in rho[i]]})
+        text = _records_text(CurvatureRecord(point, ricci, scal, rho))
+        expected = json.dumps({"report": {"records": rows}}, sort_keys=True, indent=2)
+        assert '{\n  "report": {\n    "records": ' + text + "\n  }\n}" == expected
 
-    def test_rejects_what_json_rejects(self):
-        for bad in (np.float32(1.0), np.int64(1), {1: 2}, {"a": {1, 2}}):
-            with pytest.raises(TypeError):
-                _dumps(bad)
+    def test_records_splice_point_is_unique(self, tmp_path):
+        # a user-set "records" key and a path that spells the splice text in
+        # a string leave the report equal to json.dumps of the expanded document
+        out = tmp_path / 'a"records": []b.json'
+        cfg = write_config(tmp_path, "c.txt", "command = curvature-report\nprofile.kind = exp\n"
+                           f"profile.records = 1\nn = 2\ngrid.points = 20\noutput = {out}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        document, _, _ = hartogs.cli.run(load_config(cfg), base_dir=tmp_path)
+        batch = document["report"]["records"]
+        document["report"]["records"] = [
+            CurvatureRecord(*fields).to_json()
+            for fields in zip(batch.point, batch.ricci, batch.scal, batch.rho)]
+        assert out.read_text() == json.dumps(document, sort_keys=True, indent=2) + "\n"
 
     def test_curvature_report_golden(self, tmp_path, monkeypatch):
         # reference bytes of this config, written before the report writer and

@@ -133,13 +133,10 @@ class TestWirtingerHessian:
         for name, prof in oracle_profiles.items():
             for n in range(2, 13):
                 pts = interior_points(prof, n, GridSpec(points=3, seed=n))
-                for richardson in (True, False):
-                    batch = wirtinger_hessian(lambda p: potential(p, prof), pts, 1e-3,
-                                              richardson=richardson)
-                    single = [wirtinger_hessian(lambda p: potential(p, prof), z, 1e-3,
-                                                richardson=richardson) for z in pts]
-                    assert batch.shape == (3, n, n) and single[0].shape == (n, n)
-                    np.testing.assert_array_equal(batch, np.stack(single), err_msg=name)
+                batch = wirtinger_hessian(lambda p: potential(p, prof), pts, 1e-3)
+                single = [wirtinger_hessian(lambda p: potential(p, prof), z, 1e-3) for z in pts]
+                assert batch.shape == (3, n, n) and single[0].shape == (n, n)
+                np.testing.assert_array_equal(batch, np.stack(single), err_msg=name)
 
 
 class TestDeterminant:
