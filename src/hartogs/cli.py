@@ -169,8 +169,7 @@ def _run_extremal(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
 
 
 def _run_pseudoconvexity(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
-    rep = equivalence_check(profile, samples=cfg.grid.points, seed=cfg.grid.seed,
-                            n=cfg.n, x_cap=cfg.grid.x_cap)
+    rep = equivalence_check(profile, cfg.n, cfg.grid)
     return rep.to_json(), rep.verdict
 
 
@@ -279,7 +278,9 @@ def main(argv=None) -> int:
                     "pseudoconvexity and extremality checks.")
     parser.add_argument("--config", required=True, help="path to a key=value config file")
     parser.add_argument("--output", help="override the report path from the config")
-    parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress the summary line (a report without output still "
+                             "goes to stdout)")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
@@ -297,10 +298,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.quiet:
-        target = cfg.output or "<stdout>"
-        print(f"{cfg.command}: verdict {verdict} (report: {target})")
-        if not cfg.output:
-            print(payload, end="")
+        print(f"{cfg.command}: verdict {verdict} (report: {cfg.output or '<stdout>'})")
+    if not cfg.output:
+        print(payload, end="")
     return status
 
 

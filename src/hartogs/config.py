@@ -25,14 +25,15 @@ Values are parsed as int, float, bool (true/false) or string, in that
 order.  Dotted keys nest; duplicate keys are an error.  ``n``,
 ``grid.points`` and ``grid.seed`` must be integral numbers and the other
 numeric keys finite numbers (``grid.x_cap`` and ``fd_step`` positive);
-``grid``, ``profile`` and ``tolerances`` are sections.  Anything else is a
-:class:`ConfigError`.
+``grid``, ``profile`` and ``tolerances`` are sections.  A key outside the
+grammar above is an error; only ``profile.*`` is open, because its keys
+depend on the kind.  Anything else is a :class:`ConfigError`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,20 @@ def _number(value, key: str) -> float:
     raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
+_KEYS = ("command", "n", "profile", "grid", "fd_step", "tolerances", "output", "expect",
+         "csv_dump", "curve_dump")
+_GRID_KEYS = tuple(f.name for f in fields(GridSpec))
+_TOLERANCE_KEYS = ("oracle", "extremal", "classify")
+
+
+def _known(node: dict, keys: tuple, prefix: str = "") -> dict:
+    """``node``; a key outside ``keys`` is a ConfigError that names it."""
+    for key in node:
+        if key not in keys:
+            raise ConfigError(f"unknown key {prefix + key!r}")
+    return node
+
+
 def _section(tree: dict, name: str) -> dict:
     node = tree.get(name, {})
     if not isinstance(node, dict):
@@ -171,6 +186,7 @@ def _section(tree: dict, name: str) -> dict:
 
 
 def _from_tree(tree: dict) -> RunConfig:
+    _known(tree, _KEYS)
     if "command" not in tree:
         raise ConfigError("config needs a 'command' entry")
     command = tree["command"]
@@ -178,14 +194,14 @@ def _from_tree(tree: dict) -> RunConfig:
         raise ConfigError(f"unknown command {command!r}; choose one of {COMMANDS}")
     if command != "full-suite" and "profile" not in tree:
         raise ConfigError("config needs a profile section")
-    grid_tree = _section(tree, "grid")
+    grid_tree = _known(_section(tree, "grid"), _GRID_KEYS, "grid.")
     grid = GridSpec(
         points=_integer(grid_tree.get("points", 200), "grid.points"),
         seed=_integer(grid_tree.get("seed", 0), "grid.seed"),
         a_margin=_number(grid_tree.get("a_margin", 0.05), "grid.a_margin"),
         x_cap=_number(grid_tree.get("x_cap", 5.0), "grid.x_cap"),
     )
-    tol = _section(tree, "tolerances")
+    tol = _known(_section(tree, "tolerances"), _TOLERANCE_KEYS, "tolerances.")
     cfg = RunConfig(
         command=command,
         profile=dict(_section(tree, "profile")),

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .geometry import _interleave
 from .profiles import Profile, kahler_indicator
-from .sampling import _norm, boundary_samples
+from .sampling import GridSpec, _norm, boundary_samples
 
 __all__ = [
     "BoundaryPoint",
@@ -173,12 +173,11 @@ class EquivalenceReport:
         }
 
 
-def equivalence_check(profile: Profile, samples: int = 500, seed: int = 0,
-                      n: int = 2, x_cap: float = 5.0) -> EquivalenceReport:
+def equivalence_check(profile: Profile, n: int = 2,
+                      spec: GridSpec | None = None) -> EquivalenceReport:
     """Sample boundary points and compare the two positivity conditions.
 
-    Draws ``|z_0|^2`` uniformly in the (capped) open abscissa range, fiber
-    and tangent directions uniformly on unit spheres
+    Draws ``spec.points`` boundary samples seeded with ``spec.seed``
     (:func:`hartogs.sampling.boundary_samples`).  At every boundary point
     the restricted Levi form is evaluated both on the random tangent
     direction and on the fiber-aligned direction (the worst case of the
@@ -188,7 +187,8 @@ def equivalence_check(profile: Profile, samples: int = 500, seed: int = 0,
     The worst sample is the first one in draw order (tangent direction
     before fiber-aligned); a NaN or inf raises ``NumericError``.
     """
-    x, z0, fiber_dir, tangent_dir = boundary_samples(profile, n, samples, seed, x_cap)
+    spec = spec or GridSpec()
+    x, z0, fiber_dir, tangent_dir = boundary_samples(profile, n, spec)
     # leading axes (m, 1): each point broadcasts over its two directions
     pts = boundary_point(profile, z0[:, None], fiber_dir[:, None])
     aligned = pts.fiber / _norm(pts.fiber)[..., None]
@@ -202,7 +202,7 @@ def equivalence_check(profile: Profile, samples: int = 500, seed: int = 0,
     min_levi, max_ind = float(levi[k, j]), float(ind[i])
     verdict = "CONSISTENT" if (min_levi > 0.0) == (max_ind < 0.0) else "INCONSISTENT"
     return EquivalenceReport(
-        profile=profile.describe(), n=n, samples=samples, seed=seed,
+        profile=profile.describe(), n=n, samples=spec.points, seed=spec.seed,
         min_levi=min_levi, argmin_point=pts.coords[k, 0],
         argmin_direction=directions[k, j],
         max_indicator=max_ind, argmax_x=float(x[i]), verdict=verdict,

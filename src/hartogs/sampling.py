@@ -6,13 +6,13 @@ fiber radius, and the rest split the fiber energy across coordinates and
 phases.  Points too close to the boundary are rejected because the closed
 forms blow up like ``A^-(n+1)`` there; the margin is configurable.
 
-Boundary samples for the Levi-form test are pseudo-random draws from a
-seeded ``numpy`` generator (:func:`boundary_samples`).
+Boundary samples for the Levi-form test are three block draws from a
+seeded ``numpy`` generator (:func:`boundary_samples`).  Both samplers take
+``(profile, n, spec)`` and reject ``n < 2`` and ``spec.points < 1`` alike.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -38,10 +38,17 @@ class GridSpec:
 
 
 def _x_max(profile: Profile, spec: GridSpec) -> float:
-    hi = min(profile.x0, spec.x_cap) if math.isfinite(profile.x0) else spec.x_cap
-    if math.isfinite(profile.x0):
-        hi = min(hi, profile.x0 * (1.0 - 1e-2))
-    return hi
+    return min(spec.x_cap, profile.x0 * (1.0 - 1e-2))
+
+
+def _checked(n: int, spec: GridSpec | None) -> GridSpec:
+    """The argument rule of both samplers; ``spec`` defaults to ``GridSpec()``."""
+    if n < 2:
+        raise DomainError(f"Hartogs domains need n >= 2 coordinates, got n={n}")
+    spec = spec or GridSpec()
+    if spec.points < 1:
+        raise ValueError(f"points must be >= 1, got {spec.points}")
+    return spec
 
 
 def x_grid(profile: Profile, count: int, spec: GridSpec | None = None) -> np.ndarray:
@@ -56,9 +63,7 @@ def interior_points(profile: Profile, n: int, spec: GridSpec | None = None) -> n
     Every returned point satisfies ``A >= a_margin * F(0)``.  The Halton
     stream is scrambled with ``spec.seed``, so grids are reproducible.
     """
-    if n < 2:
-        raise DomainError(f"Hartogs domains need n >= 2 coordinates, got n={n}")
-    spec = spec or GridSpec()
+    spec = _checked(n, spec)
     delta = spec.a_margin * profile.deriv(0, 0.0)
     xmax = _x_max(profile, spec)
     # spline-backed profiles are unreliable at the edge of their data range
@@ -100,32 +105,25 @@ def _unit_rows(re, im) -> np.ndarray:
     return v / _norm(v)[..., None]
 
 
-def boundary_samples(profile: Profile, n: int, samples: int, seed: int = 0,
-                     x_cap: float = 5.0) -> tuple:
+def boundary_samples(profile: Profile, n: int, spec: GridSpec | None = None) -> tuple:
     """Random abscissae, base points and unit fiber/tangent directions.
 
     Returns ``(x, z0, fiber, tangent)`` with shapes ``(m,)``, ``(m,)``,
-    ``(m, n-1)`` and ``(m, n-1)``, ``m = samples``: ``x`` is uniform in
-    ``(eps, xmax - eps)`` with ``xmax = min(x0, x_cap)`` and
+    ``(m, n-1)`` and ``(m, n-1)``, ``m = spec.points``: ``x`` is uniform in
+    ``(eps, xmax - eps)`` with ``xmax = min(x0, spec.x_cap)`` and
     ``eps = 1e-3 xmax``, ``z0 = sqrt(x) e^(2 pi i u)`` with ``u`` uniform,
     and both directions are uniform on the unit sphere of C^(n-1).
 
-    Each sample draws, in this order, ``x``, ``u`` and ``4(n-1)`` standard
-    normals (real and imaginary parts of the fiber direction, then of the
-    tangent direction), so a seed fixes the same stream at every ``samples``.
+    The generator, seeded with ``spec.seed``, makes three block draws: all
+    ``x``, all ``u``, then ``(m, 4, n-1)`` standard normals (real and
+    imaginary parts of the fiber direction, then of the tangent direction).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    xmax = min(profile.x0, x_cap)
+    spec = _checked(n, spec)
+    rng = np.random.default_rng(spec.seed)
+    xmax = min(profile.x0, spec.x_cap)
     eps = 1e-3 * xmax
-    x = np.empty(samples)
-    u = np.empty(samples)
-    normals = np.empty((samples, 4, n - 1))
-    for k in range(samples):
-        x[k] = rng.uniform(eps, xmax - eps)
-        u[k] = rng.uniform()
-        normals[k] = rng.standard_normal((4, n - 1))
-    z0 = np.sqrt(x) * np.exp(2j * np.pi * u)
+    x = rng.uniform(eps, xmax - eps, spec.points)
+    z0 = np.sqrt(x) * np.exp(2j * np.pi * rng.uniform(size=spec.points))
+    normals = rng.standard_normal((spec.points, 4, n - 1))
     fiber = _unit_rows(normals[:, 0], normals[:, 1])
     return x, z0, fiber, _unit_rows(normals[:, 2], normals[:, 3])

@@ -175,12 +175,12 @@ def test_criterion_7_extremality():
 
 
 def test_criterion_8_pseudoconvexity_equivalence():
-    lin_rep = equivalence_check(PROFILES["linear(1,1)"], samples=500, seed=3)
-    exp_rep = equivalence_check(PROFILES["exp"], samples=500, seed=3)
+    lin_rep = equivalence_check(PROFILES["linear(1,1)"], 2, GridSpec(points=500, seed=3))
+    exp_rep = equivalence_check(PROFILES["exp"], 2, GridSpec(points=500, seed=3))
     wiggle = profile_from_function(
         lambda j: (-j + (j * 6.0).sin() * (1.0 / 12.0)).exp(),
         x0=float("inf"), name="wiggle")
-    wig_rep = equivalence_check(wiggle, samples=500, seed=7, x_cap=2.0)
+    wig_rep = equivalence_check(wiggle, 2, GridSpec(points=500, seed=7, x_cap=2.0))
     x_star = abs(wig_rep.argmin_point[0]) ** 2
     flagged = wig_rep.min_levi <= 0.0 and kahler_indicator(wiggle, x_star) > 0.0
     ok = (lin_rep.verdict == "CONSISTENT" and exp_rep.verdict == "CONSISTENT" and flagged)

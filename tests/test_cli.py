@@ -74,6 +74,15 @@ class TestConfigParsing:
         assert err.startswith("config error:") and "grid.x_cap" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("line", ["grid.pointz = 5", "tolerances.clasify = 1",
+                                      "fd_stepp = 1"])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, line):
+        cfg = write_config(tmp_path, "bad.txt",
+                           "command = classify\nprofile.kind = exp\n" + line + "\n")
+        assert main(["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: unknown key {line.split(' =')[0]!r}\n"
+
     def test_unknown_profile_kind(self):
         with pytest.raises(ConfigError):
             build_profile({"kind": "spline"})
@@ -150,6 +159,14 @@ class TestCommands:
         doc = json.loads(override.read_text())
         assert doc["verdict"] == "KAHLER"
         assert doc["report"]["positivity_agrees"] is True
+
+    def test_quiet_without_output_writes_the_report(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "c.txt", "command = classify\nprofile.kind = exp\n"
+                           "n = 2\ngrid.points = 30\n")
+        assert main(["--config", cfg, "--quiet"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "NON_CONSTANT_CURVATURE"
+        assert doc["config"]["output"] is None
 
     def test_curvature_report_with_csv(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -376,6 +393,17 @@ class TestReportWriter:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.txt").write_text("command = curvature-report\nprofile.kind = exp\n"
                                         "n = 3\ngrid.points = 40\ngrid.seed = 1\n"
+                                        "output = report.json\n")
+        assert main(["--config", "c.txt", "--quiet"]) == 0
+        assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
+
+    def test_pseudoconvexity_report_golden(self, tmp_path, monkeypatch):
+        # reference bytes of this config, recorded when the boundary sampler
+        # began to draw its samples in three blocks
+        golden = Path(__file__).parent / "data" / "pseudoconvexity_exp_n3_200.json"
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.txt").write_text("command = pseudoconvexity-test\nprofile.kind = exp\n"
+                                        "n = 3\ngrid.points = 200\ngrid.seed = 1\n"
                                         "output = report.json\n")
         assert main(["--config", "c.txt", "--quiet"]) == 0
         assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()

@@ -9,6 +9,7 @@ from hartogs import (
     DomainError,
     Profile,
     SingularCoefficientError,
+    boundary_samples,
     curvature_record,
     det_closed_form,
     grid_csv_header,
@@ -335,6 +336,13 @@ class TestSampling:
     def test_rejects_n1(self, expp):
         with pytest.raises(DomainError):
             interior_points(expp, 1, GridSpec(points=10))
+
+    @pytest.mark.parametrize("sampler", [interior_points, boundary_samples])
+    def test_shared_argument_rule(self, expp, sampler):
+        with pytest.raises(DomainError):
+            sampler(expp, 1, GridSpec(points=10))
+        with pytest.raises(ValueError):
+            sampler(expp, 2, GridSpec(points=0))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))

@@ -5,6 +5,7 @@ import pytest
 
 from hartogs import (
     DomainError,
+    GridSpec,
     NumericError,
     boundary_point,
     equivalence_check,
@@ -193,19 +194,19 @@ class TestRestrictedLevi:
 
 class TestEquivalenceCheck:
     def test_hyperbolic(self, lin11):
-        rep = equivalence_check(lin11, samples=500, seed=3)
+        rep = equivalence_check(lin11, 2, GridSpec(points=500, seed=3))
         assert rep.verdict == "CONSISTENT"
         assert rep.min_levi > 0.0
         assert rep.max_indicator < 0.0
 
     def test_exponential(self, expp):
-        rep = equivalence_check(expp, samples=500, seed=3)
+        rep = equivalence_check(expp, 2, GridSpec(points=500, seed=3))
         assert rep.verdict == "CONSISTENT"
         assert rep.min_levi > 0.0
         assert rep.max_indicator < 0.0
 
     def test_sign_changing_profile_flags_violation(self, wiggle):
-        rep = equivalence_check(wiggle, samples=500, seed=7, x_cap=2.0)
+        rep = equivalence_check(wiggle, 2, GridSpec(points=500, seed=7, x_cap=2.0))
         assert rep.verdict == "CONSISTENT"       # both conditions fail together
         assert rep.min_levi <= 0.0
         assert rep.max_indicator > 0.0
@@ -213,13 +214,13 @@ class TestEquivalenceCheck:
         assert kahler_indicator(wiggle, x_star) > 0.0   # flagged inside the bad interval
 
     def test_deterministic(self, expp):
-        a = equivalence_check(expp, samples=100, seed=21)
-        b = equivalence_check(expp, samples=100, seed=21)
+        a = equivalence_check(expp, 2, GridSpec(points=100, seed=21))
+        b = equivalence_check(expp, 2, GridSpec(points=100, seed=21))
         assert a.min_levi == b.min_levi
         np.testing.assert_array_equal(a.argmin_point, b.argmin_point)
 
     def test_json_fields(self, lin11):
-        doc = equivalence_check(lin11, samples=50, seed=1).to_json()
+        doc = equivalence_check(lin11, 2, GridSpec(points=50, seed=1)).to_json()
         for key in ("profile", "samples", "seed", "min_levi", "argmin",
                     "max_indicator", "verdict"):
             assert key in doc
@@ -246,7 +247,7 @@ class TestBatchedLevi:
     @pytest.mark.parametrize("n", [2, 4])
     def test_batch_equals_single(self, name, make, rtol, n):
         prof = make()
-        x, z0, fiber, tangent = boundary_samples(prof, n, 40, seed=17, x_cap=2.0)
+        x, z0, fiber, tangent = boundary_samples(prof, n, GridSpec(points=40, seed=17, x_cap=2.0))
         rng = np.random.default_rng(4)
         x_vecs = rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))
         pts = boundary_point(prof, z0, fiber)
@@ -265,7 +266,7 @@ class TestBatchedLevi:
             self._same(tvec[k], tangent_vector(one, tangent[k], prof), rtol)
 
     def test_point_broadcasts_over_directions(self, expp):
-        _, z0, fiber, tangent = boundary_samples(expp, 3, 6, seed=2)
+        _, z0, fiber, tangent = boundary_samples(expp, 3, GridSpec(points=6, seed=2))
         pts = boundary_point(expp, z0[:, None], fiber[:, None])
         ys = np.stack([tangent, fiber], axis=1)
         vals = restricted_levi(pts, ys, expp)
@@ -277,25 +278,27 @@ class TestBatchedLevi:
 
 
 def _reference_equivalence(profile, samples, seed, n, x_cap=5.0):
-    """The sample-by-sample loop: same draws, single-point calls, strict updates."""
+    """Sample by sample over the same three block draws: single-point calls, strict updates."""
     rng = np.random.default_rng(seed)
     xmax = min(profile.x0, x_cap)
     eps = 1e-3 * xmax
+    xs = rng.uniform(eps, xmax - eps, samples)
+    us = rng.uniform(size=samples)
+    normals = rng.standard_normal((samples, 4, n - 1))
 
-    def unit(dim):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    def unit(re, im):
+        v = re + 1j * im
         return v / np.linalg.norm(v)
 
     min_levi, arg_pt, arg_dir = np.inf, None, None
     max_ind, arg_x = -np.inf, 0.0
-    for _ in range(samples):
-        x = rng.uniform(eps, xmax - eps)
-        z0 = np.sqrt(x) * np.exp(2j * np.pi * rng.uniform())
-        pt = boundary_point(profile, z0, unit(n - 1))
+    for x, u, (f_re, f_im, t_re, t_im) in zip(xs, us, normals):
+        z0 = np.sqrt(x) * np.exp(2j * np.pi * u)
+        pt = boundary_point(profile, z0, unit(f_re, f_im))
         ind = kahler_indicator(profile, x)
         if ind > max_ind:
             max_ind, arg_x = ind, x
-        for y in (unit(n - 1), pt.fiber / np.linalg.norm(pt.fiber)):
+        for y in (unit(t_re, t_im), pt.fiber / np.linalg.norm(pt.fiber)):
             val = restricted_levi(pt, y, profile)
             if val < min_levi:
                 min_levi, arg_pt, arg_dir = val, pt.coords, y
@@ -305,7 +308,7 @@ def _reference_equivalence(profile, samples, seed, n, x_cap=5.0):
 class TestEquivalenceReference:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_reference_loop(self, expp, n):
-        rep = equivalence_check(expp, samples=500, seed=3, n=n)
+        rep = equivalence_check(expp, n, GridSpec(points=500, seed=3))
         min_levi, arg_pt, arg_dir, max_ind, arg_x = _reference_equivalence(expp, 500, 3, n)
         assert (rep.max_indicator, rep.argmax_x) == (max_ind, arg_x)
         if n == 2:
@@ -326,4 +329,4 @@ class TestEquivalenceReference:
 
         prof = make_custom(deriv, x0=float("inf"), name="nan-beyond-2")
         with pytest.raises(NumericError):
-            equivalence_check(prof, samples=200, seed=1)
+            equivalence_check(prof, 2, GridSpec(points=200, seed=1))
