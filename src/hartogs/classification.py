@@ -68,7 +68,7 @@ def hyperbolic_metric(z) -> np.ndarray:
     must satisfy ``|z|^2 < 1``.
     """
     z = np.asarray(z, dtype=complex)
-    if np.any(np.sum(np.abs(z) ** 2, axis=-1) >= 1.0):
+    if np.any(np.sum(np.square(np.abs(z)), axis=-1) >= 1.0):
         raise DomainError("point outside the unit ball")
     return metric_closed_form(z, _BALL)
 

@@ -138,12 +138,12 @@ def _run_curvature_report(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
     fd = wirtinger_hessian(lambda p: potential(p, profile), sub, cfg.fd_step)
     metric_ratio = _finite_max(
         np.max(np.abs(h_sub - fd), axis=(-2, -1))
-        / (cfg.tol_oracle * (1.0 + np.max(np.abs(h_sub), axis=(-2, -1)))),
+        / (cfg.tolerances.oracle * (1.0 + np.max(np.abs(h_sub), axis=(-2, -1)))),
         "metric oracle error")
     ric_errs = np.max(np.abs(ric - ricci_numeric(sub, profile, cfg.fd_step)), axis=(-2, -1))
     ric_err = _finite_max(ric_errs, "Ricci oracle error")
     ricci_ratio = _finite_max(
-        ric_errs / (cfg.tol_oracle * (1.0 + np.max(np.abs(ric), axis=(-2, -1)))),
+        ric_errs / (cfg.tolerances.oracle * (1.0 + np.max(np.abs(ric), axis=(-2, -1)))),
         "Ricci oracle error")
     det = det_closed_form(pts, profile)
     det_err = _finite_max(np.abs(det - np.linalg.det(h).real) / np.abs(det), "determinant error")
@@ -164,7 +164,8 @@ def _run_curvature_report(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
 
 
 def _run_extremal(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
-    rep = extremal_report(profile, cfg.n, cfg.grid, step=cfg.fd_step, tol=cfg.tol_extremal)
+    rep = extremal_report(profile, cfg.n, cfg.grid, step=cfg.fd_step,
+                          tol=cfg.tolerances.extremal)
     return rep.to_json(), rep.verdict
 
 
@@ -174,7 +175,7 @@ def _run_pseudoconvexity(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
 
 
 def _run_classify(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
-    rep = classify(profile, cfg.n, cfg.grid, tol=cfg.tol_classify)
+    rep = classify(profile, cfg.n, cfg.grid, tol=cfg.tolerances.classify)
     return rep.to_json(), rep.verdict
 
 

@@ -22,19 +22,23 @@ Grammar (one assignment per line)::
     curve_dump = curves          # optional: writes curves.scal.csv, curves.L.csv
 
 Values are parsed as int, float, bool (true/false) or string, in that
-order.  Dotted keys nest; duplicate keys are an error.  ``n``,
-``grid.points`` and ``grid.seed`` must be integral numbers and the other
-numeric keys finite numbers (``grid.x_cap`` and ``fd_step`` positive);
-``grid``, ``profile`` and ``tolerances`` are sections.  A key outside the
-grammar above is an error; only ``profile.*`` is open, because its keys
-depend on the kind.  Anything else is a :class:`ConfigError`.
+order.  Dotted keys nest; duplicate keys are an error.  The fields of
+:class:`RunConfig`, :class:`~hartogs.sampling.GridSpec` (``grid.*``) and
+:class:`Tolerances` (``tolerances.*``) are the grammar: an absent key
+takes its field's default, an ``int`` field takes an integral number, a
+``float`` field a finite number, any other a string, and ``_RANGES``
+bounds the numbers.  ``profile.*`` holds ``kind`` and that kind's
+parameters (:func:`build_profile`); ``full-suite`` takes neither it nor
+the dumps.  Any other key, like anything else amiss, is a ConfigError.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -42,7 +46,8 @@ from .errors import ConfigError
 from .profiles import Profile, exp_profile, linear_profile, power_profile, table_profile
 from .sampling import GridSpec
 
-__all__ = ["RunConfig", "parse_config_text", "load_config", "build_profile", "COMMANDS"]
+__all__ = ["RunConfig", "Tolerances", "parse_config_text", "load_config", "build_profile",
+           "COMMANDS"]
 
 COMMANDS = ("check-kahler", "curvature-report", "extremal-test",
             "pseudoconvexity-test", "classify", "full-suite")
@@ -88,17 +93,24 @@ def parse_config_text(text: str) -> dict:
 
 
 @dataclass(frozen=True)
+class Tolerances:
+    """Verdict thresholds: FD oracles, extremality residual, curvature fit."""
+
+    oracle: float = 1e-5
+    extremal: float = 1e-5
+    classify: float = 1e-8
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated run description."""
+    """Validated run description; its fields are the top-level config keys."""
 
     command: str
-    profile: dict
+    profile: dict = field(default_factory=dict)
     n: int = 2
     grid: GridSpec = field(default_factory=GridSpec)
     fd_step: float = 1e-3
-    tol_oracle: float = 1e-5
-    tol_extremal: float = 1e-5
-    tol_classify: float = 1e-8
+    tolerances: Tolerances = field(default_factory=Tolerances)
     output: str | None = None
     expect: str | None = None
     csv_dump: str | None = None
@@ -106,41 +118,46 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """Full configuration embedded in every report for provenance."""
-        return {
-            "command": self.command, "profile": dict(self.profile), "n": self.n,
-            "grid": self.grid.describe(), "fd_step": self.fd_step,
-            "tolerances": {"oracle": self.tol_oracle, "extremal": self.tol_extremal,
-                           "classify": self.tol_classify},
-            "output": self.output, "expect": self.expect, "csv_dump": self.csv_dump,
-            "curve_dump": self.curve_dump,
-        }
+        return asdict(self)
 
 
 def build_profile(spec: dict, base_dir: Path | None = None) -> Profile:
-    """Instantiate the profile named by a config ``profile.*`` section."""
+    """Instantiate the profile named by a config ``profile.*`` section.
+
+    Besides ``kind`` the section holds the parameters of the kind's factory
+    and no other key: ``linear`` c1, c2; ``exp`` scale (default from
+    :func:`exp_profile`); ``power`` p; ``table`` path, a CSV file of rows
+    ``x,F`` read relative to ``base_dir``.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("config needs a profile.kind entry")
-    kind = spec["kind"]
+
+    def table(path: str) -> Profile:
+        file = Path(base_dir or "", str(path))
+        data = np.loadtxt(file, delimiter=",", ndmin=2)
+        if data.shape[1] != 2:
+            raise ConfigError(f"table file {file} must have two columns (x, F)")
+        return table_profile(data[:, 0], data[:, 1], {"path": str(path)})
+
+    params = dict(spec)
+    kind = params.pop("kind")
+    make = {"linear": linear_profile, "exp": exp_profile, "power": power_profile,
+            "table": table}.get(kind if isinstance(kind, str) else None)
+    if make is None:
+        raise ConfigError(f"unknown profile kind {kind!r} (use linear/exp/power/table)")
+    signature = inspect.signature(make).parameters
+    for key in params:
+        if key not in signature:
+            raise ConfigError(f"unknown key 'profile.{key}'")
+    for name, param in signature.items():
+        if name not in params and param.default is param.empty:
+            raise ConfigError(f"profile kind {kind!r} is missing parameter {name!r}")
+    if make is not table:
+        params = {key: _number(value, f"profile.{key}") for key, value in params.items()}
     try:
-        if kind == "linear":
-            return linear_profile(float(spec["c1"]), float(spec["c2"]))
-        if kind == "exp":
-            return exp_profile(float(spec.get("scale", 1.0)))
-        if kind == "power":
-            return power_profile(float(spec["p"]))
-        if kind == "table":
-            path = Path(spec["path"])
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
-            if data.shape[1] != 2:
-                raise ConfigError(f"table file {path} must have two columns (x, F)")
-            return table_profile(data[:, 0], data[:, 1], {"path": str(spec["path"])})
-    except KeyError as exc:
-        raise ConfigError(f"profile kind {kind!r} is missing parameter {exc}") from exc
+        return make(**params)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"bad profile specification: {exc}") from exc
-    raise ConfigError(f"unknown profile kind {kind!r} (use linear/exp/power/table)")
 
 
 def _integer(value, key: str) -> int:
@@ -164,73 +181,56 @@ def _number(value, key: str) -> float:
     raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
-_KEYS = ("command", "n", "profile", "grid", "fd_step", "tolerances", "output", "expect",
-         "csv_dump", "curve_dump")
-_GRID_KEYS = tuple(f.name for f in fields(GridSpec))
-_TOLERANCE_KEYS = ("oracle", "extremal", "classify")
+def _text(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
 
 
-def _known(node: dict, keys: tuple, prefix: str = "") -> dict:
-    """``node``; a key outside ``keys`` is a ConfigError that names it."""
-    for key in node:
-        if key not in keys:
-            raise ConfigError(f"unknown key {prefix + key!r}")
-    return node
+_POSITIVE = ("positive", lambda v: v > 0)
+# The range of each bounded key, by dotted name; its type is its field's.
+_RANGES = {"n": (">= 2", lambda v: v >= 2), "grid.points": (">= 1", lambda v: v >= 1),
+           "grid.a_margin": ("in (0, 1)", lambda v: 0 < v < 1), "grid.x_cap": _POSITIVE,
+           "fd_step": _POSITIVE, "tolerances.oracle": _POSITIVE,
+           "tolerances.extremal": _POSITIVE, "tolerances.classify": _POSITIVE}
 
 
-def _section(tree: dict, name: str) -> dict:
-    node = tree.get(name, {})
-    if not isinstance(node, dict):
-        raise ConfigError(f"'{name}' must be a section ({name}.key = ...)")
-    return node
+def _build(cls, node: dict, prefix: str = "", unknown: tuple = ()):
+    """``cls`` from the keys present in ``node``; the fields of ``cls`` are the known keys."""
+    hints = get_type_hints(cls)
+    values = {}
+    for key, value in node.items():
+        name = prefix + key
+        if key not in hints or key in unknown:
+            while isinstance(value, dict) and value:   # name the first leaf below
+                sub, value = next(iter(value.items()))
+                name += "." + sub
+            raise ConfigError(f"unknown key {name!r}")
+        hint = hints[key]
+        if hint is dict or is_dataclass(hint):
+            if not isinstance(value, dict):
+                raise ConfigError(f"'{name}' must be a section ({name}.key = ...)")
+            value = dict(value) if hint is dict else _build(hint, value, name + ".")
+        else:
+            value = {int: _integer, float: _number}.get(hint, _text)(value, name)
+        rule = _RANGES.get(name)
+        if rule and not rule[1](value):
+            raise ConfigError(f"{name} must be {rule[0]}, got {value}")
+        values[key] = value
+    return cls(**values)
 
 
 def _from_tree(tree: dict) -> RunConfig:
-    _known(tree, _KEYS)
     if "command" not in tree:
         raise ConfigError("config needs a 'command' entry")
     command = tree["command"]
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose one of {COMMANDS}")
-    if command != "full-suite" and "profile" not in tree:
+    if command == "full-suite":   # it runs its own profiles and writes no dumps
+        return _build(RunConfig, tree, unknown=("profile", "csv_dump", "curve_dump"))
+    if "profile" not in tree:
         raise ConfigError("config needs a profile section")
-    grid_tree = _known(_section(tree, "grid"), _GRID_KEYS, "grid.")
-    grid = GridSpec(
-        points=_integer(grid_tree.get("points", 200), "grid.points"),
-        seed=_integer(grid_tree.get("seed", 0), "grid.seed"),
-        a_margin=_number(grid_tree.get("a_margin", 0.05), "grid.a_margin"),
-        x_cap=_number(grid_tree.get("x_cap", 5.0), "grid.x_cap"),
-    )
-    tol = _known(_section(tree, "tolerances"), _TOLERANCE_KEYS, "tolerances.")
-    cfg = RunConfig(
-        command=command,
-        profile=dict(_section(tree, "profile")),
-        n=_integer(tree.get("n", 2), "n"),
-        grid=grid,
-        fd_step=_number(tree.get("fd_step", 1e-3), "fd_step"),
-        tol_oracle=_number(tol.get("oracle", 1e-5), "tolerances.oracle"),
-        tol_extremal=_number(tol.get("extremal", 1e-5), "tolerances.extremal"),
-        tol_classify=_number(tol.get("classify", 1e-8), "tolerances.classify"),
-        output=tree.get("output"),
-        expect=tree.get("expect"),
-        csv_dump=tree.get("csv_dump"),
-        curve_dump=tree.get("curve_dump"),
-    )
-    if cfg.n < 2:
-        raise ConfigError(f"n must be >= 2, got {cfg.n}")
-    if cfg.grid.points < 1:
-        raise ConfigError(f"grid.points must be >= 1, got {cfg.grid.points}")
-    if not 0.0 < cfg.grid.a_margin < 1.0:
-        raise ConfigError(f"grid.a_margin must be in (0, 1), got {cfg.grid.a_margin}")
-    if cfg.grid.x_cap <= 0:
-        raise ConfigError(f"grid.x_cap must be positive, got {cfg.grid.x_cap}")
-    if cfg.fd_step <= 0:
-        raise ConfigError("fd_step must be positive")
-    for name, value in (("oracle", cfg.tol_oracle), ("extremal", cfg.tol_extremal),
-                        ("classify", cfg.tol_classify)):
-        if value <= 0:
-            raise ConfigError(f"tolerances.{name} must be positive, got {value}")
-    return cfg
+    return _build(RunConfig, tree)
 
 
 def load_config(path: str | Path) -> RunConfig:

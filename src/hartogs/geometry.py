@@ -81,8 +81,8 @@ def _interior(z, profile: Profile, upto: int = 2):
     z = np.asarray(z, dtype=complex)
     if z.shape[-1] < 2:
         raise DomainError(f"points need n >= 2 coordinates, got shape {z.shape}")
-    x = np.abs(z[..., 0]) ** 2
-    s = np.sum(np.abs(z[..., 1:]) ** 2, axis=-1)
+    x = np.square(np.abs(z[..., 0]))
+    s = np.sum(np.square(np.abs(z[..., 1:])), axis=-1)
     d = _table(profile, x, upto)
     a = d[0] - s
     if np.any(a <= 0.0):
@@ -93,7 +93,7 @@ def _interior(z, profile: Profile, upto: int = 2):
 def _b(x, d):
     """Determinant numerator ``B = F'^2 x - F (F' + F'' x)``."""
     f, f1, f2 = d[:3]
-    return f1 ** 2 * x - f * (f1 + f2 * x)
+    return np.square(f1) * x - f * (f1 + f2 * x)
 
 
 def _nonzero_b(b):
@@ -136,14 +136,14 @@ class RadialCoefficients:
         f, f1, f2, f3, f4, f5 = d
         b = _nonzero_b(_b(x, d))
         b1 = x * f1 * f2 - 2.0 * f * f2 - x * f * f3
-        b2 = -f1 * f2 + x * f2 ** 2 - 3.0 * f * f3 - x * f * f4
+        b2 = -f1 * f2 + x * np.square(f2) - 3.0 * f * f3 - x * f * f4
         b3 = -4.0 * f1 * f3 + 2.0 * x * f2 * f3 - 4.0 * f * f4 - x * f1 * f4 - x * f * f5
         r1 = b1 / b
-        r2 = b2 / b - r1 ** 2
+        r2 = b2 / b - np.square(r1)
         ell = r1 + x * r2
-        ell1 = 2.0 * r2 + x * (b3 / b - 3.0 * b1 * b2 / b ** 2 + 2.0 * r1 ** 3)
+        ell1 = 2.0 * r2 + x * (b3 / b - 3.0 * b1 * b2 / np.square(b) + 2.0 * np.power(r1, 3))
         g = -ell * f / b
-        g1 = -(ell1 * f + ell * f1) / b + ell * f * b1 / b ** 2
+        g1 = -(ell1 * f + ell * f1) / b + ell * f * b1 / np.square(b)
         return cls(F=d, B=b, L=ell, G=g, dL=ell1, dG=g1)
 
 
@@ -167,8 +167,8 @@ def potential(z, profile: Profile):
 def _metric(z, x, a, d) -> np.ndarray:
     n = z.shape[-1]
     f1, f2 = d[1], d[2]
-    c = f1 ** 2 * x - (f2 * x + f1) * a
-    a2 = a ** 2
+    c = np.square(f1) * x - (f2 * x + f1) * a
+    a2 = np.square(a)
     zf = z[..., 1:]
     h = np.empty(z.shape + (n,), dtype=complex)
     h[..., 0, 0] = c / a2
@@ -312,7 +312,7 @@ def _dbar(f, z, step: float = 1e-3) -> np.ndarray:
 
 
 def _det(z, a, b):
-    out = b / a ** (z.shape[-1] + 1)
+    out = b / np.power(a, z.shape[-1] + 1)
     return out if np.ndim(out) else float(out)
 
 
@@ -337,8 +337,8 @@ def principal_minor(z, profile: Profile, alpha: int):
     n = z.shape[-1]
     if not 1 <= alpha <= n - 1:
         raise ValueError(f"alpha must be in 1..{n - 1}, got {alpha}")
-    tail = np.sum(np.abs(z[..., alpha:]) ** 2, axis=-1)
-    out = a ** (n - alpha) + a ** (n - alpha - 1) * tail
+    tail = np.sum(np.square(np.abs(z[..., alpha:])), axis=-1)
+    out = np.power(a, n - alpha) + np.power(a, n - alpha - 1) * tail
     return out if np.ndim(out) else float(out)
 
 
@@ -392,7 +392,7 @@ def grid_csv_rows(points: np.ndarray, profile: Profile) -> np.ndarray:
     points, x, a, rad = _interior_radial(points, profile)
     n = points.shape[-1]
     f1, f2 = rad.F[1], rad.F[2]
-    c = f1 ** 2 * x - (f1 + f2 * x) * a
+    c = np.square(f1) * x - (f1 + f2 * x) * a
     det = _det(points, a, rad.B)
     min_eig = np.linalg.eigvalsh(_metric(points, x, a, rad.F))[..., 0]
     return np.column_stack([_interleave(points).reshape(-1, 2 * n), a, rad.B + 0 * a, c,

@@ -135,7 +135,7 @@ def power_profile(p: float) -> Profile:
 
     def table(x, upto):
         u = 1.0 - x
-        return [(-1.0) ** k * math.prod(p - i for i in range(k)) * u ** (p - k)
+        return [(-1.0) ** k * math.prod(p - i for i in range(k)) * np.power(u, p - k)
                 for k in range(upto + 1)]
 
     return Profile(x0=1.0, kind="power", params={"p": p}, _table=table)
@@ -195,7 +195,7 @@ def kahler_indicator(profile: Profile, x) -> float:
     f, f1, f2 = profile.derivs(xa, 2)
     if np.any(np.asarray(f) <= 0.0):
         raise ProfileError(f"profile non-positive at x={x!r}")
-    out = (f1 + xa * f2) / f - xa * (f1 / f) ** 2
+    out = (f1 + xa * f2) / f - xa * np.square(f1 / f)
     return out if xa.ndim else float(out)
 
 

@@ -38,9 +38,9 @@ def _scalar(out):
 
 
 def _abs2(c):
-    """``|c|^2`` elementwise, rounded as ``abs(c) ** 2`` rounds it for one complex scalar."""
+    """``|c|^2`` elementwise: ``hypot(re, im)``, the ``abs`` of one complex scalar, squared."""
     c = np.asarray(c)
-    return np.hypot(c.real, c.imag) ** 2
+    return np.square(np.hypot(c.real, c.imag))
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def levi_form(point: BoundaryPoint, x_vec, profile: Profile):
     x_vec = np.asarray(x_vec, dtype=complex)
     x = _abs2(point.z0)
     _, f1, f2 = profile.derivs(x, 2)
-    out = (np.sum(np.abs(x_vec[..., 1:]) ** 2, axis=-1)
+    out = (np.sum(np.square(np.abs(x_vec[..., 1:])), axis=-1)
            - (f1 + f2 * x) * _abs2(x_vec[..., 0]))
     return _scalar(out)
 
@@ -141,8 +141,8 @@ def restricted_levi(point: BoundaryPoint, y, profile: Profile):
     x = _abs2(point.z0)
     _, f1, f2 = profile.derivs(x, 2)
     pairing = np.sum(np.conj(point.fiber) * y, axis=-1)
-    out = (np.sum(np.abs(y) ** 2, axis=-1)
-           - (f1 + f2 * x) / (f1 ** 2 * x) * _abs2(pairing))
+    out = (np.sum(np.square(np.abs(y)), axis=-1)
+           - (f1 + f2 * x) / (np.square(f1) * x) * _abs2(pairing))
     return _scalar(out)
 
 

@@ -97,7 +97,7 @@ def interior_points(profile: Profile, n: int, spec: GridSpec | None = None) -> n
 def _norm(v) -> np.ndarray:
     """Euclidean norm over the last axis, summing real and imaginary parts
     apart as ``np.linalg.norm`` does for one complex vector."""
-    return np.sqrt(np.sum(v.real ** 2, axis=-1) + np.sum(v.imag ** 2, axis=-1))
+    return np.sqrt(np.sum(np.square(v.real), axis=-1) + np.sum(np.square(v.imag), axis=-1))
 
 
 def _unit_rows(re, im) -> np.ndarray:

@@ -83,6 +83,55 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err == f"config error: unknown key {line.split(' =')[0]!r}\n"
 
+    @pytest.mark.parametrize("command,profile,typo", [
+        ("classify", "profile.kind = exp\n", "profile.scal = 2.0"),
+        ("extremal-test", "profile.kind = linear\nprofile.c1 = 1\nprofile.c2 = 1\n",
+         "profile.p = 3"),
+    ], ids=["exp-scal", "linear-p"])
+    def test_unknown_profile_key_exit_2(self, tmp_path, capsys, command, profile, typo):
+        # a key outside the kind's parameters is an error, not a silent default
+        cfg = write_config(tmp_path, "bad.txt", f"command = {command}\n{profile}{typo}\n")
+        assert main(["--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: unknown key {typo.split(' =')[0]!r}\n"
+
+    @pytest.mark.parametrize("line", ["profile.kind = power\nprofile.p = 3",
+                                      "csv_dump = grid.csv", "curve_dump = curves"],
+                             ids=["profile", "csv_dump", "curve_dump"])
+    def test_full_suite_rejects_unused_keys(self, tmp_path, capsys, line):
+        # full-suite runs its own profiles and writes no dumps
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        cfg = write_config(run_dir, "c.txt",
+                           f"command = full-suite\ngrid.points = 40\n{line}\n")
+        assert main(["--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: unknown key {line.split(' =')[0]!r}\n"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["c.txt"]
+
+    @pytest.mark.parametrize("line", ["output = 5", "expect = 7", "csv_dump = true"])
+    def test_string_keys_take_strings(self, tmp_path, capsys, line):
+        cfg = write_config(tmp_path, "bad.txt",
+                           "command = classify\nprofile.kind = exp\n" + line + "\n")
+        assert main(["--config", cfg]) == 2
+        key = line.split(" =")[0]
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be a string")
+
+    def test_grammar_is_the_dataclasses(self, tmp_path):
+        # every bounded key is a field, and the report's config block is the
+        # dataclasses as dicts, defaults included
+        from dataclasses import asdict, fields
+        from hartogs.config import _RANGES, RunConfig, Tolerances
+        from hartogs.sampling import GridSpec
+        known = {f.name for f in fields(RunConfig)}
+        known |= {f"{section}.{f.name}" for section, cls in
+                  (("grid", GridSpec), ("tolerances", Tolerances)) for f in fields(cls)}
+        assert set(_RANGES) <= known
+        cfg = load_config(write_config(tmp_path, "c.txt",
+                                       "command = classify\nprofile.kind = exp\n"))
+        assert cfg.resolved() == asdict(RunConfig("classify", {"kind": "exp"}))
+        assert cfg.resolved()["tolerances"] == {"oracle": 1e-5, "extremal": 1e-5,
+                                                "classify": 1e-8}
+
     def test_unknown_profile_kind(self):
         with pytest.raises(ConfigError):
             build_profile({"kind": "spline"})
@@ -373,11 +422,11 @@ class TestReportWriter:
         assert '{\n  "report": {\n    "records": ' + text + "\n  }\n}" == expected
 
     def test_records_splice_point_is_unique(self, tmp_path):
-        # a user-set "records" key and a path that spells the splice text in
-        # a string leave the report equal to json.dumps of the expanded document
+        # a path that spells the splice text in a string leaves the report
+        # equal to json.dumps of the expanded document
         out = tmp_path / 'a"records": []b.json'
         cfg = write_config(tmp_path, "c.txt", "command = curvature-report\nprofile.kind = exp\n"
-                           f"profile.records = 1\nn = 2\ngrid.points = 20\noutput = {out}\n")
+                           f"n = 2\ngrid.points = 20\noutput = {out}\n")
         assert main(["--config", cfg, "--quiet"]) == 0
         document, _, _ = hartogs.cli.run(load_config(cfg), base_dir=tmp_path)
         batch = document["report"]["records"]

@@ -218,8 +218,7 @@ class TestCurvatureRecord:
         np.testing.assert_allclose(rec.ricci, -3.0 * np.eye(2), atol=1e-13)
 
     def test_batch_equals_single(self, builtin_profiles, sample_points):
-        # one batched record holds the per-point records; |z_0|^2 of a single
-        # point may round differently from the array path, hence rtol
+        # one batched record holds the per-point records, bit for bit
         for name, prof in builtin_profiles.items():
             pts = sample_points[name, 3]
             batch = curvature_record(pts, prof)
@@ -228,6 +227,6 @@ class TestCurvatureRecord:
                 one = curvature_record(z, prof)
                 assert isinstance(one.scal, float)
                 np.testing.assert_array_equal(batch.point[k], one.point)
-                np.testing.assert_allclose(batch.ricci[k], one.ricci, rtol=1e-13, atol=1e-13)
-                assert batch.scal[k] == pytest.approx(one.scal, rel=1e-13)
-                np.testing.assert_allclose(batch.rho[k], one.rho, rtol=1e-13)
+                np.testing.assert_array_equal(batch.ricci[k], one.ricci)
+                assert batch.scal[k] == one.scal
+                np.testing.assert_array_equal(batch.rho[k], one.rho)
