@@ -27,7 +27,14 @@ from .profiles import (
     profile_from_function,
     table_profile,
 )
-from .sampling import GridSpec, boundary_samples, interior_points, x_grid
+from .sampling import (
+    GridSpec,
+    InteriorSample,
+    boundary_samples,
+    interior_points,
+    interior_sample,
+    x_grid,
+)
 from .geometry import (
     RadialCoefficients,
     det_closed_form,

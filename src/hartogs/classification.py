@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import DomainError
 from .extremal import _radial_parts, _radial_residual
-from .geometry import _interior_radial, metric_closed_form, radial_coefficients
+from .geometry import RadialCoefficients, metric_closed_form, radial_coefficients
 from .curvature import _scal
 from .profiles import Profile, linear_profile
-from .sampling import GridSpec, interior_points, x_grid
+from .sampling import GridSpec, InteriorSample, _resolved, interior_points, x_grid
 
 __all__ = [
     "HyperbolicMap",
@@ -97,15 +97,18 @@ def pullback_check(c1: float, c2: float, n: int, spec: GridSpec | None = None,
     is exact up to roundoff when the profile really is ``c1 - c2 x``.
     """
     spec = spec or GridSpec()
-    prof = linear_profile(c1, c2)
-    pts = interior_points(prof, n, spec)
-    phi = HyperbolicMap(c1, c2)
-    scales = phi.scales(n)
-    g_ball = hyperbolic_metric(phi(pts))
-    pulled = scales[None, :, None] * g_ball * scales[None, None, :]
-    err = float(np.max(np.abs(pulled - metric_closed_form(pts, prof))))
+    err = _pullback_error(c1, c2, interior_points(linear_profile(c1, c2), n, spec))
     return PullbackReport(c1=c1, c2=c2, n=n, grid=spec.describe(),
                           max_error=err, tol=tol, passed=err <= tol)
+
+
+def _pullback_error(c1: float, c2: float, pts) -> float:
+    """Largest entry of ``|J^H g_hyp(phi(z)) J - g(z)|`` over ``pts`` for ``F = c1 - c2 x``."""
+    phi = HyperbolicMap(c1, c2)
+    scales = phi.scales(pts.shape[-1])
+    g_ball = hyperbolic_metric(phi(pts))
+    pulled = scales[None, :, None] * g_ball * scales[None, None, :]
+    return float(np.max(np.abs(pulled - metric_closed_form(pts, linear_profile(c1, c2)))))
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,7 @@ class ClassificationReport:
         }
 
 
-def classify(profile: Profile, n: int = 2, spec: GridSpec | None = None,
+def classify(profile: Profile, n: int = 2, spec: GridSpec | InteriorSample | None = None,
              tol: float = 1e-8) -> ClassificationReport:
     """Decide whether the metric is the hyperbolic one in disguise.
 
@@ -151,8 +154,13 @@ def classify(profile: Profile, n: int = 2, spec: GridSpec | None = None,
     vanishing ``L`` whose fit or pullback check fails yields INCONSISTENT:
     either the tolerances are misconfigured or the profile data violates
     the standing hypotheses.
+
+    ``spec`` may be an :class:`~hartogs.sampling.InteriorSample` of
+    ``profile`` at ``n``; the interior grid is then that sample's points,
+    and a ``GridSpec`` draws it.  The pullback check runs on the same points.
     """
-    spec = spec or GridSpec()
+    sample = _resolved(profile, n, spec)
+    spec = sample.spec
     xs = x_grid(profile, X_POINTS, spec)
     rad = radial_coefficients(profile, xs)
     max_l = float(np.max(np.abs(rad.L)))
@@ -160,7 +168,8 @@ def classify(profile: Profile, n: int = 2, spec: GridSpec | None = None,
     base = dict(profile=profile.describe(), n=n, grid=spec.describe(), tol=tol,
                 max_abs_l=max_l, argmax_x=arg_x)
     if max_l > tol:
-        _, x, a, grid_rad = _interior_radial(interior_points(profile, n, spec), profile)
+        x, a = sample.x, sample.A
+        grid_rad = RadialCoefficients.from_table(x, sample.F)
         scal = _scal(n, a, grid_rad)
         res = float(np.max(_radial_residual(*_radial_parts(x, a, grid_rad))))
         return ClassificationReport(
@@ -176,10 +185,10 @@ def classify(profile: Profile, n: int = 2, spec: GridSpec | None = None,
             **base, c1=c1, c2=c2, fit_error=fit_error, pullback_max_error=None,
             rho0_spread=None, extremal_max_residual=None, verdict="INCONSISTENT",
         )
-    pull = pullback_check(c1, c2, n, spec)
-    verdict = "HYPERBOLIC" if pull.passed else "INCONSISTENT"
+    pull_error = _pullback_error(c1, c2, sample.points)
+    verdict = "HYPERBOLIC" if pull_error <= PULLBACK_TOL else "INCONSISTENT"
     return ClassificationReport(
         **base, c1=c1, c2=c2, fit_error=fit_error,
-        pullback_max_error=pull.max_error, rho0_spread=None,
+        pullback_max_error=pull_error, rho0_spread=None,
         extremal_max_residual=None, verdict=verdict,
     )

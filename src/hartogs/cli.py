@@ -1,7 +1,11 @@
 """Command-line front end: runs a configured pipeline and writes JSON reports.
 
 Exit status: 0 when the verdict matches expectations, 1 on verdict
-failure, 2 on configuration, numeric and write errors.  Reports are
+failure, 2 on configuration, numeric and write errors.  A run draws each
+interior grid once (:func:`~hartogs.sampling.interior_sample`, on first
+use) and shares it between its pipelines and the grid dump; it runs under
+``np.errstate(divide="raise", invalid="raise")``, and a floating-point
+error is a ``NumericError``.  Reports are
 deterministic byte for byte for a fixed config (fixed seeds, serial
 reductions, sorted keys).  They are written with ``json.dumps(document,
 sort_keys=True, indent=2)``, except that the curvature records are
@@ -14,25 +18,28 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .classification import classify
-from .config import RunConfig, build_profile, load_config
-from .curvature import CurvatureRecord, curvature_record, ricci_numeric
+from .config import VERDICTS, RunConfig, build_profile, load_config
+from .curvature import CurvatureRecord, _curvature_record, ricci_numeric
 from .errors import ConfigError, HartogsError, NumericError
 from .extremal import extremal_report
 from .geometry import (
+    RadialCoefficients,
+    _det,
+    _grid_rows,
     _interleave,
-    det_closed_form,
+    _inverse,
+    _metric,
     grid_csv_header,
-    grid_csv_rows,
-    inverse_metric_closed_form,
-    metric_closed_form,
     potential,
     wirtinger_hessian,
 )
@@ -44,12 +51,12 @@ from .profiles import (
     power_profile,
 )
 from .pseudoconvexity import equivalence_check
-from .sampling import interior_points, x_grid
+from .sampling import InteriorSample, interior_sample, x_grid
 
 SCHEMA_VERSION = 1
 
 # Verdicts that count as success when the config declares no expectation.
-POSITIVE_VERDICTS = {"KAHLER", "PASS", "EXTREMAL", "CONSISTENT", "HYPERBOLIC", "SUITE_PASS"}
+POSITIVE_VERDICTS = {verdicts[0] for verdicts in VERDICTS.values()}
 
 _SUITE_PROFILES = (
     ("linear(1,1)", lambda: linear_profile(1.0, 1.0), True),
@@ -59,12 +66,20 @@ _SUITE_PROFILES = (
 )
 
 
-def _run_check_kahler(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
+_Sampler = Callable[[], InteriorSample]
+
+
+def _sampler(cfg: RunConfig, profile: Profile) -> _Sampler:
+    """The run's interior sample of ``profile``, drawn on the first call only."""
+    return functools.cache(functools.partial(interior_sample, profile, cfg.n, cfg.grid))
+
+
+def _run_check_kahler(cfg: RunConfig, profile: Profile, sample: _Sampler) -> tuple[dict, str]:
     xs = x_grid(profile, max(cfg.grid.points, 101), cfg.grid)
     ind = kahler_indicator(profile, xs)
     max_ind = float(np.max(ind))
-    pts = interior_points(profile, cfg.n, cfg.grid)
-    min_eig = float(np.min(np.linalg.eigvalsh(metric_closed_form(pts, profile))))
+    s = sample()
+    min_eig = float(np.min(np.linalg.eigvalsh(_metric(s.points, s.x, s.A, s.F))))
     verdict = "KAHLER" if max_ind < 0.0 else "NOT_KAHLER"
     report = {
         "max_indicator": max_ind,
@@ -128,10 +143,12 @@ def _dumps(document: dict) -> str:
     return head + _RECORDS_SLOT.replace("[]", _records_text(records)) + tail
 
 
-def _run_curvature_report(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
-    pts = interior_points(profile, cfg.n, cfg.grid)
-    batch = curvature_record(pts, profile)
-    h = metric_closed_form(pts, profile)
+def _run_curvature_report(cfg: RunConfig, profile: Profile,
+                          sample: _Sampler) -> tuple[dict, str]:
+    s = sample()
+    pts, rad = s.points, RadialCoefficients.from_table(s.x, s.F)
+    batch = _curvature_record(pts, s.x, s.A, rad)
+    h = _metric(pts, s.x, s.A, s.F)
     # oracle deviations; FD Hessians only on a subsample, they dominate the cost.
     # Both Hessian oracles are judged per point relative to the size of the closed form.
     sub, h_sub, ric = pts[:25], h[:25], batch.ricci[:25]
@@ -145,10 +162,10 @@ def _run_curvature_report(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
     ricci_ratio = _finite_max(
         ric_errs / (cfg.tolerances.oracle * (1.0 + np.max(np.abs(ric), axis=(-2, -1)))),
         "Ricci oracle error")
-    det = det_closed_form(pts, profile)
+    det = _det(pts, s.A, rad.B)
     det_err = _finite_max(np.abs(det - np.linalg.det(h).real) / np.abs(det), "determinant error")
     inv_err = _finite_max(np.abs(
-        np.einsum("mab,mbc->mac", h, inverse_metric_closed_form(pts, profile))
+        np.einsum("mab,mbc->mac", h, _inverse(pts, s.x, s.A, s.F, rad.B))
         - np.eye(cfg.n)[None]
     ), "inverse error")
     ok = metric_ratio <= 1.0 and ricci_ratio <= 1.0 and det_err <= 1e-8 and inv_err <= 1e-8
@@ -163,19 +180,20 @@ def _run_curvature_report(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
     return report, "PASS" if ok else "FAIL"
 
 
-def _run_extremal(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
-    rep = extremal_report(profile, cfg.n, cfg.grid, step=cfg.fd_step,
+def _run_extremal(cfg: RunConfig, profile: Profile, sample: _Sampler) -> tuple[dict, str]:
+    rep = extremal_report(profile, cfg.n, sample(), step=cfg.fd_step,
                           tol=cfg.tolerances.extremal)
     return rep.to_json(), rep.verdict
 
 
-def _run_pseudoconvexity(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
-    rep = equivalence_check(profile, cfg.n, cfg.grid)
+def _run_pseudoconvexity(cfg: RunConfig, profile: Profile,
+                         sample: _Sampler) -> tuple[dict, str]:
+    rep = equivalence_check(profile, cfg.n, cfg.grid)   # boundary samples only
     return rep.to_json(), rep.verdict
 
 
-def _run_classify(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
-    rep = classify(profile, cfg.n, cfg.grid, tol=cfg.tolerances.classify)
+def _run_classify(cfg: RunConfig, profile: Profile, sample: _Sampler) -> tuple[dict, str]:
+    rep = classify(profile, cfg.n, sample(), tol=cfg.tolerances.classify)
     return rep.to_json(), rep.verdict
 
 
@@ -184,13 +202,15 @@ def _run_full_suite(cfg: RunConfig) -> tuple[dict, str]:
     ok = True
     for label, make, is_linear in _SUITE_PROFILES:
         profile = make()
-        _, kahler = _run_check_kahler(cfg, profile)
-        cls, cls_verdict = _run_classify(cfg, profile)
-        ext, ext_verdict = _run_extremal(cfg, profile)
-        _, pc_verdict = _run_pseudoconvexity(cfg, profile)
+        sample = _sampler(cfg, profile)
+        positivity, kahler = _run_check_kahler(cfg, profile, sample)
+        cls, cls_verdict = _run_classify(cfg, profile, sample)
+        ext, ext_verdict = _run_extremal(cfg, profile, sample)
+        _, pc_verdict = _run_pseudoconvexity(cfg, profile, sample)
         expected_cls = "HYPERBOLIC" if is_linear else "NON_CONSTANT_CURVATURE"
         expected_ext = "EXTREMAL" if is_linear else "NOT_EXTREMAL"
-        row_ok = (kahler == "KAHLER" and pc_verdict == "CONSISTENT"
+        row_ok = (kahler == "KAHLER" and positivity["positivity_agrees"]
+                  and pc_verdict == "CONSISTENT"
                   and cls_verdict == expected_cls and ext_verdict == expected_ext)
         ok = ok and row_ok
         rows.append({
@@ -237,26 +257,37 @@ def _write_curves(cfg: RunConfig, profile: Profile) -> None:
                        header=f"x,{tag}", comments="")
 
 
+def _execute(cfg: RunConfig, base_dir: Path | None) -> tuple[dict, str]:
+    """The report and verdict of ``cfg``; writes the dumps of a single-profile command."""
+    if cfg.command == "full-suite":
+        return _run_full_suite(cfg)
+    profile = build_profile(cfg.profile, base_dir)
+    sample = _sampler(cfg, profile)
+    report, verdict = _RUNNERS[cfg.command](cfg, profile, sample)
+    if cfg.csv_dump:
+        s = sample()
+        rows = _grid_rows(s.points, s.x, s.A, s.F)
+        header = ",".join(grid_csv_header(cfg.n))
+        with _writing(cfg.csv_dump):
+            np.savetxt(cfg.csv_dump, rows, delimiter=",", header=header, comments="")
+    if cfg.curve_dump:
+        _write_curves(cfg, profile)
+    return report, verdict
+
+
 def run(cfg: RunConfig, base_dir: Path | None = None) -> tuple[dict, str, int]:
     """Execute the configured command; return (document, verdict, exit status).
 
     The document holds JSON values, except that the ``records`` of
     ``curvature-report`` are the batched :class:`CurvatureRecord`; ``main``
-    writes it with ``_dumps``.
+    writes it with ``_dumps``.  A division by zero or an invalid operation
+    (0/0, log of a negative number) raises ``NumericError``.
     """
-    if cfg.command == "full-suite":
-        report, verdict = _run_full_suite(cfg)
-    else:
-        profile = build_profile(cfg.profile, base_dir)
-        report, verdict = _RUNNERS[cfg.command](cfg, profile)
-        if cfg.csv_dump:
-            pts = interior_points(profile, cfg.n, cfg.grid)
-            rows = grid_csv_rows(pts, profile)
-            header = ",".join(grid_csv_header(cfg.n))
-            with _writing(cfg.csv_dump):
-                np.savetxt(cfg.csv_dump, rows, delimiter=",", header=header, comments="")
-        if cfg.curve_dump:
-            _write_curves(cfg, profile)
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            report, verdict = _execute(cfg, base_dir)
+    except FloatingPointError as exc:
+        raise NumericError(f"floating-point error: {exc}") from exc
     document = {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "hartogs", "version": __version__},

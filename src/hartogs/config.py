@@ -27,7 +27,8 @@ order.  Dotted keys nest; duplicate keys are an error.  The fields of
 :class:`Tolerances` (``tolerances.*``) are the grammar: an absent key
 takes its field's default, an ``int`` field takes an integral number, a
 ``float`` field a finite number, any other a string, and ``_RANGES``
-bounds the numbers.  ``profile.*`` holds ``kind`` and that kind's
+bounds the numbers; ``expect`` names one of the command's
+:data:`VERDICTS`.  ``profile.*`` holds ``kind`` and that kind's
 parameters (:func:`build_profile`); ``full-suite`` takes neither it nor
 the dumps.  Any other key, like anything else amiss, is a ConfigError.
 """
@@ -47,10 +48,19 @@ from .profiles import Profile, exp_profile, linear_profile, power_profile, table
 from .sampling import GridSpec
 
 __all__ = ["RunConfig", "Tolerances", "parse_config_text", "load_config", "build_profile",
-           "COMMANDS"]
+           "COMMANDS", "VERDICTS"]
 
-COMMANDS = ("check-kahler", "curvature-report", "extremal-test",
-            "pseudoconvexity-test", "classify", "full-suite")
+# Each command's verdicts, the one that counts as success first; ``expect``
+# must name one of its command's verdicts.
+VERDICTS = {
+    "check-kahler": ("KAHLER", "NOT_KAHLER"),
+    "curvature-report": ("PASS", "FAIL"),
+    "extremal-test": ("EXTREMAL", "NOT_EXTREMAL"),
+    "pseudoconvexity-test": ("CONSISTENT", "INCONSISTENT"),
+    "classify": ("HYPERBOLIC", "NON_CONSTANT_CURVATURE", "INCONSISTENT"),
+    "full-suite": ("SUITE_PASS", "SUITE_FAIL"),
+}
+COMMANDS = tuple(VERDICTS)
 
 
 def _parse_value(raw: str):
@@ -227,10 +237,15 @@ def _from_tree(tree: dict) -> RunConfig:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose one of {COMMANDS}")
     if command == "full-suite":   # it runs its own profiles and writes no dumps
-        return _build(RunConfig, tree, unknown=("profile", "csv_dump", "curve_dump"))
-    if "profile" not in tree:
+        cfg = _build(RunConfig, tree, unknown=("profile", "csv_dump", "curve_dump"))
+    elif "profile" not in tree:
         raise ConfigError("config needs a profile section")
-    return _build(RunConfig, tree)
+    else:
+        cfg = _build(RunConfig, tree)
+    if cfg.expect is not None and cfg.expect not in VERDICTS[command]:
+        raise ConfigError(f"expect must be one of {', '.join(VERDICTS[command])} "
+                          f"for {command}, got {cfg.expect!r}")
+    return cfg
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -165,7 +165,11 @@ def curvature_record(z, profile: Profile) -> CurvatureRecord:
     carry the leading axis (``scal`` of shape ``(m,)`` and so on); record
     ``i`` of the batch equals the record of point ``i``.
     """
-    z, x, a, rad = _interior_radial(z, profile)
+    return _curvature_record(*_interior_radial(z, profile))
+
+
+def _curvature_record(z, x, a, rad) -> CurvatureRecord:
+    """:func:`curvature_record` from the pieces of ``_interior_radial``."""
     n = z.shape[-1]
     scal = _scal(n, a, rad)
     return CurvatureRecord(

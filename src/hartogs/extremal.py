@@ -35,9 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .geometry import _dbar, _interior_radial, _interleave, radial_coefficients
+from .geometry import (
+    RadialCoefficients,
+    _dbar,
+    _interior_radial,
+    _interleave,
+    radial_coefficients,
+)
 from .profiles import Profile
-from .sampling import GridSpec, interior_points, x_grid
+from .sampling import GridSpec, InteriorSample, _resolved, x_grid
 
 __all__ = [
     "scal_conjugate_gradient",
@@ -175,7 +181,7 @@ class ExtremalReport:
         }
 
 
-def extremal_report(profile: Profile, n: int, spec: GridSpec | None = None,
+def extremal_report(profile: Profile, n: int, spec: GridSpec | InteriorSample | None = None,
                     step: float = 1e-3, tol: float = 1e-5) -> ExtremalReport:
     """Sweep the radial residual over an interior grid and issue a verdict.
 
@@ -185,9 +191,14 @@ def extremal_report(profile: Profile, n: int, spec: GridSpec | None = None,
     on the first ``ORACLE_POINTS`` grid points only; ``oracle_fiber_error``
     is the largest ``max|FD - closed| / (1 + max|closed|)`` over them,
     against the closed fiber columns ``-2 A (r_a / B) z_a z_i``.
+
+    ``spec`` may be an :class:`~hartogs.sampling.InteriorSample` of
+    ``profile`` at ``n``, whose points are then the grid; a ``GridSpec``
+    draws it.
     """
-    spec = spec or GridSpec()
-    z, x, a, rad = _interior_radial(interior_points(profile, n, spec), profile)
+    sample = _resolved(profile, n, spec)
+    spec, z, x, a = sample.spec, sample.points, sample.x, sample.A
+    rad = RadialCoefficients.from_table(x, sample.F)
     c0, c1 = _radial_parts(x, a, rad)
     per_point = _radial_residual(c0, c1)
     k = ORACLE_POINTS

@@ -389,7 +389,12 @@ def grid_csv_rows(points: np.ndarray, profile: Profile) -> np.ndarray:
     the closed-form determinant, and the smallest eigenvalue of the metric
     (a positive-definiteness indicator).
     """
-    points, x, a, rad = _interior_radial(points, profile)
+    return _grid_rows(*_interior(points, profile, MAX_DERIV_ORDER))
+
+
+def _grid_rows(points, x, a, d) -> np.ndarray:
+    """:func:`grid_csv_rows` from the pieces of :func:`_interior` to order five."""
+    rad = RadialCoefficients.from_table(x, d)
     n = points.shape[-1]
     f1, f2 = rad.F[1], rad.F[2]
     c = np.square(f1) * x - (f1 + f2 * x) * a

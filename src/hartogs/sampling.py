@@ -6,6 +6,11 @@ fiber radius, and the rest split the fiber energy across coordinates and
 phases.  Points too close to the boundary are rejected because the closed
 forms blow up like ``A^-(n+1)`` there; the margin is configurable.
 
+An :class:`InteriorSample` is one interior draw together with ``x``, ``A``
+and the derivative table at its points (:func:`interior_sample`); the
+pipelines take it in place of a ``GridSpec``, so one run draws each grid
+once.
+
 Boundary samples for the Levi-form test are three block draws from a
 seeded ``numpy`` generator (:func:`boundary_samples`).  Both samplers take
 ``(profile, n, spec)`` and reject ``n < 2`` and ``spec.points < 1`` alike.
@@ -19,9 +24,11 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import DomainError
-from .profiles import Profile
+from .geometry import _interior
+from .profiles import MAX_DERIV_ORDER, Profile
 
-__all__ = ["GridSpec", "interior_points", "x_grid", "boundary_samples"]
+__all__ = ["GridSpec", "InteriorSample", "interior_points", "interior_sample", "x_grid",
+           "boundary_samples"]
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,49 @@ def interior_points(profile: Profile, n: int, spec: GridSpec | None = None) -> n
     if pts.shape[0] < spec.points:
         raise DomainError("could not draw enough interior points; margin too tight?")
     return pts[: spec.points]
+
+
+@dataclass(frozen=True, eq=False)
+class InteriorSample:
+    """One interior draw and what every consumer reads from it.
+
+    ``points`` (``(m, n)`` complex), ``x = |z_0|^2``, the membership gap
+    ``A`` and the table ``F = (F, ..., F^(5))`` at ``x``, for ``profile``
+    and ``spec``.  The arrays are read-only.  The radial coefficients are
+    left to the consumers (``RadialCoefficients.from_table(x, F)``), so a
+    sample exists for profiles whose ``B`` vanishes.
+    """
+
+    profile: Profile
+    spec: GridSpec
+    points: np.ndarray
+    x: np.ndarray
+    A: np.ndarray
+    F: tuple
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[-1]
+
+
+def interior_sample(profile: Profile, n: int, spec: GridSpec | None = None) -> InteriorSample:
+    """Draw :func:`interior_points` once and evaluate its derivative table once."""
+    spec = spec or GridSpec()
+    z, x, a, d = _interior(interior_points(profile, n, spec), profile, MAX_DERIV_ORDER)
+    for array in (z, x, a) + d:
+        array.flags.writeable = False
+    return InteriorSample(profile=profile, spec=spec, points=z, x=x, A=a, F=d)
+
+
+def _resolved(profile: Profile, n: int,
+              spec: GridSpec | InteriorSample | None) -> InteriorSample:
+    """``spec`` itself if it is a sample of ``profile`` in dimension ``n``, else a draw."""
+    if not isinstance(spec, InteriorSample):
+        return interior_sample(profile, n, spec)
+    if spec.profile is not profile or spec.n != n:
+        raise ValueError(f"sample of {spec.profile.describe()} at n={spec.n} "
+                         f"given for {profile.describe()} at n={n}")
+    return spec
 
 
 def _norm(v) -> np.ndarray:

@@ -12,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 import hartogs.cli
 from hartogs.cli import _records_text, main
 from hartogs.curvature import CurvatureRecord
-from hartogs.config import ConfigError, build_profile, load_config, parse_config_text
+from hartogs.config import (
+    VERDICTS,
+    ConfigError,
+    build_profile,
+    load_config,
+    parse_config_text,
+)
 
 
 def write_config(tmp_path, name, text):
@@ -382,6 +388,104 @@ class TestCommands:
         residual = json.loads(out.read_text())["report"]["extremal_max_residual"]
         rep = extremal_report(exp_profile(1.0), 3, GridSpec(points=30, seed=4))
         assert residual == rep.max_residual
+
+    def test_full_suite_needs_positivity_agreement(self, tmp_path, monkeypatch, capsys):
+        # a negated interior metric makes check-kahler's positivity
+        # cross-check disagree with its indicator verdict: the row fails
+        metric = hartogs.cli._metric
+        monkeypatch.setattr(hartogs.cli, "_metric", lambda *args: -metric(*args))
+        cfg = write_config(tmp_path, "c.txt", "command = full-suite\ngrid.points = 40\n"
+                           f"output = {tmp_path / 'rep.json'}\n")
+        assert main(["--config", cfg, "--quiet"]) == 1
+        doc = json.loads((tmp_path / "rep.json").read_text())
+        assert doc["verdict"] == "SUITE_FAIL"
+        assert not any(row["as_expected"] for row in doc["report"]["profiles"])
+        assert all(row["kahler"] == "KAHLER" for row in doc["report"]["profiles"])
+
+    def test_zero_over_zero_is_a_numeric_error(self, tmp_path, capsys):
+        # exp(-70 x) underflows on the x table of the reduced conditions, where
+        # B^2 becomes 0: 0/0 must exit 2, not leave a NaN in a verdict's report
+        out = tmp_path / "rep.json"
+        cfg = write_config(tmp_path, "c.txt", "command = extremal-test\nprofile.kind = exp\n"
+                           f"profile.scale = 70\ngrid.points = 40\noutput = {out}\n")
+        assert main(["--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: floating-point error: invalid value encountered")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestExpect:
+    @pytest.mark.parametrize("command", list(VERDICTS))
+    def test_every_verdict_of_the_command_is_accepted(self, tmp_path, command):
+        profile = "" if command == "full-suite" else "profile.kind = exp\n"
+        for verdict in VERDICTS[command]:
+            cfg = load_config(write_config(tmp_path, "c.txt", f"command = {command}\n"
+                                           f"{profile}expect = {verdict}\n"))
+            assert cfg.expect == verdict
+
+    def test_positive_verdicts_are_the_first_of_each_command(self):
+        assert hartogs.cli.POSITIVE_VERDICTS == {"KAHLER", "PASS", "EXTREMAL", "CONSISTENT",
+                                                 "HYPERBOLIC", "SUITE_PASS"}
+
+    @pytest.mark.parametrize("command,expect", [
+        ("classify", "HYPERBLIC"), ("classify", "EXTREMAL"), ("full-suite", "PASS"),
+        ("check-kahler", "kahler")])
+    def test_another_verdict_exits_2(self, tmp_path, capsys, command, expect):
+        profile = "" if command == "full-suite" else (
+            "profile.kind = linear\nprofile.c1 = 1\nprofile.c2 = 1\n")
+        out = tmp_path / "rep.json"
+        cfg = write_config(tmp_path, "c.txt", f"command = {command}\n{profile}"
+                           f"grid.points = 20\nexpect = {expect}\noutput = {out}\n")
+        assert main(["--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: expect must be one of ") and err.count("\n") == 1
+        assert repr(expect) in err and not out.exists()
+
+
+class TestOneInteriorDraw:
+    """Each run draws every interior grid once, through ``sampling.interior_points``."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        import hartogs.sampling
+        calls = []
+        draw = hartogs.sampling.interior_points
+
+        def spy(profile, n, spec=None):
+            calls.append((profile.describe(), n, spec))
+            return draw(profile, n, spec)
+
+        monkeypatch.setattr(hartogs.sampling, "interior_points", spy)
+        return calls
+
+    def test_full_suite_draws_four_grids(self, tmp_path, draws):
+        cfg = write_config(tmp_path, "c.txt", "command = full-suite\ngrid.points = 40\n"
+                           f"output = {tmp_path / 'rep.json'}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        # one grid per suite profile, no two alike
+        assert [d["kind"] for d, _, _ in draws] == ["linear", "linear", "exp", "power"]
+        assert len(set(map(repr, draws))) == 4
+
+    @pytest.mark.parametrize("command", ["check-kahler", "curvature-report", "extremal-test",
+                                         "pseudoconvexity-test", "classify"])
+    @pytest.mark.parametrize("kind", ["linear", "exp"])
+    def test_single_profile_command_draws_at_most_once(self, tmp_path, draws, command, kind):
+        profile = ("profile.kind = linear\nprofile.c1 = 2\nprofile.c2 = 0.5\n"
+                   if kind == "linear" else "profile.kind = exp\n")
+        cfg = write_config(tmp_path, "c.txt", f"command = {command}\n{profile}"
+                           f"grid.points = 30\noutput = {tmp_path / 'rep.json'}\n"
+                           f"csv_dump = {tmp_path / 'grid.csv'}\n")
+        assert main(["--config", cfg, "--quiet"]) in (0, 1)
+        assert len(draws) == 1
+        assert (tmp_path / "grid.csv").exists()
+
+    def test_pseudoconvexity_without_dump_draws_no_interior_grid(self, tmp_path, draws):
+        cfg = write_config(tmp_path, "c.txt", "command = pseudoconvexity-test\n"
+                           "profile.kind = exp\ngrid.points = 30\n"
+                           f"output = {tmp_path / 'rep.json'}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        assert draws == []
 
 
 _SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e308,

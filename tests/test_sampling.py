@@ -1,0 +1,65 @@
+"""The interior sample record: one draw shared by the pipelines."""
+
+import numpy as np
+import pytest
+
+from hartogs import (
+    GridSpec,
+    InteriorSample,
+    classify,
+    exp_profile,
+    extremal_report,
+    interior_points,
+    interior_sample,
+    linear_profile,
+)
+from hartogs.geometry import _interior
+from hartogs.profiles import MAX_DERIV_ORDER
+
+SPEC = GridSpec(points=30, seed=5, x_cap=2.5)
+
+
+class TestInteriorSample:
+    def test_fields_are_one_draw_and_its_table(self, expp):
+        s = interior_sample(expp, 3, SPEC)
+        assert isinstance(s, InteriorSample)
+        assert s.profile is expp and s.spec == SPEC and s.n == 3
+        pts = interior_points(expp, 3, SPEC)
+        np.testing.assert_array_equal(s.points, pts)
+        z, x, a, d = _interior(pts, expp, MAX_DERIV_ORDER)
+        np.testing.assert_array_equal(s.x, x)
+        np.testing.assert_array_equal(s.A, a)
+        assert len(s.F) == MAX_DERIV_ORDER + 1
+        for got, want in zip(s.F, d):
+            np.testing.assert_array_equal(got, want)
+
+    def test_arrays_are_read_only(self, expp):
+        s = interior_sample(expp, 2, SPEC)
+        for array in (s.points, s.x, s.A) + s.F:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_singular_profile_still_samples(self, constant_profile):
+        # B == 0 everywhere: the record builds no radial coefficients, so it
+        # exists; the consumers that need them raise
+        s = interior_sample(constant_profile, 2, SPEC)
+        assert s.points.shape == (30, 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 12])
+    def test_pipelines_give_the_grid_spec_reports(self, oracle_profiles, n):
+        for name, prof in oracle_profiles.items():
+            s = interior_sample(prof, n, SPEC)
+            assert (classify(prof, n, s).to_json()
+                    == classify(prof, n, SPEC).to_json()), name
+            assert (extremal_report(prof, n, s).to_json()
+                    == extremal_report(prof, n, SPEC).to_json()), name
+
+    def test_wrong_profile_or_n_is_a_value_error(self, expp):
+        s = interior_sample(expp, 3, SPEC)
+        for pipeline in (classify, extremal_report):
+            with pytest.raises(ValueError, match="sample of"):
+                pipeline(exp_profile(1.0), 3, s)      # an equal profile, not this one
+            with pytest.raises(ValueError, match="sample of"):
+                pipeline(linear_profile(1.0, 1.0), 3, s)
+            with pytest.raises(ValueError, match="n=3"):
+                pipeline(expp, 2, s)
