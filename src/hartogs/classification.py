@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .extremal import _radial_parts, _radial_residual
-from .geometry import RadialCoefficients, metric_closed_form, radial_coefficients
+from .geometry import metric_closed_form, radial_coefficients
 from .curvature import _scal
 from .profiles import Profile, linear_profile
 from .sampling import GridSpec, InteriorSample, _resolved, interior_points, x_grid
@@ -168,10 +168,8 @@ def classify(profile: Profile, n: int = 2, spec: GridSpec | InteriorSample | Non
     base = dict(profile=profile.describe(), n=n, grid=spec.describe(), tol=tol,
                 max_abs_l=max_l, argmax_x=arg_x)
     if max_l > tol:
-        x, a = sample.x, sample.A
-        grid_rad = RadialCoefficients.from_table(x, sample.F)
-        scal = _scal(n, a, grid_rad)
-        res = float(np.max(_radial_residual(*_radial_parts(x, a, grid_rad))))
+        scal = _scal(sample)
+        res = float(np.max(_radial_residual(*_radial_parts(sample))))
         return ClassificationReport(
             **base, c1=None, c2=None, fit_error=None, pullback_max_error=None,
             rho0_spread=float(np.ptp(scal)), extremal_max_residual=res,

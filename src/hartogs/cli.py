@@ -33,7 +33,6 @@ from .curvature import CurvatureRecord, _curvature_record, ricci_numeric
 from .errors import ConfigError, HartogsError, NumericError
 from .extremal import extremal_report
 from .geometry import (
-    RadialCoefficients,
     _det,
     _grid_rows,
     _interleave,
@@ -78,8 +77,7 @@ def _run_check_kahler(cfg: RunConfig, profile: Profile, sample: _Sampler) -> tup
     xs = x_grid(profile, max(cfg.grid.points, 101), cfg.grid)
     ind = kahler_indicator(profile, xs)
     max_ind = float(np.max(ind))
-    s = sample()
-    min_eig = float(np.min(np.linalg.eigvalsh(_metric(s.points, s.x, s.A, s.F))))
+    min_eig = float(np.min(np.linalg.eigvalsh(_metric(sample()))))
     verdict = "KAHLER" if max_ind < 0.0 else "NOT_KAHLER"
     report = {
         "max_indicator": max_ind,
@@ -146,12 +144,11 @@ def _dumps(document: dict) -> str:
 def _run_curvature_report(cfg: RunConfig, profile: Profile,
                           sample: _Sampler) -> tuple[dict, str]:
     s = sample()
-    pts, rad = s.points, RadialCoefficients.from_table(s.x, s.F)
-    batch = _curvature_record(pts, s.x, s.A, rad)
-    h = _metric(pts, s.x, s.A, s.F)
+    batch = _curvature_record(s)
+    h = _metric(s)
     # oracle deviations; FD Hessians only on a subsample, they dominate the cost.
     # Both Hessian oracles are judged per point relative to the size of the closed form.
-    sub, h_sub, ric = pts[:25], h[:25], batch.ricci[:25]
+    sub, h_sub, ric = s.points[:25], h[:25], batch.ricci[:25]
     fd = wirtinger_hessian(lambda p: potential(p, profile), sub, cfg.fd_step)
     metric_ratio = _finite_max(
         np.max(np.abs(h_sub - fd), axis=(-2, -1))
@@ -162,10 +159,10 @@ def _run_curvature_report(cfg: RunConfig, profile: Profile,
     ricci_ratio = _finite_max(
         ric_errs / (cfg.tolerances.oracle * (1.0 + np.max(np.abs(ric), axis=(-2, -1)))),
         "Ricci oracle error")
-    det = _det(pts, s.A, rad.B)
+    det = _det(s)
     det_err = _finite_max(np.abs(det - np.linalg.det(h).real) / np.abs(det), "determinant error")
     inv_err = _finite_max(np.abs(
-        np.einsum("mab,mbc->mac", h, _inverse(pts, s.x, s.A, s.F, rad.B))
+        np.einsum("mab,mbc->mac", h, _inverse(s))
         - np.eye(cfg.n)[None]
     ), "inverse error")
     ok = metric_ratio <= 1.0 and ricci_ratio <= 1.0 and det_err <= 1e-8 and inv_err <= 1e-8
@@ -265,8 +262,7 @@ def _execute(cfg: RunConfig, base_dir: Path | None) -> tuple[dict, str]:
     sample = _sampler(cfg, profile)
     report, verdict = _RUNNERS[cfg.command](cfg, profile, sample)
     if cfg.csv_dump:
-        s = sample()
-        rows = _grid_rows(s.points, s.x, s.A, s.F)
+        rows = _grid_rows(sample())
         header = ",".join(grid_csv_header(cfg.n))
         with _writing(cfg.csv_dump):
             np.savetxt(cfg.csv_dump, rows, delimiter=",", header=header, comments="")

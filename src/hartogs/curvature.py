@@ -22,13 +22,13 @@ import numpy as np
 from .errors import NumericError
 from .geometry import (
     det_closed_form,
-    hermitize,
     wirtinger_hessian,
-    _interior_radial,
+    _PointBatch,
+    _interior,
     _interleave,
     _metric,
 )
-from .profiles import Profile
+from .profiles import MAX_DERIV_ORDER, Profile
 
 __all__ = [
     "ricci_closed_form",
@@ -42,9 +42,10 @@ __all__ = [
 ]
 
 
-def _ricci(z, x, a, rad) -> np.ndarray:
-    ric = -(z.shape[-1] + 1.0) * _metric(z, x, a, rad.F)
-    ric[..., 0, 0] -= rad.L
+def _ricci(p: _PointBatch) -> np.ndarray:
+    ric = -(p.n + 1.0) * _metric(p)
+    # a real (0,0) entry: its imaginary part stays +0.0 where h_00 < 0 too
+    ric[..., 0, 0] = ric[..., 0, 0].real - p.rad.L
     return ric
 
 
@@ -56,7 +57,7 @@ def ricci_closed_form(z, profile: Profile) -> np.ndarray:
     ``L = (x (log B)')'``; the rest is ``-(n+1)`` times the potential's
     Hessian, i.e. the metric itself.
     """
-    return _ricci(*_interior_radial(z, profile))
+    return _ricci(_interior(z, profile, MAX_DERIV_ORDER))
 
 
 def ricci_numeric(z, profile: Profile, step: float = 1e-3) -> np.ndarray:
@@ -80,19 +81,19 @@ def ricci_numeric(z, profile: Profile, step: float = 1e-3) -> np.ndarray:
     return -wirtinger_hessian(logdet, np.asarray(z, dtype=complex), step)
 
 
-def _scal(n, a, rad):
-    return -(a / rad.B) * rad.F[0] * rad.L - n * (n + 1.0)
+def _scal(p: _PointBatch):
+    return -(p.A / p.rad.B) * p.F[0] * p.rad.L - p.n * (p.n + 1.0)
 
 
 def scalar_curvature(z, profile: Profile):
     """Scalar curvature ``-(A/B) F L - n(n+1)``, equivalently ``-n(n+1) + G A``."""
-    z, _, a, rad = _interior_radial(z, profile)
-    out = _scal(z.shape[-1], a, rad)
+    out = _scal(_interior(z, profile, MAX_DERIV_ORDER))
     return out if np.ndim(out) else float(out)
 
 
-def _rho(n, a, rad) -> np.ndarray:
-    lam = a * rad.F[0] * rad.L / rad.B
+def _rho(p: _PointBatch) -> np.ndarray:
+    n = p.n
+    lam = p.A * p.F[0] * p.rad.L / p.rad.B
     ks = np.arange(n)
     pref = (n + 1.0) ** ks * (-1.0) ** (ks + 1) * np.array([comb(n - 1, k) for k in range(n)])
     return pref * (n * (n + 1.0) / (ks + 1.0) + np.asarray(lam)[..., None])
@@ -104,8 +105,7 @@ def generalized_scalars_closed(z, profile: Profile) -> np.ndarray:
     ``rho_k = (n+1)^k (-1)^(k+1) C(n-1, k) [ n(n+1)/(k+1) + A F L / B ]``;
     the k = 0 entry is the scalar curvature.
     """
-    z, _, a, rad = _interior_radial(z, profile)
-    return _rho(z.shape[-1], a, rad)
+    return _rho(_interior(z, profile, MAX_DERIV_ORDER))
 
 
 def curvature_polynomial_coefficients(metric: np.ndarray, ricci: np.ndarray) -> np.ndarray:
@@ -134,8 +134,8 @@ def generalized_scalars_poly(z, profile: Profile) -> np.ndarray:
 
     Broadcasts: ``(n,)`` points give ``(n,)``, ``(m, n)`` give ``(m, n)``.
     """
-    z, x, a, rad = _interior_radial(z, profile)
-    return curvature_polynomial_coefficients(_metric(z, x, a, rad.F), _ricci(z, x, a, rad))
+    p = _interior(z, profile, MAX_DERIV_ORDER)
+    return curvature_polynomial_coefficients(_metric(p), _ricci(p))
 
 
 @dataclass(frozen=True)
@@ -165,16 +165,15 @@ def curvature_record(z, profile: Profile) -> CurvatureRecord:
     carry the leading axis (``scal`` of shape ``(m,)`` and so on); record
     ``i`` of the batch equals the record of point ``i``.
     """
-    return _curvature_record(*_interior_radial(z, profile))
+    return _curvature_record(_interior(z, profile, MAX_DERIV_ORDER))
 
 
-def _curvature_record(z, x, a, rad) -> CurvatureRecord:
-    """:func:`curvature_record` from the pieces of ``_interior_radial``."""
-    n = z.shape[-1]
-    scal = _scal(n, a, rad)
+def _curvature_record(p: _PointBatch) -> CurvatureRecord:
+    """:func:`curvature_record` of a record whose table reaches order five."""
+    scal = _scal(p)
     return CurvatureRecord(
-        point=z,
-        ricci=hermitize(_ricci(z, x, a, rad)),
+        point=p.points,
+        ricci=_ricci(p),
         scal=scal if np.ndim(scal) else float(scal),
-        rho=_rho(n, a, rad),
+        rho=_rho(p),
     )

@@ -36,13 +36,13 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .geometry import (
-    RadialCoefficients,
+    _PointBatch,
     _dbar,
-    _interior_radial,
+    _interior,
     _interleave,
     radial_coefficients,
 )
-from .profiles import Profile
+from .profiles import MAX_DERIV_ORDER, Profile
 from .sampling import GridSpec, InteriorSample, _resolved, x_grid
 
 __all__ = [
@@ -67,7 +67,8 @@ def scal_conjugate_gradient(z, profile: Profile) -> np.ndarray:
     ``G' z_0 A + z_0 G F'`` and the fiber components are ``-G z_i``.
     Requires five profile derivatives (``G'`` contains ``F^(5)``).
     """
-    z, _, a, rad = _interior_radial(z, profile)
+    p = _interior(z, profile, MAX_DERIV_ORDER)
+    z, a, rad = p.points, p.A, p.rad
     out = np.empty_like(z)
     out[..., 0] = rad.dG * z[..., 0] * a + z[..., 0] * rad.G * rad.F[1]
     out[..., 1:] = -np.asarray(rad.G)[..., None] * z[..., 1:]
@@ -80,10 +81,10 @@ def _reduced(x, rad):
     return rad.dG * f + rad.G * f1, rad.dG * f1 * x + rad.G * (f1 + f2 * x)
 
 
-def _radial_parts(x, a, rad):
+def _radial_parts(p: _PointBatch):
     """``(A r1 / B, A r2 / B)``: the field is ``A`` times these scaling ``z``."""
-    r1, r2 = _reduced(x, rad)
-    ab = a / rad.B
+    r1, r2 = _reduced(p.x, p.rad)
+    ab = p.A / p.rad.B
     return ab * r1, ab * r2
 
 
@@ -116,9 +117,9 @@ def hamiltonian_field(z, profile: Profile) -> np.ndarray:
     ``w = sum_{i>=1} z~_i v_i``, ``T = F' + F'' x``) with the radial form of
     ``v`` and ``B = F'^2 x - F T`` inserted.
     """
-    z, x, a, rad = _interior_radial(z, profile)
-    c0, c1 = _radial_parts(x, a, rad)
-    return _scaled(z, a * c0, a * c1)
+    p = _interior(z, profile, MAX_DERIV_ORDER)
+    c0, c1 = _radial_parts(p)
+    return _scaled(p.points, p.A * c0, p.A * c1)
 
 
 def dbar_jacobian(z, profile: Profile, step: float = 1e-3):
@@ -197,9 +198,8 @@ def extremal_report(profile: Profile, n: int, spec: GridSpec | InteriorSample | 
     draws it.
     """
     sample = _resolved(profile, n, spec)
-    spec, z, x, a = sample.spec, sample.points, sample.x, sample.A
-    rad = RadialCoefficients.from_table(x, sample.F)
-    c0, c1 = _radial_parts(x, a, rad)
+    spec, z = sample.spec, sample.points
+    c0, c1 = _radial_parts(sample)
     per_point = _radial_residual(c0, c1)
     k = ORACLE_POINTS
     sub = z[:k]

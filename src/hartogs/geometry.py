@@ -10,11 +10,11 @@ All functions broadcast over leading axes: ``z`` may be ``(n,)`` or
 ``(m, n)``, matrices come back as ``(..., n, n)``.
 
 Every evaluator reads ``F`` and its derivatives at ``|z_0|^2`` from one
-``Profile.derivs`` call per point batch (:func:`_interior`); the
-coefficients that depend on ``x`` alone are built once from that table
-(:class:`RadialCoefficients`).  The private formulas ``_metric``, ``_det``
-and ``_inverse`` take these precomputed pieces, so composite evaluators
-share one derivative evaluation.
+``Profile.derivs`` call per point batch, into the one record of the batch
+that every private formula takes (:func:`_interior`); its radial
+coefficients (:class:`RadialCoefficients`) are built on first use and
+kept.  The closed-form matrices write conjugate entries into mirror
+slots, so they are exactly Hermitian without a symmetrizing pass.
 
 The one finite-difference engine lives here too: the Wirtinger Hessian,
 the independent oracle against which every closed form is tested, and a
@@ -24,6 +24,7 @@ Each evaluates the stencils of a whole point batch in one call.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,26 +69,6 @@ def _interleave(v) -> np.ndarray:
 def _table(profile: Profile, x, upto: int) -> tuple:
     """``(F, ..., F^(upto))`` at ``x`` as arrays, from one ``derivs`` call."""
     return tuple(np.asarray(v) for v in profile.derivs(x, upto))
-
-
-def _interior(z, profile: Profile, upto: int = 2):
-    """Split ``z``, evaluate the derivative table once and check membership.
-
-    Returns ``(z, x, A, F)``: the points as a complex array,
-    ``x = |z_0|^2``, the membership gap ``A > 0`` and the table
-    ``F = (F, ..., F^(upto))`` at ``x`` (``derivs`` also enforces
-    ``|z_0|^2 < x0``).
-    """
-    z = np.asarray(z, dtype=complex)
-    if z.shape[-1] < 2:
-        raise DomainError(f"points need n >= 2 coordinates, got shape {z.shape}")
-    x = np.square(np.abs(z[..., 0]))
-    s = np.sum(np.square(np.abs(z[..., 1:])), axis=-1)
-    d = _table(profile, x, upto)
-    a = d[0] - s
-    if np.any(a <= 0.0):
-        raise DomainError("point on or outside the boundary (gap A <= 0)")
-    return z, x, a, d
 
 
 def _b(x, d):
@@ -152,21 +133,55 @@ def radial_coefficients(profile: Profile, x) -> RadialCoefficients:
     return RadialCoefficients.from_table(x, _table(profile, x, MAX_DERIV_ORDER))
 
 
-def _interior_radial(z, profile: Profile):
-    """``(z, x, A, R)``: :func:`_interior` to order five and the radial record ``R``."""
-    z, x, a, d = _interior(z, profile, MAX_DERIV_ORDER)
-    return z, x, a, RadialCoefficients.from_table(x, d)
+@dataclass(frozen=True, eq=False)
+class _PointBatch:
+    """One point batch as every closed form reads it (see :func:`_interior`).
+
+    ``points`` (``(..., n)`` complex), ``x = |z_0|^2``, the gap ``A > 0``
+    and the table ``F = (F, ..., F^(upto))`` at ``x``.  ``rad`` is built on
+    first use (from a table to order five), so a batch exists where ``B``
+    vanishes and only the consumers of ``rad`` raise.
+    """
+
+    points: np.ndarray
+    x: np.ndarray
+    A: np.ndarray
+    F: tuple
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[-1]
+
+    @functools.cached_property
+    def rad(self) -> RadialCoefficients:
+        return RadialCoefficients.from_table(self.x, self.F)
+
+
+def _interior(z, profile: Profile, upto: int = 2) -> _PointBatch:
+    """The record of the points ``z``, with one derivative table to order ``upto``.
+
+    ``derivs`` enforces ``|z_0|^2 < x0``; a point with ``A <= 0`` raises ``DomainError``.
+    """
+    z = np.asarray(z, dtype=complex)
+    if z.shape[-1] < 2:
+        raise DomainError(f"points need n >= 2 coordinates, got shape {z.shape}")
+    x = np.square(np.abs(z[..., 0]))
+    s = np.sum(np.square(np.abs(z[..., 1:])), axis=-1)
+    d = _table(profile, x, upto)
+    a = d[0] - s
+    if np.any(a <= 0.0):
+        raise DomainError("point on or outside the boundary (gap A <= 0)")
+    return _PointBatch(points=z, x=x, A=a, F=d)
 
 
 def potential(z, profile: Profile):
     """Kaehler potential ``-log A`` at interior points."""
-    _, _, a, _ = _interior(z, profile, 0)
-    return -np.log(a)
+    return -np.log(_interior(z, profile, 0).A)
 
 
-def _metric(z, x, a, d) -> np.ndarray:
-    n = z.shape[-1]
-    f1, f2 = d[1], d[2]
+def _metric(p: _PointBatch) -> np.ndarray:
+    z, x, a, n = p.points, p.x, p.A, p.n
+    f1, f2 = p.F[1], p.F[2]
     c = np.square(f1) * x - (f2 * x + f1) * a
     a2 = np.square(a)
     zf = z[..., 1:]
@@ -179,7 +194,7 @@ def _metric(z, x, a, d) -> np.ndarray:
     step = n  # write the diagonal of the fiber block in place
     block.reshape(block.shape[:-2] + (-1,))[..., :: step] += a[..., None]
     h[..., 1:, 1:] = block / a2[..., None, None]
-    return hermitize(h)
+    return h
 
 
 def metric_closed_form(z, profile: Profile) -> np.ndarray:
@@ -190,7 +205,7 @@ def metric_closed_form(z, profile: Profile) -> np.ndarray:
     non-admissible profiles the (indefinite) matrix is still returned so
     that falsification sweeps can inspect it.
     """
-    return _metric(*_interior(z, profile))
+    return _metric(_interior(z, profile))
 
 
 def _stencil(m: int) -> np.ndarray:
@@ -311,8 +326,8 @@ def _dbar(f, z, step: float = 1e-3) -> np.ndarray:
     return np.moveaxis(d, 1, -1).reshape(z.shape[:-1] + d.shape[2:] + (n,))
 
 
-def _det(z, a, b):
-    out = b / np.power(a, z.shape[-1] + 1)
+def _det(p: _PointBatch):
+    out = _b(p.x, p.F) / np.power(p.A, p.n + 1)
     return out if np.ndim(out) else float(out)
 
 
@@ -322,8 +337,7 @@ def det_closed_form(z, profile: Profile):
     Equivalently ``-(F^2/A^(n+1)) * (x F'/F)'``; positive exactly when the
     profile is Kaehler-admissible at ``x = |z_0|^2``.
     """
-    z, x, a, d = _interior(z, profile)
-    return _det(z, a, _b(x, d))
+    return _det(_interior(z, profile))
 
 
 def principal_minor(z, profile: Profile, alpha: int):
@@ -333,8 +347,8 @@ def principal_minor(z, profile: Profile, alpha: int):
     ``A^2 h`` over rows and columns ``alpha..n-1`` equals
     ``A^(n-alpha) + A^(n-alpha-1) (|z_alpha|^2 + ... + |z_{n-1}|^2)``.
     """
-    z, _, a, _ = _interior(z, profile, 0)
-    n = z.shape[-1]
+    p = _interior(z, profile, 0)
+    z, a, n = p.points, p.A, p.n
     if not 1 <= alpha <= n - 1:
         raise ValueError(f"alpha must be in 1..{n - 1}, got {alpha}")
     tail = np.sum(np.square(np.abs(z[..., alpha:])), axis=-1)
@@ -342,10 +356,10 @@ def principal_minor(z, profile: Profile, alpha: int):
     return out if np.ndim(out) else float(out)
 
 
-def _inverse(z, x, a, d, b) -> np.ndarray:
-    """Inverse metric from the pieces; ``b`` has passed :func:`_nonzero_b`."""
-    n = z.shape[-1]
-    f, f1, f2 = d[:3]
+def _inverse(p: _PointBatch) -> np.ndarray:
+    z, x, a, n = p.points, p.x, p.A, p.n
+    f, f1, f2 = p.F[:3]
+    b = _nonzero_b(_b(x, p.F))
     t = f1 + f2 * x
     ab = a / b
     zf = z[..., 1:]
@@ -359,7 +373,7 @@ def _inverse(z, x, a, d, b) -> np.ndarray:
     step = n
     block.reshape(block.shape[:-2] + (-1,))[..., :: step] += (ab * b)[..., None]
     minv[..., 1:, 1:] = block
-    return hermitize(minv)
+    return minv
 
 
 def inverse_metric_closed_form(z, profile: Profile) -> np.ndarray:
@@ -370,8 +384,7 @@ def inverse_metric_closed_form(z, profile: Profile) -> np.ndarray:
     ``g^{i j~} = (A/B) T z_j z~_i`` off the fiber diagonal, and
     ``g^{i i~} = (A/B) (B + T |z_i|^2)``.  Satisfies ``Minv @ h = I``.
     """
-    z, x, a, d = _interior(z, profile)
-    return _inverse(z, x, a, d, _nonzero_b(_b(x, d)))
+    return _inverse(_interior(z, profile))
 
 
 def grid_csv_header(n: int) -> list[str]:
@@ -389,16 +402,14 @@ def grid_csv_rows(points: np.ndarray, profile: Profile) -> np.ndarray:
     the closed-form determinant, and the smallest eigenvalue of the metric
     (a positive-definiteness indicator).
     """
-    return _grid_rows(*_interior(points, profile, MAX_DERIV_ORDER))
+    return _grid_rows(_interior(points, profile, MAX_DERIV_ORDER))
 
 
-def _grid_rows(points, x, a, d) -> np.ndarray:
-    """:func:`grid_csv_rows` from the pieces of :func:`_interior` to order five."""
-    rad = RadialCoefficients.from_table(x, d)
-    n = points.shape[-1]
-    f1, f2 = rad.F[1], rad.F[2]
+def _grid_rows(p: _PointBatch) -> np.ndarray:
+    """:func:`grid_csv_rows` of a record whose table reaches order five."""
+    x, a, rad = p.x, p.A, p.rad
+    f1, f2 = p.F[1], p.F[2]
     c = np.square(f1) * x - (f1 + f2 * x) * a
-    det = _det(points, a, rad.B)
-    min_eig = np.linalg.eigvalsh(_metric(points, x, a, rad.F))[..., 0]
-    return np.column_stack([_interleave(points).reshape(-1, 2 * n), a, rad.B + 0 * a, c,
-                            rad.L + 0 * a, rad.G + 0 * a, det, min_eig])
+    min_eig = np.linalg.eigvalsh(_metric(p))[..., 0]
+    return np.column_stack([_interleave(p.points).reshape(-1, 2 * p.n), a, rad.B + 0 * a, c,
+                            rad.L + 0 * a, rad.G + 0 * a, _det(p), min_eig])

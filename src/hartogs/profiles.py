@@ -193,8 +193,10 @@ def kahler_indicator(profile: Profile, x) -> float:
     """
     xa = np.asarray(x, dtype=float)
     f, f1, f2 = profile.derivs(xa, 2)
-    if np.any(np.asarray(f) <= 0.0):
-        raise ProfileError(f"profile non-positive at x={x!r}")
+    bad = np.asarray(f) <= 0.0
+    if np.any(bad):
+        raise ProfileError(f"profile non-positive at {np.count_nonzero(bad)} abscissa(e), "
+                           f"first {float(xa[bad].flat[0])!r}")
     out = (f1 + xa * f2) / f - xa * np.square(f1 / f)
     return out if xa.ndim else float(out)
 

@@ -6,10 +6,10 @@ fiber radius, and the rest split the fiber energy across coordinates and
 phases.  Points too close to the boundary are rejected because the closed
 forms blow up like ``A^-(n+1)`` there; the margin is configurable.
 
-An :class:`InteriorSample` is one interior draw together with ``x``, ``A``
-and the derivative table at its points (:func:`interior_sample`); the
-pipelines take it in place of a ``GridSpec``, so one run draws each grid
-once.
+An :class:`InteriorSample` is one interior draw as the point-batch record
+that every closed form reads (:func:`interior_sample`); the pipelines take
+it in place of a ``GridSpec``, so one run draws each grid and builds its
+radial coefficients once.
 
 Boundary samples for the Levi-form test are three block draws from a
 seeded ``numpy`` generator (:func:`boundary_samples`).  Both samplers take
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import DomainError
-from .geometry import _interior
+from .geometry import _PointBatch, _interior
 from .profiles import MAX_DERIV_ORDER, Profile
 
 __all__ = ["GridSpec", "InteriorSample", "interior_points", "interior_sample", "x_grid",
@@ -102,35 +102,27 @@ def interior_points(profile: Profile, n: int, spec: GridSpec | None = None) -> n
 
 
 @dataclass(frozen=True, eq=False)
-class InteriorSample:
-    """One interior draw and what every consumer reads from it.
+class InteriorSample(_PointBatch):
+    """One interior draw of ``profile`` under ``spec`` as a point-batch record.
 
     ``points`` (``(m, n)`` complex), ``x = |z_0|^2``, the membership gap
-    ``A`` and the table ``F = (F, ..., F^(5))`` at ``x``, for ``profile``
-    and ``spec``.  The arrays are read-only.  The radial coefficients are
-    left to the consumers (``RadialCoefficients.from_table(x, F)``), so a
-    sample exists for profiles whose ``B`` vanishes.
+    ``A`` and the table ``F = (F, ..., F^(5))`` at ``x``; the arrays are
+    read-only.  ``rad``, the radial coefficients of the table, is built on
+    the first use by any consumer and shared by the rest, so a sample
+    exists for profiles whose ``B`` vanishes.
     """
 
     profile: Profile
     spec: GridSpec
-    points: np.ndarray
-    x: np.ndarray
-    A: np.ndarray
-    F: tuple
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[-1]
 
 
 def interior_sample(profile: Profile, n: int, spec: GridSpec | None = None) -> InteriorSample:
     """Draw :func:`interior_points` once and evaluate its derivative table once."""
     spec = spec or GridSpec()
-    z, x, a, d = _interior(interior_points(profile, n, spec), profile, MAX_DERIV_ORDER)
-    for array in (z, x, a) + d:
+    b = _interior(interior_points(profile, n, spec), profile, MAX_DERIV_ORDER)
+    for array in (b.points, b.x, b.A) + b.F:
         array.flags.writeable = False
-    return InteriorSample(profile=profile, spec=spec, points=z, x=x, A=a, F=d)
+    return InteriorSample(points=b.points, x=b.x, A=b.A, F=b.F, profile=profile, spec=spec)
 
 
 def _resolved(profile: Profile, n: int,

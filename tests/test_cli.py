@@ -414,6 +414,16 @@ class TestCommands:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_non_positive_profile_is_one_line(self, tmp_path, capsys):
+        # exp(-160 x) underflows to 0 on the indicator's x grid: the message
+        # gives the count and the first abscissa, not the whole array
+        cfg = write_config(tmp_path, "c.txt", "command = check-kahler\nprofile.kind = exp\n"
+                           "profile.scale = 160\ngrid.points = 40\n")
+        assert main(["--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: profile non-positive at ")
+        assert err.count("\n") == 1
+
 
 class TestExpect:
     @pytest.mark.parametrize("command", list(VERDICTS))
@@ -560,6 +570,17 @@ class TestReportWriter:
                                         "output = report.json\n")
         assert main(["--config", "c.txt", "--quiet"]) == 0
         assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
+
+    def test_grid_dump_golden(self, tmp_path, monkeypatch):
+        # reference bytes of this config's grid dump, recorded before the
+        # closed forms took one point-batch record in place of its pieces
+        golden = Path(__file__).parent / "data" / "grid_exp_n3_40.csv"
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.txt").write_text("command = check-kahler\nprofile.kind = exp\n"
+                                        "n = 3\ngrid.points = 40\ngrid.seed = 1\n"
+                                        "output = report.json\ncsv_dump = grid.csv\n")
+        assert main(["--config", "c.txt", "--quiet"]) == 0
+        assert (tmp_path / "grid.csv").read_bytes() == golden.read_bytes()
 
     def test_records_equal_per_point_to_json(self, tmp_path):
         # the rows are CurvatureRecord.to_json() of each point of the batch

@@ -354,6 +354,22 @@ def test_hermitize_exactness(seed):
     assert np.array_equal(h, np.conj(h.T))
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_closed_forms_are_exactly_hermitian(oracle_profiles, n):
+    # the closed forms write conjugate entries in conjugate slots, so on
+    # sampled points symmetrizing them changes no byte (a flipped signed zero
+    # included); where a coordinate has an exactly zero part, a mirror entry
+    # may hold -0.0 against +0.0, which hermitize itself rewrites
+    closed_forms = (metric_closed_form, inverse_metric_closed_form, ricci_closed_form,
+                    lambda z, prof: curvature_record(z, prof).ricci)
+    for name, prof in oracle_profiles.items():
+        pts = interior_points(prof, n, GridSpec(points=100, seed=n, x_cap=2.5))
+        for z in (pts, pts[0], pts[1]):
+            for closed in closed_forms:
+                out = closed(z, prof)
+                assert out.tobytes() == hermitize(out).tobytes(), name
+
+
 def dbar_stencil(z, profile):
     """The extremality FD oracle: the field on every axial stencil point of both steps."""
     return dbar_jacobian(z, profile)

@@ -13,7 +13,7 @@ from hartogs import (
     interior_sample,
     linear_profile,
 )
-from hartogs.geometry import _interior
+from hartogs.geometry import RadialCoefficients, _interior
 from hartogs.profiles import MAX_DERIV_ORDER
 
 SPEC = GridSpec(points=30, seed=5, x_cap=2.5)
@@ -26,11 +26,11 @@ class TestInteriorSample:
         assert s.profile is expp and s.spec == SPEC and s.n == 3
         pts = interior_points(expp, 3, SPEC)
         np.testing.assert_array_equal(s.points, pts)
-        z, x, a, d = _interior(pts, expp, MAX_DERIV_ORDER)
-        np.testing.assert_array_equal(s.x, x)
-        np.testing.assert_array_equal(s.A, a)
+        b = _interior(pts, expp, MAX_DERIV_ORDER)
+        np.testing.assert_array_equal(s.x, b.x)
+        np.testing.assert_array_equal(s.A, b.A)
         assert len(s.F) == MAX_DERIV_ORDER + 1
-        for got, want in zip(s.F, d):
+        for got, want in zip(s.F, b.F):
             np.testing.assert_array_equal(got, want)
 
     def test_arrays_are_read_only(self, expp):
@@ -44,6 +44,21 @@ class TestInteriorSample:
         # exists; the consumers that need them raise
         s = interior_sample(constant_profile, 2, SPEC)
         assert s.points.shape == (30, 2)
+
+    def test_radial_record_is_built_once(self, expp, monkeypatch):
+        # classify and extremal_report share the sample's radial record
+        calls = []
+        from_table = RadialCoefficients.from_table.__func__
+
+        def counted(cls, x, d):
+            calls.append(x)
+            return from_table(cls, x, d)
+
+        monkeypatch.setattr(RadialCoefficients, "from_table", classmethod(counted))
+        s = interior_sample(expp, 3, SPEC)
+        classify(expp, 3, s)
+        extremal_report(expp, 3, s)
+        assert sum(x is s.x for x in calls) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 6, 12])
     def test_pipelines_give_the_grid_spec_reports(self, oracle_profiles, n):
