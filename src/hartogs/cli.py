@@ -4,8 +4,9 @@ Exit status: 0 when the verdict matches expectations, 1 on verdict
 failure, 2 on configuration, numeric and write errors.  A run draws each
 interior grid once (:func:`~hartogs.sampling.interior_sample`, on first
 use) and shares it between its pipelines and the grid dump; it runs under
-``np.errstate(divide="raise", invalid="raise")``, and a floating-point
-error is a ``NumericError``.  Reports are
+``np.errstate(divide="raise", invalid="raise", over="raise")``, and a
+floating-point error (a division by zero, an invalid operation or an
+overflow; underflow stays ignored) is a ``NumericError``.  Reports are
 deterministic byte for byte for a fixed config (fixed seeds, serial
 reductions, sorted keys).  They are written with ``json.dumps(document,
 sort_keys=True, indent=2)``, except that the curvature records are
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__
 from .classification import classify
 from .config import VERDICTS, RunConfig, build_profile, load_config
-from .curvature import CurvatureRecord, _curvature_record, ricci_numeric
+from .curvature import CurvatureRecord, _curvature_record, _ricci, ricci_numeric
 from .errors import ConfigError, HartogsError, NumericError
 from .extremal import extremal_report
 from .geometry import (
@@ -52,7 +53,7 @@ from .profiles import (
 from .pseudoconvexity import equivalence_check
 from .sampling import InteriorSample, interior_sample, x_grid
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Verdicts that count as success when the config declares no expectation.
 POSITIVE_VERDICTS = {verdicts[0] for verdicts in VERDICTS.values()}
@@ -112,15 +113,13 @@ def _records_text(batch: CurvatureRecord) -> str:
     layout comes from ``json.dumps`` of a template whose numbers are
     ``"%s"`` slots; all rows are filled in one ``%`` pass over the
     ``float.__repr__`` texts of the value matrix, whose columns follow the
-    sorted keys (``point``, ``rho``, ``ricci``, ``scal``).
+    sorted keys (``L``, ``point``, ``rho``, ``scal``).
     """
     m, n = batch.point.shape
     if not m:
         return "[]"
-    values = np.column_stack([_interleave(batch.point), batch.rho,
-                              _interleave(batch.ricci.reshape(m, n * n)), batch.scal])
-    template = {"point": ["%s"] * (2 * n), "rho": ["%s"] * n,
-                "ricci": [["%s", "%s"]] * (n * n), "scal": "%s"}
+    values = np.column_stack([batch.L, _interleave(batch.point), batch.rho, batch.scal])
+    template = {"L": "%s", "point": ["%s"] * (2 * n), "rho": ["%s"] * n, "scal": "%s"}
     indent = "\n      "
     row = json.dumps(template, sort_keys=True, indent=2).replace('"%s"', "%s")
     row = row.replace("\n", indent)
@@ -148,7 +147,8 @@ def _run_curvature_report(cfg: RunConfig, profile: Profile,
     h = _metric(s)
     # oracle deviations; FD Hessians only on a subsample, they dominate the cost.
     # Both Hessian oracles are judged per point relative to the size of the closed form.
-    sub, h_sub, ric = s.points[:25], h[:25], batch.ricci[:25]
+    sub, h_sub = s.points[:25], h[:25]
+    ric = _ricci(h_sub, batch.L[:25])
     fd = wirtinger_hessian(lambda p: potential(p, profile), sub, cfg.fd_step)
     metric_ratio = _finite_max(
         np.max(np.abs(h_sub - fd), axis=(-2, -1))
@@ -276,11 +276,11 @@ def run(cfg: RunConfig, base_dir: Path | None = None) -> tuple[dict, str, int]:
 
     The document holds JSON values, except that the ``records`` of
     ``curvature-report`` are the batched :class:`CurvatureRecord`; ``main``
-    writes it with ``_dumps``.  A division by zero or an invalid operation
-    (0/0, log of a negative number) raises ``NumericError``.
+    writes it with ``_dumps``.  A division by zero, an invalid operation
+    (0/0, log of a negative number) or an overflow raises ``NumericError``.
     """
     try:
-        with np.errstate(divide="raise", invalid="raise"):
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
             report, verdict = _execute(cfg, base_dir)
     except FloatingPointError as exc:
         raise NumericError(f"floating-point error: {exc}") from exc

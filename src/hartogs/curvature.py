@@ -2,9 +2,11 @@
 
 The Ricci matrix of these metrics has a rigid shape: every entry is
 ``-(n+1)`` times the metric except the (0,0) slot, which picks up the
-extra scalar correction ``-L(|z_0|^2)``.  The scalar curvature follows by
-contraction, and the generalized curvatures are the coefficients of the
-one-variable polynomial ``det(g + t Ric)/det(g)``.
+extra scalar correction ``-L(|z_0|^2)``.  So a point and the one float
+``L`` fix the whole matrix: a :class:`CurvatureRecord` carries ``L``, and
+:func:`ricci_closed_form` is the one way to the matrix.  The scalar
+curvature follows by contraction, and the generalized curvatures are the
+coefficients of the one-variable polynomial ``det(g + t Ric)/det(g)``.
 
 Each quantity has two routes: the closed form and an independent numeric
 route (finite differences of ``log det``, or the eigenvalues of
@@ -42,10 +44,11 @@ __all__ = [
 ]
 
 
-def _ricci(p: _PointBatch) -> np.ndarray:
-    ric = -(p.n + 1.0) * _metric(p)
+def _ricci(h: np.ndarray, ell) -> np.ndarray:
+    """Ricci matrices from the metric ``h`` and ``L`` at the same points."""
+    ric = -(h.shape[-1] + 1.0) * h
     # a real (0,0) entry: its imaginary part stays +0.0 where h_00 < 0 too
-    ric[..., 0, 0] = ric[..., 0, 0].real - p.rad.L
+    ric[..., 0, 0] = ric[..., 0, 0].real - ell
     return ric
 
 
@@ -57,7 +60,8 @@ def ricci_closed_form(z, profile: Profile) -> np.ndarray:
     ``L = (x (log B)')'``; the rest is ``-(n+1)`` times the potential's
     Hessian, i.e. the metric itself.
     """
-    return _ricci(_interior(z, profile, MAX_DERIV_ORDER))
+    p = _interior(z, profile, MAX_DERIV_ORDER)
+    return _ricci(_metric(p), p.rad.L)
 
 
 def ricci_numeric(z, profile: Profile, step: float = 1e-3) -> np.ndarray:
@@ -135,25 +139,29 @@ def generalized_scalars_poly(z, profile: Profile) -> np.ndarray:
     Broadcasts: ``(n,)`` points give ``(n,)``, ``(m, n)`` give ``(m, n)``.
     """
     p = _interior(z, profile, MAX_DERIV_ORDER)
-    return curvature_polynomial_coefficients(_metric(p), _ricci(p))
+    h = _metric(p)
+    return curvature_polynomial_coefficients(h, _ricci(h, p.rad.L))
 
 
 @dataclass(frozen=True)
 class CurvatureRecord:
     """Curvature data of one point, JSON-serializable with fixed field names.
 
-    A batched record (see :func:`curvature_record`) holds the same fields
+    ``L`` is the Ricci correction at ``|z_0|^2``: the Ricci matrix is
+    ``-(n+1) g(point)`` with ``L`` subtracted from the real part of its
+    (0,0) entry, bit for bit :func:`ricci_closed_form` of the point.  A
+    batched record (see :func:`curvature_record`) holds the same fields
     with a leading point axis; :meth:`to_json` takes single records.
     """
 
     point: np.ndarray
-    ricci: np.ndarray
+    L: float
     scal: float
     rho: np.ndarray
 
     def to_json(self) -> dict:
         return {"point": _interleave(self.point).tolist(),
-                "ricci": _interleave(self.ricci.reshape(-1, 1)).tolist(),
+                "L": float(self.L),
                 "scal": float(self.scal),
                 "rho": [float(r) for r in self.rho]}
 
@@ -170,10 +178,10 @@ def curvature_record(z, profile: Profile) -> CurvatureRecord:
 
 def _curvature_record(p: _PointBatch) -> CurvatureRecord:
     """:func:`curvature_record` of a record whose table reaches order five."""
-    scal = _scal(p)
+    ell, scal = p.rad.L, _scal(p)
     return CurvatureRecord(
         point=p.points,
-        ricci=_ricci(p),
+        L=ell if np.ndim(ell) else float(ell),
         scal=scal if np.ndim(scal) else float(scal),
         rho=_rho(p),
     )

@@ -138,9 +138,10 @@ class _PointBatch:
     """One point batch as every closed form reads it (see :func:`_interior`).
 
     ``points`` (``(..., n)`` complex), ``x = |z_0|^2``, the gap ``A > 0``
-    and the table ``F = (F, ..., F^(upto))`` at ``x``.  ``rad`` is built on
-    first use (from a table to order five), so a batch exists where ``B``
-    vanishes and only the consumers of ``rad`` raise.
+    and the table ``F = (F, ..., F^(upto))`` at ``x``.  ``rad`` (from a
+    table to order five) and ``B`` are built on first use, so a batch
+    exists where ``B`` vanishes and only their consumers raise.  ``B`` is
+    ``rad.B`` on a table to order five, so each batch builds it once.
     """
 
     points: np.ndarray
@@ -155,6 +156,10 @@ class _PointBatch:
     @functools.cached_property
     def rad(self) -> RadialCoefficients:
         return RadialCoefficients.from_table(self.x, self.F)
+
+    @functools.cached_property
+    def B(self) -> np.ndarray:
+        return self.rad.B if len(self.F) > MAX_DERIV_ORDER else _b(self.x, self.F)
 
 
 def _interior(z, profile: Profile, upto: int = 2) -> _PointBatch:
@@ -327,7 +332,7 @@ def _dbar(f, z, step: float = 1e-3) -> np.ndarray:
 
 
 def _det(p: _PointBatch):
-    out = _b(p.x, p.F) / np.power(p.A, p.n + 1)
+    out = p.B / np.power(p.A, p.n + 1)
     return out if np.ndim(out) else float(out)
 
 
@@ -359,7 +364,7 @@ def principal_minor(z, profile: Profile, alpha: int):
 def _inverse(p: _PointBatch) -> np.ndarray:
     z, x, a, n = p.points, p.x, p.A, p.n
     f, f1, f2 = p.F[:3]
-    b = _nonzero_b(_b(x, p.F))
+    b = _nonzero_b(p.B)
     t = f1 + f2 * x
     ab = a / b
     zf = z[..., 1:]

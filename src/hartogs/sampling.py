@@ -107,9 +107,9 @@ class InteriorSample(_PointBatch):
 
     ``points`` (``(m, n)`` complex), ``x = |z_0|^2``, the membership gap
     ``A`` and the table ``F = (F, ..., F^(5))`` at ``x``; the arrays are
-    read-only.  ``rad``, the radial coefficients of the table, is built on
-    the first use by any consumer and shared by the rest, so a sample
-    exists for profiles whose ``B`` vanishes.
+    read-only.  ``B`` and ``rad``, the radial coefficients of the table,
+    are built on the first use by any consumer and shared by the rest, so
+    a sample exists for profiles whose ``B`` vanishes.
     """
 
     profile: Profile

@@ -2,8 +2,8 @@
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
 failure report).  The shared grids are 200 interior points per profile and
-dimension, n in {2, 3, 4}, with the membership gap bounded below by
-0.05 * F(0).
+dimension, n in 2..12 (every n the CLI accepts), with the membership gap
+bounded below by 0.05 * F(0).
 """
 
 import time
@@ -44,7 +44,7 @@ PROFILES = {
     "exp": exp_profile(1.0),
     "power(2)": power_profile(2.0),
 }
-DIMS = (2, 3, 4)
+DIMS = range(2, 13)
 SPEC = GridSpec(points=200, seed=7, a_margin=0.05)
 FD_STEP = 2.5e-4   # keeps FD truncation below tolerance at the gap margin
 
@@ -134,6 +134,8 @@ def test_criterion_5_scalar_curvature(grids):
 
 
 def test_criterion_6_generalized_curvatures(grids):
+    # the two routes differ by roundoff on |rho_k|, which reaches 2.3e13 at
+    # n = 12: the bound is per entry, relative to the closed value
     route_gap = 0.0
     rho0_gap = 0.0
     for (name, n), pts in grids.items():
@@ -142,15 +144,17 @@ def test_criterion_6_generalized_curvatures(grids):
         rho0_gap = max(rho0_gap, float(np.max(np.abs(
             rho[:, 0] - scalar_curvature(pts, prof)))))
         for z in pts[:25]:
-            gap = np.max(np.abs(generalized_scalars_closed(z, prof)
-                                - generalized_scalars_poly(z, prof)))
+            closed = generalized_scalars_closed(z, prof)
+            gap = np.max(np.abs(closed - generalized_scalars_poly(z, prof))
+                         / (1e-12 * (1.0 + np.abs(closed))))
             route_gap = max(route_gap, float(gap))
     v2 = generalized_scalars_closed(np.zeros(2, complex), PROFILES["linear(1,1)"])
     v3 = generalized_scalars_closed(np.zeros(3, complex), PROFILES["linear(1,1)"])
     hyper_ok = (np.allclose(v2, [-6.0, 9.0], atol=1e-12)
                 and np.allclose(v3, [-12.0, 48.0, -64.0], atol=1e-12))
-    ok = route_gap <= 1e-8 and rho0_gap <= 1e-12 and hyper_ok
-    report(6, ok, f"poly vs closed = {route_gap:.3e} (<= 1e-8), rho_0 vs scal = "
+    ok = route_gap <= 1.0 and rho0_gap <= 1e-12 and hyper_ok
+    report(6, ok, f"poly vs closed, worst err/(1e-12 (1 + |rho_k|)) = {route_gap:.3e} "
+                  f"(<= 1), rho_0 vs scal = "
                   f"{rho0_gap:.3e} (<= 1e-12), hyperbolic vectors {'ok' if hyper_ok else 'BAD'}")
 
 

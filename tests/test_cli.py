@@ -164,7 +164,7 @@ class TestCommands:
                            f"output = {out}\n")
         assert main(["--config", cfg]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["verdict"] == "HYPERBOLIC"
         assert doc["config"]["profile"]["c1"] == 1.0
         assert doc["config"]["grid"]["points"] == 80
@@ -344,8 +344,9 @@ class TestCommands:
     def test_full_suite_golden_report(self, tmp_path, monkeypatch):
         # reference bytes of this config; re-recorded when the Hamiltonian
         # field stopped forming the inverse metric, which moved the two
-        # non-linear residuals at roundoff (pinned in the next test), and
-        # again when the rows' off-axis FD residual became the radial one
+        # non-linear residuals at roundoff (pinned in the next test), again
+        # when the rows' off-axis FD residual became the radial one, and at
+        # schema 2
         golden = Path(__file__).parent / "data" / "full_suite_n2_40.json"
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.txt").write_text("command = full-suite\nn = 2\ngrid.points = 40\n"
@@ -424,6 +425,16 @@ class TestCommands:
         assert err.startswith("error: profile non-positive at ")
         assert err.count("\n") == 1
 
+    def test_overflow_is_a_numeric_error(self, tmp_path, capsys):
+        # linear(1e-300, 1) squares values near 1e300 in the indicator: the
+        # overflow exits 2 with one line instead of printing a RuntimeWarning
+        cfg = write_config(tmp_path, "c.txt", "command = check-kahler\nprofile.kind = linear\n"
+                           "profile.c1 = 1e-300\nprofile.c2 = 1\ngrid.points = 40\n")
+        assert main(["--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: floating-point error: overflow encountered")
+        assert err.count("\n") == 1 and "RuntimeWarning" not in err
+
 
 class TestExpect:
     @pytest.mark.parametrize("command", list(VERDICTS))
@@ -498,6 +509,45 @@ class TestOneInteriorDraw:
         assert draws == []
 
 
+class TestOneEvaluationPerRun:
+    """A ``curvature-report`` run evaluates the metric and ``B`` of its sample once."""
+
+    CONFIG = ("command = curvature-report\nprofile.kind = exp\nn = 4\n"
+              "grid.points = 40\nexpect = PASS\n")
+
+    def test_metric_is_evaluated_once(self, tmp_path, monkeypatch):
+        import hartogs.geometry
+        calls = []
+        metric = hartogs.geometry._metric
+
+        def spy(p):
+            calls.append(p.points.shape)
+            return metric(p)
+
+        # the modules import it by name: route every binding through the spy
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("hartogs") and vars(module).get("_metric") is metric:
+                monkeypatch.setattr(module, "_metric", spy)
+        cfg = write_config(tmp_path, "c.txt", self.CONFIG + f"output = {tmp_path / 'r.json'}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        assert calls == [(40, 4)]
+
+    def test_b_is_built_once_on_the_sample(self, tmp_path, monkeypatch):
+        import hartogs.geometry
+        calls = []
+        build = hartogs.geometry._b
+
+        def spy(x, d):
+            calls.append(np.shape(x))
+            return build(x, d)
+
+        monkeypatch.setattr(hartogs.geometry, "_b", spy)
+        cfg = write_config(tmp_path, "c.txt", self.CONFIG + f"output = {tmp_path / 'r.json'}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        # the rest are the Ricci oracle's stencil points, not the sample
+        assert calls.count((40,)) == 1 and all(shape[0] > 40 for shape in calls if shape != (40,))
+
+
 _SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e308,
                    -1e308, 1e16, 1e-7, 0.1]
 _floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
@@ -521,17 +571,15 @@ class TestReportWriter:
                             dtype=float).reshape(shape)
 
         point = _complex(draw(m, n), draw(m, n))
-        ricci = _complex(draw(m, n, n), draw(m, n, n))
-        scal, rho = draw(m), draw(m, n)
+        ell, scal, rho = draw(m), draw(m), draw(m, n)
         rows = []
         for i in range(m):
             pt = []
             for c in point[i]:
                 pt += [float(c.real), float(c.imag)]
-            rows.append({"point": pt,
-                         "ricci": [[float(v.real), float(v.imag)] for v in ricci[i].reshape(-1)],
+            rows.append({"point": pt, "L": float(ell[i]),
                          "scal": float(scal[i]), "rho": [float(r) for r in rho[i]]})
-        text = _records_text(CurvatureRecord(point, ricci, scal, rho))
+        text = _records_text(CurvatureRecord(point, ell, scal, rho))
         expected = json.dumps({"report": {"records": rows}}, sort_keys=True, indent=2)
         assert '{\n  "report": {\n    "records": ' + text + "\n  }\n}" == expected
 
@@ -546,12 +594,14 @@ class TestReportWriter:
         batch = document["report"]["records"]
         document["report"]["records"] = [
             CurvatureRecord(*fields).to_json()
-            for fields in zip(batch.point, batch.ricci, batch.scal, batch.rho)]
+            for fields in zip(batch.point, batch.L, batch.scal, batch.rho)]
         assert out.read_text() == json.dumps(document, sort_keys=True, indent=2) + "\n"
 
     def test_curvature_report_golden(self, tmp_path, monkeypatch):
         # reference bytes of this config, written before the report writer and
-        # the batched oracles replaced json.dumps and the per-point oracle loop
+        # the batched oracles replaced json.dumps and the per-point oracle loop;
+        # re-recorded at schema 2, whose records carry L in place of the Ricci
+        # matrix (point, rho and scal kept their bytes)
         golden = Path(__file__).parent / "data" / "curvature_report_exp_n3_40.json"
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.txt").write_text("command = curvature-report\nprofile.kind = exp\n"
@@ -562,7 +612,7 @@ class TestReportWriter:
 
     def test_pseudoconvexity_report_golden(self, tmp_path, monkeypatch):
         # reference bytes of this config, recorded when the boundary sampler
-        # began to draw its samples in three blocks
+        # began to draw its samples in three blocks; re-recorded at schema 2
         golden = Path(__file__).parent / "data" / "pseudoconvexity_exp_n3_200.json"
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.txt").write_text("command = pseudoconvexity-test\nprofile.kind = exp\n"
@@ -593,8 +643,28 @@ class TestReportWriter:
         prof = power_profile(2.0)
         batch = curvature_record(interior_points(prof, 3, GridSpec(points=30)), prof)
         expected = [CurvatureRecord(*fields).to_json()
-                    for fields in zip(batch.point, batch.ricci, batch.scal, batch.rho)]
+                    for fields in zip(batch.point, batch.L, batch.scal, batch.rho)]
         assert json.loads(out.read_text())["report"]["records"] == expected
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_records_rebuild_ricci_bit_for_bit(self, tmp_path, n):
+        # a record's point and L fix its Ricci matrix: -(n+1) g(point), with L
+        # subtracted from the real (0,0) entry, is ricci_closed_form(point)
+        from hartogs import exp_profile, metric_closed_form, ricci_closed_form
+        out = tmp_path / "rep.json"
+        cfg = write_config(tmp_path, "c.txt", "command = curvature-report\nprofile.kind = exp\n"
+                           f"n = {n}\ngrid.points = 30\ngrid.seed = 4\noutput = {out}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        records = json.loads(out.read_text())["report"]["records"]
+        assert len(records) == 30 and all(sorted(r) == ["L", "point", "rho", "scal"]
+                                          for r in records)
+        prof = exp_profile(1.0)
+        for record in records:
+            parts = np.array(record["point"]).reshape(n, 2)
+            point = _complex(parts[:, 0], parts[:, 1])
+            ric = -(n + 1.0) * metric_closed_form(point, prof)
+            ric[0, 0] = ric[0, 0].real - record["L"]
+            assert ric.tobytes() == ricci_closed_form(point, prof).tobytes()
 
 
 def test_console_entry_point(tmp_path):

@@ -206,27 +206,28 @@ class TestCurvatureRecord:
     def test_json_shape(self, expp):
         rec = curvature_record(np.array([0.4 + 0.1j, 0.2 - 0.3j], complex), expp)
         doc = rec.to_json()
-        assert sorted(doc) == sorted(["point", "ricci", "scal", "rho"])
+        assert sorted(doc) == sorted(["point", "L", "scal", "rho"])
         assert len(doc["point"]) == 4
-        assert len(doc["ricci"]) == 4 and all(len(pair) == 2 for pair in doc["ricci"])
+        assert isinstance(doc["L"], float)
         assert len(doc["rho"]) == 2
         assert doc["rho"][0] == pytest.approx(doc["scal"], abs=1e-12)
 
     def test_record_consistency(self, lin11):
         rec = curvature_record(np.zeros(2, complex), lin11)
         assert rec.scal == pytest.approx(-6.0, abs=1e-12)
-        np.testing.assert_allclose(rec.ricci, -3.0 * np.eye(2), atol=1e-13)
+        assert rec.L == pytest.approx(0.0, abs=1e-13)
 
     def test_batch_equals_single(self, builtin_profiles, sample_points):
         # one batched record holds the per-point records, bit for bit
         for name, prof in builtin_profiles.items():
             pts = sample_points[name, 3]
             batch = curvature_record(pts, prof)
-            assert batch.scal.shape == (60,) and batch.ricci.shape == (60, 3, 3)
+            assert batch.scal.shape == (60,) and batch.L.shape == (60,)
             for k, z in enumerate(pts):
                 one = curvature_record(z, prof)
                 assert isinstance(one.scal, float)
                 np.testing.assert_array_equal(batch.point[k], one.point)
-                np.testing.assert_array_equal(batch.ricci[k], one.ricci)
+                assert isinstance(one.L, float)
+                assert batch.L[k] == one.L
                 assert batch.scal[k] == one.scal
                 np.testing.assert_array_equal(batch.rho[k], one.rho)

@@ -360,8 +360,7 @@ def test_closed_forms_are_exactly_hermitian(oracle_profiles, n):
     # sampled points symmetrizing them changes no byte (a flipped signed zero
     # included); where a coordinate has an exactly zero part, a mirror entry
     # may hold -0.0 against +0.0, which hermitize itself rewrites
-    closed_forms = (metric_closed_form, inverse_metric_closed_form, ricci_closed_form,
-                    lambda z, prof: curvature_record(z, prof).ricci)
+    closed_forms = (metric_closed_form, inverse_metric_closed_form, ricci_closed_form)
     for name, prof in oracle_profiles.items():
         pts = interior_points(prof, n, GridSpec(points=100, seed=n, x_cap=2.5))
         for z in (pts, pts[0], pts[1]):
