@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .extremal import _radial_parts, _radial_residual
 from .geometry import metric_closed_form, radial_coefficients
-from .curvature import _scal
+from .curvature import scalar_curvature
 from .profiles import Profile, linear_profile
 from .sampling import GridSpec, InteriorSample, _resolved, interior_points, x_grid
 
@@ -168,7 +168,7 @@ def classify(profile: Profile, n: int = 2, spec: GridSpec | InteriorSample | Non
     base = dict(profile=profile.describe(), n=n, grid=spec.describe(), tol=tol,
                 max_abs_l=max_l, argmax_x=arg_x)
     if max_l > tol:
-        scal = _scal(sample)
+        scal = scalar_curvature(sample, profile)
         res = float(np.max(_radial_residual(*_radial_parts(sample))))
         return ClassificationReport(
             **base, c1=None, c2=None, fit_error=None, pullback_max_error=None,

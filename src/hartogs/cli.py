@@ -3,7 +3,8 @@
 Exit status: 0 when the verdict matches expectations, 1 on verdict
 failure, 2 on configuration, numeric and write errors.  A run draws each
 interior grid once (:func:`~hartogs.sampling.interior_sample`, on first
-use) and shares it between its pipelines and the grid dump; it runs under
+use) and passes the sample to its pipelines, its closed forms and the
+grid dump in place of the points; it runs under
 ``np.errstate(divide="raise", invalid="raise", over="raise")``, and a
 floating-point error (a division by zero, an invalid operation or an
 overflow; underflow stays ignored) is a ``NumericError``.  Reports are
@@ -30,17 +31,18 @@ import numpy as np
 from . import __version__
 from .classification import classify
 from .config import VERDICTS, RunConfig, build_profile, load_config
-from .curvature import CurvatureRecord, _curvature_record, _ricci, ricci_numeric
+from .curvature import CurvatureRecord, _ricci, curvature_record, ricci_numeric, scalar_curvature
 from .errors import ConfigError, HartogsError, NumericError
-from .extremal import extremal_report
+from .extremal import ORACLE_POINTS, extremal_report
 from .geometry import (
-    _det,
-    _grid_rows,
     _interleave,
-    _inverse,
-    _metric,
+    det_closed_form,
     grid_csv_header,
+    grid_csv_rows,
+    inverse_metric_closed_form,
+    metric_closed_form,
     potential,
+    radial_coefficients,
     wirtinger_hessian,
 )
 from .profiles import (
@@ -74,11 +76,16 @@ def _sampler(cfg: RunConfig, profile: Profile) -> _Sampler:
     return functools.cache(functools.partial(interior_sample, profile, cfg.n, cfg.grid))
 
 
+def _curve_x(cfg: RunConfig, profile: Profile) -> np.ndarray:
+    """The abscissae of the Kaehler-indicator sweep and of the curve dump."""
+    return x_grid(profile, max(cfg.grid.points, 101), cfg.grid)
+
+
 def _run_check_kahler(cfg: RunConfig, profile: Profile, sample: _Sampler) -> tuple[dict, str]:
-    xs = x_grid(profile, max(cfg.grid.points, 101), cfg.grid)
+    xs = _curve_x(cfg, profile)
     ind = kahler_indicator(profile, xs)
     max_ind = float(np.max(ind))
-    min_eig = float(np.min(np.linalg.eigvalsh(_metric(sample()))))
+    min_eig = float(np.min(np.linalg.eigvalsh(metric_closed_form(sample(), profile))))
     verdict = "KAHLER" if max_ind < 0.0 else "NOT_KAHLER"
     report = {
         "max_indicator": max_ind,
@@ -143,12 +150,13 @@ def _dumps(document: dict) -> str:
 def _run_curvature_report(cfg: RunConfig, profile: Profile,
                           sample: _Sampler) -> tuple[dict, str]:
     s = sample()
-    batch = _curvature_record(s)
-    h = _metric(s)
+    batch = curvature_record(s, profile)
+    h = metric_closed_form(s, profile)
     # oracle deviations; FD Hessians only on a subsample, they dominate the cost.
     # Both Hessian oracles are judged per point relative to the size of the closed form.
-    sub, h_sub = s.points[:25], h[:25]
-    ric = _ricci(h_sub, batch.L[:25])
+    k = ORACLE_POINTS
+    sub, h_sub = s.points[:k], h[:k]
+    ric = _ricci(h_sub, batch.L[:k])
     fd = wirtinger_hessian(lambda p: potential(p, profile), sub, cfg.fd_step)
     metric_ratio = _finite_max(
         np.max(np.abs(h_sub - fd), axis=(-2, -1))
@@ -159,10 +167,10 @@ def _run_curvature_report(cfg: RunConfig, profile: Profile,
     ricci_ratio = _finite_max(
         ric_errs / (cfg.tolerances.oracle * (1.0 + np.max(np.abs(ric), axis=(-2, -1)))),
         "Ricci oracle error")
-    det = _det(s)
+    det = det_closed_form(s, profile)
     det_err = _finite_max(np.abs(det - np.linalg.det(h).real) / np.abs(det), "determinant error")
     inv_err = _finite_max(np.abs(
-        np.einsum("mab,mbc->mac", h, _inverse(s))
+        np.einsum("mab,mbc->mac", h, inverse_metric_closed_form(s, profile))
         - np.eye(cfg.n)[None]
     ), "inverse error")
     ok = metric_ratio <= 1.0 and ricci_ratio <= 1.0 and det_err <= 1e-8 and inv_err <= 1e-8
@@ -239,10 +247,7 @@ def _writing(path):
 
 def _write_curves(cfg: RunConfig, profile: Profile) -> None:
     """Developer-aid plot data: scal (along the fiber axis) and L versus x."""
-    from .curvature import scalar_curvature
-    from .geometry import radial_coefficients
-
-    xs = x_grid(profile, max(cfg.grid.points, 101), cfg.grid)
+    xs = _curve_x(cfg, profile)
     axis_pts = np.zeros((xs.size, cfg.n), dtype=complex)
     axis_pts[:, 0] = np.sqrt(xs)
     scal = scalar_curvature(axis_pts, profile)
@@ -262,7 +267,7 @@ def _execute(cfg: RunConfig, base_dir: Path | None) -> tuple[dict, str]:
     sample = _sampler(cfg, profile)
     report, verdict = _RUNNERS[cfg.command](cfg, profile, sample)
     if cfg.csv_dump:
-        rows = _grid_rows(sample())
+        rows = grid_csv_rows(sample(), profile)
         header = ",".join(grid_csv_header(cfg.n))
         with _writing(cfg.csv_dump):
             np.savetxt(cfg.csv_dump, rows, delimiter=",", header=header, comments="")

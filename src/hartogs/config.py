@@ -200,6 +200,7 @@ def _text(value, key: str) -> str:
 _POSITIVE = ("positive", lambda v: v > 0)
 # The range of each bounded key, by dotted name; its type is its field's.
 _RANGES = {"n": (">= 2", lambda v: v >= 2), "grid.points": (">= 1", lambda v: v >= 1),
+           "grid.seed": (">= 0", lambda v: v >= 0),
            "grid.a_margin": ("in (0, 1)", lambda v: 0 < v < 1), "grid.x_cap": _POSITIVE,
            "fd_step": _POSITIVE, "tolerances.oracle": _POSITIVE,
            "tolerances.extremal": _POSITIVE, "tolerances.classify": _POSITIVE}

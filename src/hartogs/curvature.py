@@ -24,11 +24,10 @@ import numpy as np
 from .errors import NumericError
 from .geometry import (
     det_closed_form,
+    metric_closed_form,
     wirtinger_hessian,
-    _PointBatch,
     _interior,
     _interleave,
-    _metric,
 )
 from .profiles import MAX_DERIV_ORDER, Profile
 
@@ -61,7 +60,7 @@ def ricci_closed_form(z, profile: Profile) -> np.ndarray:
     Hessian, i.e. the metric itself.
     """
     p = _interior(z, profile, MAX_DERIV_ORDER)
-    return _ricci(_metric(p), p.rad.L)
+    return _ricci(metric_closed_form(p, profile), p.rad.L)
 
 
 def ricci_numeric(z, profile: Profile, step: float = 1e-3) -> np.ndarray:
@@ -85,22 +84,11 @@ def ricci_numeric(z, profile: Profile, step: float = 1e-3) -> np.ndarray:
     return -wirtinger_hessian(logdet, np.asarray(z, dtype=complex), step)
 
 
-def _scal(p: _PointBatch):
-    return -(p.A / p.rad.B) * p.F[0] * p.rad.L - p.n * (p.n + 1.0)
-
-
 def scalar_curvature(z, profile: Profile):
     """Scalar curvature ``-(A/B) F L - n(n+1)``, equivalently ``-n(n+1) + G A``."""
-    out = _scal(_interior(z, profile, MAX_DERIV_ORDER))
+    p = _interior(z, profile, MAX_DERIV_ORDER)
+    out = -(p.A / p.rad.B) * p.F[0] * p.rad.L - p.n * (p.n + 1.0)
     return out if np.ndim(out) else float(out)
-
-
-def _rho(p: _PointBatch) -> np.ndarray:
-    n = p.n
-    lam = p.A * p.F[0] * p.rad.L / p.rad.B
-    ks = np.arange(n)
-    pref = (n + 1.0) ** ks * (-1.0) ** (ks + 1) * np.array([comb(n - 1, k) for k in range(n)])
-    return pref * (n * (n + 1.0) / (ks + 1.0) + np.asarray(lam)[..., None])
 
 
 def generalized_scalars_closed(z, profile: Profile) -> np.ndarray:
@@ -109,7 +97,12 @@ def generalized_scalars_closed(z, profile: Profile) -> np.ndarray:
     ``rho_k = (n+1)^k (-1)^(k+1) C(n-1, k) [ n(n+1)/(k+1) + A F L / B ]``;
     the k = 0 entry is the scalar curvature.
     """
-    return _rho(_interior(z, profile, MAX_DERIV_ORDER))
+    p = _interior(z, profile, MAX_DERIV_ORDER)
+    n = p.n
+    lam = p.A * p.F[0] * p.rad.L / p.rad.B
+    ks = np.arange(n)
+    pref = (n + 1.0) ** ks * (-1.0) ** (ks + 1) * np.array([comb(n - 1, k) for k in range(n)])
+    return pref * (n * (n + 1.0) / (ks + 1.0) + np.asarray(lam)[..., None])
 
 
 def curvature_polynomial_coefficients(metric: np.ndarray, ricci: np.ndarray) -> np.ndarray:
@@ -139,7 +132,7 @@ def generalized_scalars_poly(z, profile: Profile) -> np.ndarray:
     Broadcasts: ``(n,)`` points give ``(n,)``, ``(m, n)`` give ``(m, n)``.
     """
     p = _interior(z, profile, MAX_DERIV_ORDER)
-    h = _metric(p)
+    h = metric_closed_form(p, profile)
     return curvature_polynomial_coefficients(h, _ricci(h, p.rad.L))
 
 
@@ -173,15 +166,11 @@ def curvature_record(z, profile: Profile) -> CurvatureRecord:
     carry the leading axis (``scal`` of shape ``(m,)`` and so on); record
     ``i`` of the batch equals the record of point ``i``.
     """
-    return _curvature_record(_interior(z, profile, MAX_DERIV_ORDER))
-
-
-def _curvature_record(p: _PointBatch) -> CurvatureRecord:
-    """:func:`curvature_record` of a record whose table reaches order five."""
-    ell, scal = p.rad.L, _scal(p)
+    p = _interior(z, profile, MAX_DERIV_ORDER)
+    ell = p.rad.L
     return CurvatureRecord(
         point=p.points,
         L=ell if np.ndim(ell) else float(ell),
-        scal=scal if np.ndim(scal) else float(scal),
-        rho=_rho(p),
+        scal=scalar_curvature(p, profile),
+        rho=generalized_scalars_closed(p, profile),
     )

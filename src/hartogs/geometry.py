@@ -11,10 +11,11 @@ All functions broadcast over leading axes: ``z`` may be ``(n,)`` or
 
 Every evaluator reads ``F`` and its derivatives at ``|z_0|^2`` from one
 ``Profile.derivs`` call per point batch, into the one record of the batch
-that every private formula takes (:func:`_interior`); its radial
-coefficients (:class:`RadialCoefficients`) are built on first use and
-kept.  The closed-form matrices write conjugate entries into mirror
-slots, so they are exactly Hermitian without a symmetrizing pass.
+(:func:`_interior`), which also takes that record (an ``InteriorSample``)
+in place of the points; its radial coefficients (:class:`RadialCoefficients`)
+are built on first use and kept.  The closed-form matrices write conjugate
+entries into mirror slots, so they are exactly Hermitian without a
+symmetrizing pass.
 
 The one finite-difference engine lives here too: the Wirtinger Hessian,
 the independent oracle against which every closed form is tested, and a
@@ -51,8 +52,8 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     """Hermitian part ``(M + M^H)/2``.
 
     The symmetrization makes ``out[..., a, b] == conj(out[..., b, a])``
-    exact in floating point (sums commute entrywise), so downstream code
-    may rely on exact Hermiticity.
+    exact in floating point (sums commute entrywise).  No evaluator needs
+    it; the tests use it as the reference of exact Hermiticity.
     """
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
@@ -135,10 +136,10 @@ def radial_coefficients(profile: Profile, x) -> RadialCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class _PointBatch:
-    """One point batch as every closed form reads it (see :func:`_interior`).
+    """One point batch of ``profile`` as every closed form reads it (see :func:`_interior`).
 
     ``points`` (``(..., n)`` complex), ``x = |z_0|^2``, the gap ``A > 0``
-    and the table ``F = (F, ..., F^(upto))`` at ``x``.  ``rad`` (from a
+    and the table ``F = (F, ..., F^(upto))`` of ``profile`` at ``x``.  ``rad`` (from a
     table to order five) and ``B`` are built on first use, so a batch
     exists where ``B`` vanishes and only their consumers raise.  ``B`` is
     ``rad.B`` on a table to order five, so each batch builds it once.
@@ -148,6 +149,7 @@ class _PointBatch:
     x: np.ndarray
     A: np.ndarray
     F: tuple
+    profile: Profile
 
     @property
     def n(self) -> int:
@@ -165,10 +167,17 @@ class _PointBatch:
 def _interior(z, profile: Profile, upto: int = 2) -> _PointBatch:
     """The record of the points ``z``, with one derivative table to order ``upto``.
 
-    ``derivs`` enforces ``|z_0|^2 < x0``; a point with ``A <= 0`` raises ``DomainError``.
+    A record ``z`` of ``profile`` whose table reaches ``upto`` is returned
+    as it is; any other record raises ``ValueError``.  ``derivs`` enforces
+    ``|z_0|^2 < x0``; a point with ``A <= 0`` raises ``DomainError``.
     """
+    if isinstance(z, _PointBatch):
+        if z.profile is not profile or len(z.F) <= upto:
+            raise ValueError(f"a record of {z.profile.describe()} to order {len(z.F) - 1} "
+                             f"given for {profile.describe()} to order {upto}")
+        return z
     z = np.asarray(z, dtype=complex)
-    if z.shape[-1] < 2:
+    if z.ndim == 0 or z.shape[-1] < 2:
         raise DomainError(f"points need n >= 2 coordinates, got shape {z.shape}")
     x = np.square(np.abs(z[..., 0]))
     s = np.sum(np.square(np.abs(z[..., 1:])), axis=-1)
@@ -176,7 +185,7 @@ def _interior(z, profile: Profile, upto: int = 2) -> _PointBatch:
     a = d[0] - s
     if np.any(a <= 0.0):
         raise DomainError("point on or outside the boundary (gap A <= 0)")
-    return _PointBatch(points=z, x=x, A=a, F=d)
+    return _PointBatch(points=z, x=x, A=a, F=d, profile=profile)
 
 
 def potential(z, profile: Profile):
@@ -184,22 +193,10 @@ def potential(z, profile: Profile):
     return -np.log(_interior(z, profile, 0).A)
 
 
-def _metric(p: _PointBatch) -> np.ndarray:
-    z, x, a, n = p.points, p.x, p.A, p.n
+def _c(p: _PointBatch):
+    """``C = F'^2 x - (F' + F'' x) A``, the numerator of the (0,0) metric entry over ``A^2``."""
     f1, f2 = p.F[1], p.F[2]
-    c = np.square(f1) * x - (f2 * x + f1) * a
-    a2 = np.square(a)
-    zf = z[..., 1:]
-    h = np.empty(z.shape + (n,), dtype=complex)
-    h[..., 0, 0] = c / a2
-    top = -f1[..., None] * np.conj(z[..., :1]) * zf / a2[..., None]
-    h[..., 0, 1:] = top
-    h[..., 1:, 0] = np.conj(top)
-    block = np.einsum("...i,...j->...ij", np.conj(zf), zf)
-    step = n  # write the diagonal of the fiber block in place
-    block.reshape(block.shape[:-2] + (-1,))[..., :: step] += a[..., None]
-    h[..., 1:, 1:] = block / a2[..., None, None]
-    return h
+    return np.square(f1) * p.x - (f1 + f2 * p.x) * p.A
 
 
 def metric_closed_form(z, profile: Profile) -> np.ndarray:
@@ -210,7 +207,20 @@ def metric_closed_form(z, profile: Profile) -> np.ndarray:
     non-admissible profiles the (indefinite) matrix is still returned so
     that falsification sweeps can inspect it.
     """
-    return _metric(_interior(z, profile))
+    p = _interior(z, profile)
+    z, a, n = p.points, p.A, p.n
+    a2 = np.square(a)
+    zf = z[..., 1:]
+    h = np.empty(z.shape + (n,), dtype=complex)
+    h[..., 0, 0] = _c(p) / a2
+    top = -p.F[1][..., None] * np.conj(z[..., :1]) * zf / a2[..., None]
+    h[..., 0, 1:] = top
+    h[..., 1:, 0] = np.conj(top)
+    block = np.einsum("...i,...j->...ij", np.conj(zf), zf)
+    step = n  # write the diagonal of the fiber block in place
+    block.reshape(block.shape[:-2] + (-1,))[..., :: step] += a[..., None]
+    h[..., 1:, 1:] = block / a2[..., None, None]
+    return h
 
 
 def _stencil(m: int) -> np.ndarray:
@@ -302,14 +312,15 @@ def wirtinger_hessian(f, z, step: float = 1e-3) -> np.ndarray:
     points each, the centre shared), and each batch entry equals the
     Hessian of that point alone bit for bit.  The second
     derivatives are assembled into Wirtinger form
-    ``(Hxx + Hyy + i(Hxy - Hxy^T)) / 4`` and the result is symmetrized to
-    exact Hermitian form.  If any stencil point of any batch entry leaves
-    the domain of ``f`` (a ``DomainError``), the call raises ``StepError``.
+    ``(Hxx + Hyy + i(Hxy - Hxy^T)) / 4``, which is exactly Hermitian as it
+    stands: ``Hxx`` and ``Hyy`` are symmetric and ``Hxy - Hxy^T`` is
+    antisymmetric entry for entry.  If any stencil point of any batch entry
+    leaves the domain of ``f`` (a ``DomainError``), the call raises ``StepError``.
     """
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
     h = _central_differences(f, z, step, _stencil(2 * n), _complex_hessian_once)
-    return hermitize(h).reshape(z.shape + (n,))
+    return h.reshape(z.shape + (n,))
 
 
 def _dbar_once(vals, f0, n, step):
@@ -331,18 +342,15 @@ def _dbar(f, z, step: float = 1e-3) -> np.ndarray:
     return np.moveaxis(d, 1, -1).reshape(z.shape[:-1] + d.shape[2:] + (n,))
 
 
-def _det(p: _PointBatch):
-    out = p.B / np.power(p.A, p.n + 1)
-    return out if np.ndim(out) else float(out)
-
-
 def det_closed_form(z, profile: Profile):
     """Metric determinant in product form, ``B(x) / A^(n+1)``.
 
     Equivalently ``-(F^2/A^(n+1)) * (x F'/F)'``; positive exactly when the
     profile is Kaehler-admissible at ``x = |z_0|^2``.
     """
-    return _det(_interior(z, profile))
+    p = _interior(z, profile)
+    out = p.B / np.power(p.A, p.n + 1)
+    return out if np.ndim(out) else float(out)
 
 
 def principal_minor(z, profile: Profile, alpha: int):
@@ -361,7 +369,15 @@ def principal_minor(z, profile: Profile, alpha: int):
     return out if np.ndim(out) else float(out)
 
 
-def _inverse(p: _PointBatch) -> np.ndarray:
+def inverse_metric_closed_form(z, profile: Profile) -> np.ndarray:
+    """Inverse metric ``g^{a b~}`` as a matrix with rows indexed by ``a``.
+
+    Entries (with ``T = F' + F'' x`` and prefactor ``A/B``):
+    ``g^{0 0~} = (A/B) F``, ``g^{i 0~} = (A/B) F' z_0 z~_i``,
+    ``g^{i j~} = (A/B) T z_j z~_i`` off the fiber diagonal, and
+    ``g^{i i~} = (A/B) (B + T |z_i|^2)``.  Satisfies ``Minv @ h = I``.
+    """
+    p = _interior(z, profile)
     z, x, a, n = p.points, p.x, p.A, p.n
     f, f1, f2 = p.F[:3]
     b = _nonzero_b(p.B)
@@ -381,17 +397,6 @@ def _inverse(p: _PointBatch) -> np.ndarray:
     return minv
 
 
-def inverse_metric_closed_form(z, profile: Profile) -> np.ndarray:
-    """Inverse metric ``g^{a b~}`` as a matrix with rows indexed by ``a``.
-
-    Entries (with ``T = F' + F'' x`` and prefactor ``A/B``):
-    ``g^{0 0~} = (A/B) F``, ``g^{i 0~} = (A/B) F' z_0 z~_i``,
-    ``g^{i j~} = (A/B) T z_j z~_i`` off the fiber diagonal, and
-    ``g^{i i~} = (A/B) (B + T |z_i|^2)``.  Satisfies ``Minv @ h = I``.
-    """
-    return _inverse(_interior(z, profile))
-
-
 def grid_csv_header(n: int) -> list[str]:
     """Column order of the grid dump (documented, fixed)."""
     cols = []
@@ -407,14 +412,9 @@ def grid_csv_rows(points: np.ndarray, profile: Profile) -> np.ndarray:
     the closed-form determinant, and the smallest eigenvalue of the metric
     (a positive-definiteness indicator).
     """
-    return _grid_rows(_interior(points, profile, MAX_DERIV_ORDER))
-
-
-def _grid_rows(p: _PointBatch) -> np.ndarray:
-    """:func:`grid_csv_rows` of a record whose table reaches order five."""
-    x, a, rad = p.x, p.A, p.rad
-    f1, f2 = p.F[1], p.F[2]
-    c = np.square(f1) * x - (f1 + f2 * x) * a
-    min_eig = np.linalg.eigvalsh(_metric(p))[..., 0]
-    return np.column_stack([_interleave(p.points).reshape(-1, 2 * p.n), a, rad.B + 0 * a, c,
-                            rad.L + 0 * a, rad.G + 0 * a, _det(p), min_eig])
+    p = _interior(points, profile, MAX_DERIV_ORDER)
+    a, rad = p.A, p.rad
+    min_eig = np.linalg.eigvalsh(metric_closed_form(p, profile))[..., 0]
+    return np.column_stack([_interleave(p.points).reshape(-1, 2 * p.n), a, rad.B + 0 * a,
+                            _c(p), rad.L + 0 * a, rad.G + 0 * a,
+                            det_closed_form(p, profile), min_eig])

@@ -7,9 +7,10 @@ phases.  Points too close to the boundary are rejected because the closed
 forms blow up like ``A^-(n+1)`` there; the margin is configurable.
 
 An :class:`InteriorSample` is one interior draw as the point-batch record
-that every closed form reads (:func:`interior_sample`); the pipelines take
-it in place of a ``GridSpec``, so one run draws each grid and builds its
-radial coefficients once.
+that every closed form reads (:func:`interior_sample`).  The closed forms
+take it in place of points and the pipelines in place of a ``GridSpec``,
+so one run draws each grid, evaluates its derivative table and builds
+its radial coefficients once.
 
 Boundary samples for the Levi-form test are three block draws from a
 seeded ``numpy`` generator (:func:`boundary_samples`).  Both samplers take
@@ -106,13 +107,14 @@ class InteriorSample(_PointBatch):
     """One interior draw of ``profile`` under ``spec`` as a point-batch record.
 
     ``points`` (``(m, n)`` complex), ``x = |z_0|^2``, the membership gap
-    ``A`` and the table ``F = (F, ..., F^(5))`` at ``x``; the arrays are
-    read-only.  ``B`` and ``rad``, the radial coefficients of the table,
-    are built on the first use by any consumer and shared by the rest, so
-    a sample exists for profiles whose ``B`` vanishes.
+    ``A`` and the table ``F = (F, ..., F^(5))`` of ``profile`` at ``x``;
+    the arrays are read-only.  ``B`` and ``rad``, the radial coefficients
+    of the table, are built on the first use by any consumer and shared by
+    the rest, so a sample exists for profiles whose ``B`` vanishes.  Every
+    closed form of ``profile`` takes the sample in place of its points
+    (``metric_closed_form(sample, profile)``) and gives the same bits.
     """
 
-    profile: Profile
     spec: GridSpec
 
 

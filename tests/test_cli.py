@@ -80,6 +80,16 @@ class TestConfigParsing:
         assert err.startswith("config error:") and "grid.x_cap" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["check-kahler", "classify", "pseudoconvexity-test",
+                                         "full-suite"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, command):
+        # a seed the samplers cannot take is a one-line config error, not a traceback
+        profile = "" if command == "full-suite" else "profile.kind = exp\n"
+        cfg = write_config(tmp_path, "bad.txt", f"command = {command}\n{profile}"
+                           "grid.points = 20\ngrid.seed = -1\n")
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert capsys.readouterr().err == "config error: grid.seed must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("line", ["grid.pointz = 5", "tolerances.clasify = 1",
                                       "fd_stepp = 1"])
     def test_unknown_key_exit_2(self, tmp_path, capsys, line):
@@ -393,8 +403,8 @@ class TestCommands:
     def test_full_suite_needs_positivity_agreement(self, tmp_path, monkeypatch, capsys):
         # a negated interior metric makes check-kahler's positivity
         # cross-check disagree with its indicator verdict: the row fails
-        metric = hartogs.cli._metric
-        monkeypatch.setattr(hartogs.cli, "_metric", lambda *args: -metric(*args))
+        metric = hartogs.cli.metric_closed_form
+        monkeypatch.setattr(hartogs.cli, "metric_closed_form", lambda *args: -metric(*args))
         cfg = write_config(tmp_path, "c.txt", "command = full-suite\ngrid.points = 40\n"
                            f"output = {tmp_path / 'rep.json'}\n")
         assert main(["--config", cfg, "--quiet"]) == 1
@@ -518,16 +528,17 @@ class TestOneEvaluationPerRun:
     def test_metric_is_evaluated_once(self, tmp_path, monkeypatch):
         import hartogs.geometry
         calls = []
-        metric = hartogs.geometry._metric
+        metric = hartogs.geometry.metric_closed_form
 
-        def spy(p):
-            calls.append(p.points.shape)
-            return metric(p)
+        def spy(z, profile):
+            calls.append(np.shape(getattr(z, "points", z)))
+            return metric(z, profile)
 
         # the modules import it by name: route every binding through the spy
         for module in list(sys.modules.values()):
-            if module.__name__.startswith("hartogs") and vars(module).get("_metric") is metric:
-                monkeypatch.setattr(module, "_metric", spy)
+            if (module.__name__.startswith("hartogs")
+                    and vars(module).get("metric_closed_form") is metric):
+                monkeypatch.setattr(module, "metric_closed_form", spy)
         cfg = write_config(tmp_path, "c.txt", self.CONFIG + f"output = {tmp_path / 'r.json'}\n")
         assert main(["--config", cfg, "--quiet"]) == 0
         assert calls == [(40, 4)]
@@ -632,6 +643,39 @@ class TestReportWriter:
         assert main(["--config", "c.txt", "--quiet"]) == 0
         assert (tmp_path / "grid.csv").read_bytes() == golden.read_bytes()
 
+    @pytest.mark.parametrize("name,body", [
+        ("check_kahler_exp_n3_40.json", "command = check-kahler\nprofile.kind = exp\n"),
+        ("classify_exp_n3_40.json", "command = classify\nprofile.kind = exp\n"
+                                    "expect = NON_CONSTANT_CURVATURE\n"),
+        ("classify_linear_n3_40.json", "command = classify\nprofile.kind = linear\n"
+                                       "profile.c1 = 2.0\nprofile.c2 = 0.5\n"),
+        ("extremal_exp_n3_40.json", "command = extremal-test\nprofile.kind = exp\n"
+                                    "expect = NOT_EXTREMAL\n"),
+    ], ids=["check-kahler", "classify-exp", "classify-linear", "extremal-test"])
+    def test_command_report_golden(self, tmp_path, monkeypatch, name, body):
+        # reference bytes of these configs, recorded before the closed forms
+        # took the run's interior sample in place of its points
+        golden = Path(__file__).parent / "data" / name
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.txt").write_text(body + "n = 3\ngrid.points = 40\ngrid.seed = 1\n"
+                                        f"output = {name}\n")
+        assert main(["--config", "c.txt", "--quiet"]) == 0
+        assert (tmp_path / name).read_bytes() == golden.read_bytes()
+
+    def test_curve_dump_golden(self, tmp_path, monkeypatch):
+        # reference bytes of this config's curve dump pair, recorded with the
+        # report goldens above
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.txt").write_text("command = check-kahler\nprofile.kind = power\n"
+                                        "profile.p = 2.0\nn = 3\ngrid.points = 40\n"
+                                        "grid.seed = 1\noutput = report.json\n"
+                                        "curve_dump = curves_power2_n3\n")
+        assert main(["--config", "c.txt", "--quiet"]) == 0
+        for tag in ("scal", "L"):
+            name = f"curves_power2_n3.{tag}.csv"
+            golden = Path(__file__).parent / "data" / name
+            assert (tmp_path / name).read_bytes() == golden.read_bytes()
+
     def test_records_equal_per_point_to_json(self, tmp_path):
         # the rows are CurvatureRecord.to_json() of each point of the batch
         from hartogs import CurvatureRecord, GridSpec, curvature_record, interior_points
@@ -676,3 +720,14 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "HYPERBOLIC" in proc.stdout
+
+
+def test_cli_imports_two_private_names():
+    # the CLI reads every closed form by its public name; the Ricci matrices
+    # of the records and the interleaved point spelling are its private needs
+    import ast
+    tree = ast.parse(Path(hartogs.cli.__file__).read_text())
+    private = sorted(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                     for alias in node.names
+                     if alias.name.startswith("_") and not alias.name.startswith("__"))
+    assert private == ["_interleave", "_ricci"]

@@ -336,6 +336,11 @@ class TestSampling:
     def test_rejects_n1(self, expp):
         with pytest.raises(DomainError):
             interior_points(expp, 1, GridSpec(points=10))
+        # a scalar is no point either, for every evaluator
+        for evaluator in (potential, metric_closed_form, det_closed_form, scalar_curvature):
+            for z in (0.3, [0.3]):
+                with pytest.raises(DomainError, match="n >= 2"):
+                    evaluator(z, expp)
 
     @pytest.mark.parametrize("sampler", [interior_points, boundary_samples])
     def test_shared_argument_rule(self, expp, sampler):
@@ -359,7 +364,9 @@ def test_closed_forms_are_exactly_hermitian(oracle_profiles, n):
     # the closed forms write conjugate entries in conjugate slots, so on
     # sampled points symmetrizing them changes no byte (a flipped signed zero
     # included); where a coordinate has an exactly zero part, a mirror entry
-    # may hold -0.0 against +0.0, which hermitize itself rewrites
+    # may hold -0.0 against +0.0, which hermitize itself rewrites.  The FD
+    # Hessian's Wirtinger assembly is Hermitian as it stands (a batch entry
+    # is the Hessian of its point bit for bit, so a few points suffice)
     closed_forms = (metric_closed_form, inverse_metric_closed_form, ricci_closed_form)
     for name, prof in oracle_profiles.items():
         pts = interior_points(prof, n, GridSpec(points=100, seed=n, x_cap=2.5))
@@ -367,6 +374,8 @@ def test_closed_forms_are_exactly_hermitian(oracle_profiles, n):
             for closed in closed_forms:
                 out = closed(z, prof)
                 assert out.tobytes() == hermitize(out).tobytes(), name
+        fd = wirtinger_hessian(lambda p: potential(p, prof), pts[:5])
+        assert fd.tobytes() == hermitize(fd).tobytes(), name
 
 
 def dbar_stencil(z, profile):

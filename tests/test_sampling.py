@@ -1,22 +1,45 @@
 """The interior sample record: one draw shared by the pipelines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hartogs import (
+    CurvatureRecord,
     GridSpec,
     InteriorSample,
+    Profile,
     classify,
+    curvature_record,
+    det_closed_form,
     exp_profile,
     extremal_report,
+    generalized_scalars_closed,
+    grid_csv_rows,
     interior_points,
     interior_sample,
+    inverse_metric_closed_form,
     linear_profile,
+    metric_closed_form,
+    scalar_curvature,
 )
 from hartogs.geometry import RadialCoefficients, _interior
 from hartogs.profiles import MAX_DERIV_ORDER
 
 SPEC = GridSpec(points=30, seed=5, x_cap=2.5)
+
+# every closed form the CLI and the pipelines call on a run's sample
+CLOSED_FORMS = (metric_closed_form, det_closed_form, inverse_metric_closed_form, grid_csv_rows,
+                scalar_curvature, generalized_scalars_closed, curvature_record)
+
+
+def output_bytes(out) -> bytes:
+    """The bytes of an evaluator's output; a record's are those of its fields in order."""
+    if isinstance(out, CurvatureRecord):
+        return b"".join(np.asarray(getattr(out, f.name)).tobytes()
+                        for f in dataclasses.fields(out))
+    return np.asarray(out).tobytes()
 
 
 class TestInteriorSample:
@@ -68,6 +91,33 @@ class TestInteriorSample:
                     == classify(prof, n, SPEC).to_json()), name
             assert (extremal_report(prof, n, s).to_json()
                     == extremal_report(prof, n, SPEC).to_json()), name
+
+    @pytest.mark.parametrize("closed", CLOSED_FORMS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_closed_forms_read_the_sample(self, oracle_profiles, monkeypatch, closed, n):
+        # a sample in place of its points: the same bytes, and no derivative call
+        for name, prof in oracle_profiles.items():
+            s = interior_sample(prof, n, SPEC)
+            want = output_bytes(closed(s.points, prof))
+            calls = []
+            derivs = Profile.derivs
+
+            def counted(self, x, upto=MAX_DERIV_ORDER):
+                calls.append(np.shape(x))
+                return derivs(self, x, upto)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Profile, "derivs", counted)
+                got = output_bytes(closed(s, prof))
+            assert got == want and calls == [], name
+
+    @pytest.mark.parametrize("closed", CLOSED_FORMS, ids=lambda f: f.__name__)
+    def test_closed_forms_take_a_record_of_their_profile_only(self, expp, closed):
+        s = interior_sample(expp, 3, SPEC)
+        with pytest.raises(ValueError, match="record of"):
+            closed(s, exp_profile(1.0))               # an equal profile, not this one
+        with pytest.raises(ValueError, match="to order 0"):
+            closed(_interior(s.points, expp, 0), expp)  # a table too short for any of them
 
     def test_wrong_profile_or_n_is_a_value_error(self, expp):
         s = interior_sample(expp, 3, SPEC)
