@@ -250,9 +250,10 @@ def _from_tree(tree: dict) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
+    """The run described by the UTF-8 file ``path``; a read or decode error is a ConfigError."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return _from_tree(parse_config_text(text))

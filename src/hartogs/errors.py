@@ -1,5 +1,15 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "HartogsError",
+    "DomainError",
+    "ProfileError",
+    "StepError",
+    "SingularCoefficientError",
+    "NumericError",
+    "ConfigError",
+]
+
 
 class HartogsError(Exception):
     """Base class for all toolkit errors."""

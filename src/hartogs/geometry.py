@@ -113,10 +113,15 @@ class RadialCoefficients:
     dG: np.ndarray
 
     @classmethod
-    def from_table(cls, x, d) -> "RadialCoefficients":
-        """Build the record from the table ``d = (F, ..., F^(5))`` at ``x``."""
+    def from_table(cls, x, d, b) -> "RadialCoefficients":
+        """Build the record from the table ``d = (F, ..., F^(5))`` at ``x`` and its ``B``.
+
+        ``b`` is ``_b(x, d)``, passed in by the caller that already holds
+        it (a point batch builds its ``B`` once); ``B == 0`` anywhere raises
+        ``SingularCoefficientError``.
+        """
         f, f1, f2, f3, f4, f5 = d
-        b = _nonzero_b(_b(x, d))
+        b = _nonzero_b(b)
         b1 = x * f1 * f2 - 2.0 * f * f2 - x * f * f3
         b2 = -f1 * f2 + x * np.square(f2) - 3.0 * f * f3 - x * f * f4
         b3 = -4.0 * f1 * f3 + 2.0 * x * f2 * f3 - 4.0 * f * f4 - x * f1 * f4 - x * f * f5
@@ -131,7 +136,8 @@ class RadialCoefficients:
 
 def radial_coefficients(profile: Profile, x) -> RadialCoefficients:
     """Radial coefficients at abscissae ``x``, vectorized."""
-    return RadialCoefficients.from_table(x, _table(profile, x, MAX_DERIV_ORDER))
+    d = _table(profile, x, MAX_DERIV_ORDER)
+    return RadialCoefficients.from_table(x, d, _b(x, d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,10 +145,11 @@ class _PointBatch:
     """One point batch of ``profile`` as every closed form reads it (see :func:`_interior`).
 
     ``points`` (``(..., n)`` complex), ``x = |z_0|^2``, the gap ``A > 0``
-    and the table ``F = (F, ..., F^(upto))`` of ``profile`` at ``x``.  ``rad`` (from a
-    table to order five) and ``B`` are built on first use, so a batch
-    exists where ``B`` vanishes and only their consumers raise.  ``B`` is
-    ``rad.B`` on a table to order five, so each batch builds it once.
+    and the table ``F = (F, ..., F^(upto))`` of ``profile`` at ``x``.
+    ``B`` (from a table to order two) and ``rad`` (to order five, built
+    from that ``B``) are made on first use and kept, so each batch builds
+    ``B`` once, and a batch exists where ``B`` vanishes: only the
+    consumers that divide by it raise.
     """
 
     points: np.ndarray
@@ -156,12 +163,12 @@ class _PointBatch:
         return self.points.shape[-1]
 
     @functools.cached_property
-    def rad(self) -> RadialCoefficients:
-        return RadialCoefficients.from_table(self.x, self.F)
+    def B(self) -> np.ndarray:
+        return _b(self.x, self.F)
 
     @functools.cached_property
-    def B(self) -> np.ndarray:
-        return self.rad.B if len(self.F) > MAX_DERIV_ORDER else _b(self.x, self.F)
+    def rad(self) -> RadialCoefficients:
+        return RadialCoefficients.from_table(self.x, self.F, self.B)
 
 
 def _interior(z, profile: Profile, upto: int = 2) -> _PointBatch:

@@ -159,9 +159,10 @@ def profile_from_function(fn: Callable, x0: float, name: str = "custom",
 def table_profile(x: np.ndarray, f: np.ndarray, kind_params: dict | None = None) -> Profile:
     """Profile interpolated from ``(x, F)`` samples with a quintic spline.
 
-    ``x`` must be strictly increasing and start at 0 (or close to it); the
-    usable domain is ``[x[0], x[-1])``.  Derivatives come from the spline
-    and are flagged as lower precision.
+    ``x`` must be finite, strictly increasing and start at 0 (or close to
+    it), and ``F`` finite and positive; the usable domain is
+    ``[x[0], x[-1])``.  Derivatives come from the spline and are flagged
+    as lower precision.
     """
     from scipy.interpolate import InterpolatedUnivariateSpline
 
@@ -169,6 +170,12 @@ def table_profile(x: np.ndarray, f: np.ndarray, kind_params: dict | None = None)
     f = np.asarray(f, dtype=float)
     if x.ndim != 1 or x.shape != f.shape or x.size < 8:
         raise ProfileError("table profile needs matching 1-D arrays with >= 8 rows")
+    bad = ~(np.isfinite(x) & np.isfinite(f))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ProfileError(f"table profile data must be finite: {np.count_nonzero(bad)} "
+                           f"row(s) with NaN or inf, first row {i}: "
+                           f"(x, F) = ({float(x[i])!r}, {float(f[i])!r})")
     if np.any(np.diff(x) <= 0):
         raise ProfileError("table abscissae must be strictly increasing")
     if np.any(f <= 0):

@@ -45,17 +45,20 @@ def _abs2(c):
 
 @dataclass(frozen=True)
 class BoundaryPoint:
-    """Points on the fiber boundary together with the gradient of ``rho``.
+    """Points on the fiber boundary with the gradient of ``rho`` and the table of ``F`` there.
 
     ``coords`` satisfies ``sum_{k>=1} |z_k|^2 = F(|z_0|^2)`` to 1e-12 and
     ``normal`` holds the holomorphic gradient
     ``(d rho/dz_0, ..., d rho/dz_{n-1}) = (-F' z~_0, z~_1, ..., z~_{n-1})``,
     which never vanishes on this stratum.  Both have shape ``(..., n)``:
-    one point, or a batch over leading axes.
+    one point, or a batch over leading axes.  ``F`` is the table
+    ``(F, F', F'')`` at ``|z_0|^2``, one entry per point (floats for one
+    point); the Levi-form functions read it, so they take no profile.
     """
 
     coords: np.ndarray
     normal: np.ndarray
+    F: tuple
 
     @property
     def z0(self):
@@ -72,7 +75,8 @@ def boundary_point(profile: Profile, z0, direction) -> BoundaryPoint:
     ``direction`` is a nonzero vector in C^(n-1); it is normalized here, so
     only its direction matters.  Requires ``|z0|^2 < x0``.  Broadcasts:
     ``z0`` of shape ``(...)`` and ``direction`` of shape ``(..., n-1)``
-    give coordinates of shape ``(..., n)``.
+    give coordinates of shape ``(..., n)``.  The one ``derivs`` call of the
+    batch gives the point's table ``F`` to order two.
     """
     direction = np.asarray(direction, dtype=complex)
     if direction.ndim < 1 or direction.shape[-1] < 1:
@@ -81,65 +85,66 @@ def boundary_point(profile: Profile, z0, direction) -> BoundaryPoint:
     if np.any(norm == 0):
         raise ValueError("direction must be nonzero")
     z0 = np.asarray(z0, dtype=complex)
-    x = _abs2(z0)
-    f, f1 = profile.derivs(x, 1)   # raises DomainError when |z0|^2 >= x0
-    fiber = np.sqrt(f)[..., None] * direction / norm[..., None]
-    z0 = np.broadcast_to(z0, fiber.shape[:-1])
+    z0 = np.broadcast_to(z0, np.broadcast_shapes(z0.shape, direction.shape[:-1]))
+    table = profile.derivs(_abs2(z0), 2)   # raises DomainError when |z0|^2 >= x0
+    fiber = np.sqrt(table[0])[..., None] * direction / norm[..., None]
     coords = np.concatenate([z0[..., None], fiber], axis=-1)
-    normal = np.concatenate([(-f1 * np.conj(z0))[..., None], np.conj(fiber)], axis=-1)
-    return BoundaryPoint(coords=coords, normal=normal)
+    normal = np.concatenate([(-table[1] * np.conj(z0))[..., None], np.conj(fiber)], axis=-1)
+    return BoundaryPoint(coords=coords, normal=normal, F=table)
 
 
-def levi_form(point: BoundaryPoint, x_vec, profile: Profile):
+def levi_form(point: BoundaryPoint, x_vec):
     """Levi form of ``rho`` at the point, applied to ``x_vec``.
 
-    ``L = sum_{k>=1} |X_k|^2 - (F' + F'' |z_0|^2) |X_0|^2``; defined for
-    every ``z_0`` including the ``z_0 = 0`` stratum, where it is positive
-    on all nonzero vectors because ``F' < 0``.  ``x_vec`` of shape
-    ``(..., n)`` broadcasts against the point's leading axes.
+    ``L = sum_{k>=1} |X_k|^2 - (F' + F'' |z_0|^2) |X_0|^2``, with ``F'``
+    and ``F''`` from the point's table; defined for every ``z_0``
+    including the ``z_0 = 0`` stratum, where it is positive on all
+    nonzero vectors because ``F' < 0``.  ``x_vec`` of shape ``(..., n)``
+    broadcasts against the point's leading axes.
     """
     x_vec = np.asarray(x_vec, dtype=complex)
     x = _abs2(point.z0)
-    _, f1, f2 = profile.derivs(x, 2)
+    _, f1, f2 = point.F
     out = (np.sum(np.square(np.abs(x_vec[..., 1:])), axis=-1)
            - (f1 + f2 * x) * _abs2(x_vec[..., 0]))
     return _scalar(out)
 
 
-def tangent_vector(point: BoundaryPoint, y, profile: Profile) -> np.ndarray:
+def tangent_vector(point: BoundaryPoint, y) -> np.ndarray:
     """Complete fiber components ``Y`` to a complex tangent vector.
 
     Solves the tangency condition
-    ``-F' z~_0 X_0 + z~_1 X_1 + ... + z~_{n-1} X_{n-1} = 0`` for ``X_0``.
-    Requires ``z_0 != 0``; at the ``z_0 = 0`` stratum the Levi form is
-    positive without restriction, so use :func:`levi_form` directly there.
-    ``y`` of shape ``(..., n-1)`` broadcasts against the point's leading axes.
+    ``-F' z~_0 X_0 + z~_1 X_1 + ... + z~_{n-1} X_{n-1} = 0`` for ``X_0``,
+    with ``F'`` from the point's table.  Requires ``z_0 != 0``; at the
+    ``z_0 = 0`` stratum the Levi form is positive without restriction, so
+    use :func:`levi_form` directly there.  ``y`` of shape ``(..., n-1)``
+    broadcasts against the point's leading axes.
     """
     if np.any(point.z0 == 0):
         raise DomainError("z_0 = 0 stratum: tangency solve degenerates; "
                           "test the unrestricted Levi form instead")
     y = np.asarray(y, dtype=complex)
-    x = _abs2(point.z0)
-    f1 = profile.deriv(1, x)
+    f1 = point.F[1]
     pairing = np.sum(np.conj(point.fiber) * y, axis=-1)
     x0 = pairing / (f1 * np.conj(point.z0))
     y = np.broadcast_to(y, np.shape(x0) + y.shape[-1:])
     return np.concatenate([x0[..., None], y], axis=-1)
 
 
-def restricted_levi(point: BoundaryPoint, y, profile: Profile):
+def restricted_levi(point: BoundaryPoint, y):
     """Levi form restricted to the complex tangent space, in closed form.
 
     Equals ``levi_form(point, tangent_vector(point, y))``:
     ``sum |Y_k|^2 - ((F' + F'' x)/(F'^2 x)) |<z_fiber, Y>|^2`` with
-    ``x = |z_0|^2`` and the pairing ``<z, Y> = sum z~_k Y_k``.  ``y`` of
-    shape ``(..., n-1)`` broadcasts against the point's leading axes.
+    ``x = |z_0|^2``, ``F'`` and ``F''`` from the point's table, and the
+    pairing ``<z, Y> = sum z~_k Y_k``.  ``y`` of shape ``(..., n-1)``
+    broadcasts against the point's leading axes.
     """
     if np.any(point.z0 == 0):
         raise DomainError("z_0 = 0 stratum: use the unrestricted Levi form")
     y = np.asarray(y, dtype=complex)
     x = _abs2(point.z0)
-    _, f1, f2 = profile.derivs(x, 2)
+    _, f1, f2 = point.F
     pairing = np.sum(np.conj(point.fiber) * y, axis=-1)
     out = (np.sum(np.square(np.abs(y)), axis=-1)
            - (f1 + f2 * x) / (np.square(f1) * x) * _abs2(pairing))
@@ -193,7 +198,7 @@ def equivalence_check(profile: Profile, n: int = 2,
     pts = boundary_point(profile, z0[:, None], fiber_dir[:, None])
     aligned = pts.fiber / _norm(pts.fiber)[..., None]
     directions = np.concatenate([tangent_dir[:, None], aligned], axis=1)
-    levi = restricted_levi(pts, directions, profile)
+    levi = restricted_levi(pts, directions)
     ind = kahler_indicator(profile, x)
     if not (np.all(np.isfinite(levi)) and np.all(np.isfinite(ind))):
         raise NumericError("non-finite restricted Levi form or Kaehler indicator")

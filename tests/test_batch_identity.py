@@ -96,9 +96,15 @@ def test_single_calls_equal_the_batch(name, n):
     found["boundary_point"] = _mismatches(
         np.concatenate([bpts.coords, bpts.normal], axis=-1),
         [np.concatenate([one.coords, one.normal]) for one in singles])
+    # each point carries the table (F, F', F'') of its profile at |z_0|^2
+    xb = np.square(np.hypot(bpts.z0.real, bpts.z0.imag))
+    table = np.stack(bpts.F, axis=-1)
+    assert table.tobytes() == np.stack(prof.derivs(xb, 2), axis=-1).tobytes()
+    assert all(one.F == prof.derivs(float(x), 2) for one, x in zip(singles, xb))
+    found["BoundaryPoint.F"] = _mismatches(table, [one.F for one in singles])
     for label, f, arg in (("levi_form", levi_form, x_vecs),
                           ("restricted_levi", restricted_levi, tangent),
                           ("tangent_vector", tangent_vector, tangent)):
-        found[label] = _mismatches(f(bpts, arg, prof),
-                                   [f(one, arg[k], prof) for k, one in enumerate(singles)])
+        found[label] = _mismatches(f(bpts, arg),
+                                   [f(one, arg[k]) for k, one in enumerate(singles)])
     assert {label: idx for label, idx in found.items() if idx} == {}

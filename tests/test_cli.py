@@ -21,6 +21,9 @@ from hartogs.config import (
 )
 
 
+_EXP = "command = check-kahler\nprofile.kind = exp\n"
+
+
 def write_config(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -154,6 +157,55 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_profile({"kind": "linear", "c1": 1.0})   # missing c2
 
+    @pytest.mark.parametrize("text,want", [
+        (_EXP + "\n   # a comment-only line\n\t\n", {}),
+        (_EXP + "n = 3.0\n", {"n": 3}),
+        (_EXP + "csv_dump = false\n", "csv_dump must be a string, got False"),
+        (_EXP + " = 3\n", "line 3: empty key or value"),
+        (_EXP + "n =\n", "line 3: empty key or value"),
+        (_EXP + "grid = 1\ngrid.points = 2\n",
+         "line 4: key 'grid.points' conflicts with a scalar"),
+        ("profile.kind = exp\n", "config needs a 'command' entry"),
+        ("command = check-kahler\nprofile.c1 = 1\n", "config needs a profile.kind entry"),
+        ("command = check-kahler\nprofile.kind = table\nprofile.path = three.csv\n",
+         "table file {tmp}/three.csv must have two columns (x, F)"),
+        ("command = check-kahler\nprofile.kind = table\nprofile.path = missing.csv\n",
+         "bad profile specification: {tmp}/missing.csv not found."),
+    ], ids=["blank-and-comment", "integral-float", "false", "empty-key", "empty-value",
+            "scalar-conflict", "no-command", "no-kind", "three-columns", "missing-table"])
+    def test_grammar_branches(self, tmp_path, capsys, text, want):
+        # want is the one-line config error, or config entries (with their
+        # types) of a run that passes
+        np.savetxt(tmp_path / "three.csv", np.ones((10, 3)), delimiter=",")
+        out = tmp_path / "rep.json"
+        cfg = write_config(tmp_path, "c.txt", text + f"grid.points = 20\noutput = {out}\n")
+        status = main(["--config", cfg, "--quiet"])
+        err = capsys.readouterr().err
+        if isinstance(want, str):
+            assert (status, err) == (2, "config error: " + want.format(tmp=tmp_path) + "\n")
+        else:
+            assert (status, err) == (0, "")
+            config = json.loads(out.read_text())["config"]
+            assert {key: (config[key], type(config[key])) for key in want} == {
+                key: (value, type(value)) for key, value in want.items()}
+
+    @pytest.mark.parametrize("column,value", [(1, "nan"), (1, "inf"), (0, "nan")],
+                             ids=["nan-F", "inf-F", "nan-x"])
+    @pytest.mark.parametrize("command", ["check-kahler", "pseudoconvexity-test"])
+    def test_non_finite_table_exit_2(self, tmp_path, capsys, column, value, command):
+        # a NaN or inf in the table is a profile error naming the first bad row
+        xs = np.linspace(0.0, 3.0, 20)
+        rows = [[repr(x), repr(f)] for x, f in zip(xs.tolist(), np.exp(-xs).tolist())]
+        rows[5][column] = value
+        (tmp_path / "F.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+        cfg = write_config(tmp_path, "c.txt", f"command = {command}\nprofile.kind = table\n"
+                           "profile.path = F.csv\ngrid.points = 20\n")
+        assert main(["--config", cfg, "--quiet"]) == 2
+        x, f = (float(v) for v in rows[5])
+        assert capsys.readouterr().err == (
+            "error: table profile data must be finite: 1 row(s) with NaN or inf, "
+            f"first row 5: (x, F) = ({x!r}, {f!r})\n")
+
     def test_table_profile_from_csv(self, tmp_path):
         xs = np.linspace(0.0, 3.0, 120)
         rows = np.column_stack([xs, np.exp(-xs)])
@@ -197,6 +249,15 @@ class TestCommands:
         assert main(["--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
         assert main(["--config", str(tmp_path / "missing.txt")]) == 2
+        capsys.readouterr()
+        # a file that is not UTF-8 (one Latin-1 byte in a comment) is a config error too
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("# caf\u00e9\ncommand = classify\nprofile.kind = exp\n"
+                           .encode("latin-1"))
+        assert main(["--config", str(latin1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {latin1}") and "utf-8" in err
+        assert err.count("\n") == 1
 
     def test_byte_identical_reports(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -6,7 +6,9 @@ import pytest
 from hartogs import (
     DomainError,
     GridSpec,
+    MAX_DERIV_ORDER,
     NumericError,
+    Profile,
     boundary_point,
     equivalence_check,
     exp_profile,
@@ -69,13 +71,13 @@ class TestBoundaryPoint:
 class TestLeviForm:
     def test_zero_vector(self, expp):
         bp = boundary_point(expp, 0.5, np.array([1.0]))
-        assert levi_form(bp, np.zeros(2, complex), expp) == 0.0
+        assert levi_form(bp, np.zeros(2, complex)) == 0.0
 
     def test_hyperbolic_is_sum_of_squares(self, lin11):
         # F' = -1 and F'' = 0, so L = |X_1|^2 + |X_0|^2
         bp = boundary_point(lin11, 0.4, np.array([1.0]))
         x_vec = np.array([0.3 - 0.1j, 0.2 + 0.5j])
-        assert levi_form(bp, x_vec, lin11) == pytest.approx(
+        assert levi_form(bp, x_vec) == pytest.approx(
             np.sum(np.abs(x_vec) ** 2), rel=1e-14)
 
     def test_positive_at_z0_zero(self, builtin_profiles):
@@ -85,7 +87,7 @@ class TestLeviForm:
             for _ in range(25):
                 v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
                 v /= np.linalg.norm(v)
-                assert levi_form(bp, v, prof) > 0.0
+                assert levi_form(bp, v) > 0.0
 
     def test_against_hessian_oracle(self, expp):
         # contract the FD complex Hessian of rho with X
@@ -95,7 +97,7 @@ class TestLeviForm:
         for _ in range(5):
             x_vec = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             oracle = float(np.real(x_vec @ hess @ np.conj(x_vec)))
-            assert levi_form(bp, x_vec, expp) == pytest.approx(oracle, abs=1e-8)
+            assert levi_form(bp, x_vec) == pytest.approx(oracle, abs=1e-8)
 
     def test_scale_covariance(self, expp):
         # Levi form of lambda * rho is lambda times the Levi form: same sign
@@ -105,7 +107,7 @@ class TestLeviForm:
             lambda p: lam * rho_of(expp)(p), bp.coords, 1e-3)
         x_vec = np.array([0.2 + 1.0j, -0.4, 0.9j])
         oracle = float(np.real(x_vec @ hess @ np.conj(x_vec)))
-        direct = levi_form(bp, x_vec, expp)
+        direct = levi_form(bp, x_vec)
         assert oracle == pytest.approx(lam * direct, abs=1e-7)
         assert np.sign(oracle) == np.sign(direct)
 
@@ -114,12 +116,12 @@ class TestTangentVector:
     def test_orthogonal_fiber_direction(self, expp):
         bp = boundary_point(expp, 0.7, np.array([1.0, 0.0]))
         y = np.array([0.0, 1.0], complex)   # orthogonal to the fiber point
-        x_vec = tangent_vector(bp, y, expp)
+        x_vec = tangent_vector(bp, y)
         assert x_vec[0] == 0.0
 
     def test_hand_example(self, lin11):
         bp = boundary_point(lin11, 0.6, np.array([1.0]))
-        x_vec = tangent_vector(bp, np.array([1.0]), lin11)
+        x_vec = tangent_vector(bp, np.array([1.0]))
         assert x_vec[0] == pytest.approx(-4.0 / 3.0, rel=1e-14)
 
     def test_membership(self, builtin_profiles):
@@ -128,15 +130,15 @@ class TestTangentVector:
             bp = boundary_point(prof, 0.55, rng.standard_normal(3) + 1j * rng.standard_normal(3))
             for _ in range(5):
                 y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-                x_vec = tangent_vector(bp, y, prof)
+                x_vec = tangent_vector(bp, y)
                 assert abs(np.sum(bp.normal * x_vec)) <= 1e-12
 
     def test_z0_zero_signals(self, lin11):
         bp = boundary_point(lin11, 0.0, np.array([1.0]))
         with pytest.raises(DomainError):
-            tangent_vector(bp, np.array([1.0]), lin11)
+            tangent_vector(bp, np.array([1.0]))
         with pytest.raises(DomainError):
-            restricted_levi(bp, np.array([1.0]), lin11)
+            restricted_levi(bp, np.array([1.0]))
 
 
 class TestRestrictedLevi:
@@ -147,8 +149,8 @@ class TestRestrictedLevi:
                 bp = boundary_point(prof, np.sqrt(rng.uniform(0.05, 0.8)),
                                     rng.standard_normal(2) + 1j * rng.standard_normal(2))
                 y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                direct = restricted_levi(bp, y, prof)
-                via_tangent = levi_form(bp, tangent_vector(bp, y, prof), prof)
+                direct = restricted_levi(bp, y)
+                via_tangent = levi_form(bp, tangent_vector(bp, y))
                 assert direct == pytest.approx(via_tangent, rel=1e-12, abs=1e-12)
 
     def test_special_vector_formula(self, expp):
@@ -159,12 +161,12 @@ class TestRestrictedLevi:
         f1 = expp.deriv(1, x)
         f2 = expp.deriv(2, x)
         expected = f * (1.0 - (f1 + f2 * x) / (f1 ** 2 * x) * f)
-        assert restricted_levi(bp, bp.fiber, expp) == pytest.approx(expected, rel=1e-12)
+        assert restricted_levi(bp, bp.fiber) == pytest.approx(expected, rel=1e-12)
 
     def test_orthogonal_direction_gives_norm(self, expp):
         bp = boundary_point(expp, 0.7, np.array([1.0, 0.0]))
         y = np.array([0.0, 2.0], complex)
-        assert restricted_levi(bp, y, expp) == pytest.approx(4.0, rel=1e-14)
+        assert restricted_levi(bp, y) == pytest.approx(4.0, rel=1e-14)
 
     def test_hyperbolic_positive(self, lin11):
         rng = np.random.default_rng(12)
@@ -172,7 +174,7 @@ class TestRestrictedLevi:
             bp = boundary_point(lin11, np.sqrt(rng.uniform(0.02, 0.95)),
                                 rng.standard_normal(1) + 1j * rng.standard_normal(1))
             y = rng.standard_normal(1) + 1j * rng.standard_normal(1)
-            assert restricted_levi(bp, y, lin11) > 0.0
+            assert restricted_levi(bp, y) > 0.0
 
     def test_cauchy_schwarz_lower_bound(self, builtin_profiles):
         rng = np.random.default_rng(13)
@@ -186,10 +188,10 @@ class TestRestrictedLevi:
                           - np.abs(np.sum(np.conj(zf) * y)) ** 2)
                          / np.sum(np.abs(zf) ** 2))
                 assert bound >= -1e-12
-                assert restricted_levi(bp, y, prof) >= bound - 1e-12
+                assert restricted_levi(bp, y) >= bound - 1e-12
                 # parallel direction: the bound degenerates to zero but the
                 # restricted form stays strictly positive for admissible profiles
-                assert restricted_levi(bp, zf, prof) > 0.0
+                assert restricted_levi(bp, zf) > 0.0
 
 
 class TestEquivalenceCheck:
@@ -212,6 +214,19 @@ class TestEquivalenceCheck:
         assert rep.max_indicator > 0.0
         x_star = abs(rep.argmin_point[0]) ** 2
         assert kahler_indicator(wiggle, x_star) > 0.0   # flagged inside the bad interval
+
+    def test_two_derivative_tables(self, expp, monkeypatch):
+        # the boundary batch's table and the indicator's: the Levi form reads the former
+        calls = []
+        derivs = Profile.derivs
+
+        def counted(self, x, upto=MAX_DERIV_ORDER):
+            calls.append(upto)
+            return derivs(self, x, upto)
+
+        monkeypatch.setattr(Profile, "derivs", counted)
+        equivalence_check(expp, 2, GridSpec(points=50, seed=1))
+        assert calls == [2, 2]
 
     def test_deterministic(self, expp):
         a = equivalence_check(expp, 2, GridSpec(points=100, seed=21))
@@ -251,29 +266,29 @@ class TestBatchedLevi:
         x_vecs = rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))
         pts = boundary_point(prof, z0, fiber)
         assert pts.coords.shape == (40, n) and pts.normal.shape == (40, n)
-        levi = levi_form(pts, x_vecs, prof)
-        rlevi = restricted_levi(pts, tangent, prof)
-        tvec = tangent_vector(pts, tangent, prof)
+        levi = levi_form(pts, x_vecs)
+        rlevi = restricted_levi(pts, tangent)
+        tvec = tangent_vector(pts, tangent)
         for k in range(40):
             one = boundary_point(prof, z0[k], fiber[k])
             self._same(pts.coords[k], one.coords, rtol)
             self._same(pts.normal[k], one.normal, rtol)
-            single = levi_form(one, x_vecs[k], prof)
+            single = levi_form(one, x_vecs[k])
             assert isinstance(single, float)
             self._same(levi[k], single, rtol)
-            self._same(rlevi[k], restricted_levi(one, tangent[k], prof), rtol)
-            self._same(tvec[k], tangent_vector(one, tangent[k], prof), rtol)
+            self._same(rlevi[k], restricted_levi(one, tangent[k]), rtol)
+            self._same(tvec[k], tangent_vector(one, tangent[k]), rtol)
 
     def test_point_broadcasts_over_directions(self, expp):
         _, z0, fiber, tangent = boundary_samples(expp, 3, GridSpec(points=6, seed=2))
         pts = boundary_point(expp, z0[:, None], fiber[:, None])
         ys = np.stack([tangent, fiber], axis=1)
-        vals = restricted_levi(pts, ys, expp)
+        vals = restricted_levi(pts, ys)
         assert vals.shape == (6, 2)
         for k in range(6):
             one = boundary_point(expp, z0[k], fiber[k])
             for j in range(2):
-                assert vals[k, j] == restricted_levi(one, ys[k, j], expp)
+                assert vals[k, j] == restricted_levi(one, ys[k, j])
 
 
 def _reference_equivalence(profile, samples, seed, n, x_cap=5.0):
@@ -298,7 +313,7 @@ def _reference_equivalence(profile, samples, seed, n, x_cap=5.0):
         if ind > max_ind:
             max_ind, arg_x = ind, x
         for y in (unit(t_re, t_im), pt.fiber / np.linalg.norm(pt.fiber)):
-            val = restricted_levi(pt, y, profile)
+            val = restricted_levi(pt, y)
             if val < min_levi:
                 min_levi, arg_pt, arg_dir = val, pt.coords, y
     return min_levi, arg_pt, arg_dir, max_ind, arg_x

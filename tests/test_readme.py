@@ -1,9 +1,13 @@
-"""The README's library tour names only what the package exports."""
+"""The README's library tour names only what the package exports, and its code runs."""
 
+import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 import hartogs
+from hartogs.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +31,31 @@ def test_library_tour_names_resolve():
     assert "extremal_report" in names
     missing = [name for name in names if not hasattr(hartogs, name)]
     assert missing == []
+
+
+def python_blocks():
+    """The README's ``python`` code blocks, in order."""
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                      flags=re.M | re.S)
+
+
+def test_python_blocks_run(tmp_path, capsys):
+    # the quick example prints the oracle gap, the scalar curvature and the verdict
+    quick, rebuild = python_blocks()
+    exec(quick, {})
+    gap, _, verdict = capsys.readouterr().out.splitlines()
+    assert float(gap) < 1e-8 and verdict == "NON_CONSTANT_CURVATURE"
+
+    # the Ricci rebuild, on every record of a 20-point curvature-report
+    out = tmp_path / "rep.json"
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("command = curvature-report\nprofile.kind = exp\nn = 3\n"
+                   f"grid.points = 20\noutput = {out}\n")
+    assert main(["--config", str(cfg), "--quiet"]) == 0
+    records = json.loads(out.read_text())["report"]["records"]
+    prof = hartogs.exp_profile()
+    assert len(records) == 20
+    for rec in records:
+        scope = {"np": np, "hg": hartogs, "rec": rec, "prof": prof}
+        exec(rebuild, scope)
+        assert scope["ric"].tobytes() == hartogs.ricci_closed_form(scope["z"], prof).tobytes()

@@ -10,6 +10,7 @@ from hartogs import (
     GridSpec,
     InteriorSample,
     Profile,
+    SingularCoefficientError,
     classify,
     curvature_record,
     det_closed_form,
@@ -40,6 +41,14 @@ def output_bytes(out) -> bytes:
         return b"".join(np.asarray(getattr(out, f.name)).tobytes()
                         for f in dataclasses.fields(out))
     return np.asarray(out).tobytes()
+
+
+def outcome(closed, z, profile):
+    """The output bytes of ``closed(z, profile)``, or ``SingularCoefficientError`` if it raises that."""
+    try:
+        return output_bytes(closed(z, profile))
+    except SingularCoefficientError as exc:
+        return type(exc)
 
 
 class TestInteriorSample:
@@ -73,9 +82,9 @@ class TestInteriorSample:
         calls = []
         from_table = RadialCoefficients.from_table.__func__
 
-        def counted(cls, x, d):
+        def counted(cls, x, d, b):
             calls.append(x)
-            return from_table(cls, x, d)
+            return from_table(cls, x, d, b)
 
         monkeypatch.setattr(RadialCoefficients, "from_table", classmethod(counted))
         s = interior_sample(expp, 3, SPEC)
@@ -94,11 +103,14 @@ class TestInteriorSample:
 
     @pytest.mark.parametrize("closed", CLOSED_FORMS, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("n", [2, 5])
-    def test_closed_forms_read_the_sample(self, oracle_profiles, monkeypatch, closed, n):
-        # a sample in place of its points: the same bytes, and no derivative call
-        for name, prof in oracle_profiles.items():
+    def test_closed_forms_read_the_sample(self, oracle_profiles, constant_profile,
+                                          monkeypatch, closed, n):
+        # a sample in place of its points: the same bytes (or, where B == 0,
+        # the same error), and no derivative call
+        profiles = dict(oracle_profiles, constant=constant_profile)
+        for name, prof in profiles.items():
             s = interior_sample(prof, n, SPEC)
-            want = output_bytes(closed(s.points, prof))
+            want = outcome(closed, s.points, prof)
             calls = []
             derivs = Profile.derivs
 
@@ -108,8 +120,12 @@ class TestInteriorSample:
 
             with monkeypatch.context() as patch:
                 patch.setattr(Profile, "derivs", counted)
-                got = output_bytes(closed(s, prof))
+                got = outcome(closed, s, prof)
             assert got == want and calls == [], name
+        # where B == 0 the metric and the determinant evaluate, the rest raise
+        s = interior_sample(constant_profile, n, SPEC)
+        raises = outcome(closed, s, constant_profile) is SingularCoefficientError
+        assert raises == (closed not in (metric_closed_form, det_closed_form))
 
     @pytest.mark.parametrize("closed", CLOSED_FORMS, ids=lambda f: f.__name__)
     def test_closed_forms_take_a_record_of_their_profile_only(self, expp, closed):
