@@ -243,6 +243,8 @@ def _from_tree(tree: dict) -> RunConfig:
         raise ConfigError("config needs a profile section")
     else:
         cfg = _build(RunConfig, tree)
+        if "kind" not in cfg.profile:
+            raise ConfigError("config needs a profile.kind entry")
     if cfg.expect is not None and cfg.expect not in VERDICTS[command]:
         raise ConfigError(f"expect must be one of {', '.join(VERDICTS[command])} "
                           f"for {command}, got {cfg.expect!r}")

@@ -60,7 +60,7 @@ def ricci_closed_form(z, profile: Profile) -> np.ndarray:
     Hessian, i.e. the metric itself.
     """
     p = _interior(z, profile, MAX_DERIV_ORDER)
-    return _ricci(metric_closed_form(p, profile), p.rad.L)
+    return _ricci(metric_closed_form(p, profile), p.L)
 
 
 def ricci_numeric(z, profile: Profile, step: float = 1e-3) -> np.ndarray:
@@ -87,7 +87,8 @@ def ricci_numeric(z, profile: Profile, step: float = 1e-3) -> np.ndarray:
 def scalar_curvature(z, profile: Profile):
     """Scalar curvature ``-(A/B) F L - n(n+1)``, equivalently ``-n(n+1) + G A``."""
     p = _interior(z, profile, MAX_DERIV_ORDER)
-    out = -(p.A / p.rad.B) * p.F[0] * p.rad.L - p.n * (p.n + 1.0)
+    ell = p.L   # raises where B == 0, before the division below
+    out = -(p.A / p.B) * p.F[0] * ell - p.n * (p.n + 1.0)
     return out if np.ndim(out) else float(out)
 
 
@@ -99,7 +100,7 @@ def generalized_scalars_closed(z, profile: Profile) -> np.ndarray:
     """
     p = _interior(z, profile, MAX_DERIV_ORDER)
     n = p.n
-    lam = p.A * p.F[0] * p.rad.L / p.rad.B
+    lam = p.A * p.F[0] * p.L / p.B
     ks = np.arange(n)
     pref = (n + 1.0) ** ks * (-1.0) ** (ks + 1) * np.array([comb(n - 1, k) for k in range(n)])
     return pref * (n * (n + 1.0) / (ks + 1.0) + np.asarray(lam)[..., None])
@@ -133,10 +134,10 @@ def generalized_scalars_poly(z, profile: Profile) -> np.ndarray:
     """
     p = _interior(z, profile, MAX_DERIV_ORDER)
     h = metric_closed_form(p, profile)
-    return curvature_polynomial_coefficients(h, _ricci(h, p.rad.L))
+    return curvature_polynomial_coefficients(h, _ricci(h, p.L))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureRecord:
     """Curvature data of one point, JSON-serializable with fixed field names.
 
@@ -167,7 +168,7 @@ def curvature_record(z, profile: Profile) -> CurvatureRecord:
     ``i`` of the batch equals the record of point ``i``.
     """
     p = _interior(z, profile, MAX_DERIV_ORDER)
-    ell = p.rad.L
+    ell = p.L
     return CurvatureRecord(
         point=p.points,
         L=ell if np.ndim(ell) else float(ell),

@@ -68,23 +68,23 @@ def scal_conjugate_gradient(z, profile: Profile) -> np.ndarray:
     Requires five profile derivatives (``G'`` contains ``F^(5)``).
     """
     p = _interior(z, profile, MAX_DERIV_ORDER)
-    z, a, rad = p.points, p.A, p.rad
+    z, a = p.points, p.A
     out = np.empty_like(z)
-    out[..., 0] = rad.dG * z[..., 0] * a + z[..., 0] * rad.G * rad.F[1]
-    out[..., 1:] = -np.asarray(rad.G)[..., None] * z[..., 1:]
+    out[..., 0] = p.dG * z[..., 0] * a + z[..., 0] * p.G * p.F[1]
+    out[..., 1:] = -np.asarray(p.G)[..., None] * z[..., 1:]
     return out
 
 
-def _reduced(x, rad):
-    """``(r1, r2) = ((G F)', (G F' x)')`` from the radial record at ``x``."""
-    f, f1, f2 = rad.F[:3]
-    return rad.dG * f + rad.G * f1, rad.dG * f1 * x + rad.G * (f1 + f2 * x)
+def _reduced(rad):
+    """``(r1, r2) = ((G F)', (G F' x)')`` from a radial record."""
+    f, f1 = rad.F[:2]
+    return rad.dG * f + rad.G * f1, rad.dG * f1 * rad.x + rad.G * rad.T
 
 
 def _radial_parts(p: _PointBatch):
     """``(A r1 / B, A r2 / B)``: the field is ``A`` times these scaling ``z``."""
-    r1, r2 = _reduced(p.x, p.rad)
-    ab = p.A / p.rad.B
+    r1, r2 = _reduced(p)
+    ab = p.A / p.B
     return ab * r1, ab * r2
 
 
@@ -143,13 +143,13 @@ def reduced_conditions(profile: Profile, x: float) -> tuple[float, float]:
     xa = np.asarray(x, dtype=float)
     if not profile.exact_derivatives and np.any(xa == 0.0):
         raise DomainError("reduced conditions at x = 0 need exact derivatives")
-    r1, r2 = _reduced(xa, radial_coefficients(profile, xa))
+    r1, r2 = _reduced(radial_coefficients(profile, xa))
     if np.ndim(xa):
         return r1, r2
     return float(r1), float(r2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremalReport:
     """Grid sweep summary for the extremality test."""
 

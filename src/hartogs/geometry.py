@@ -12,8 +12,9 @@ All functions broadcast over leading axes: ``z`` may be ``(n,)`` or
 Every evaluator reads ``F`` and its derivatives at ``|z_0|^2`` from one
 ``Profile.derivs`` call per point batch, into the one record of the batch
 (:func:`_interior`), which also takes that record (an ``InteriorSample``)
-in place of the points; its radial coefficients (:class:`RadialCoefficients`)
-are built on first use and kept.  The closed-form matrices write conjugate
+in place of the points.  The record is a :class:`RadialCoefficients`, the
+one record of ``x`` and its table, whose coefficients ``T``, ``B``, ``L``,
+``G``, ``L'`` and ``G'`` are built on first use and kept.  The closed-form matrices write conjugate
 entries into mirror slots, so they are exactly Hermitian without a
 symmetrizing pass.
 
@@ -72,13 +73,7 @@ def _table(profile: Profile, x, upto: int) -> tuple:
     return tuple(np.asarray(v) for v in profile.derivs(x, upto))
 
 
-def _b(x, d):
-    """Determinant numerator ``B = F'^2 x - F (F' + F'' x)``."""
-    f, f1, f2 = d[:3]
-    return np.square(f1) * x - f * (f1 + f2 * x)
-
-
-def _nonzero_b(b):
+def _nonsingular(b):
     """``b`` unchanged; raises ``SingularCoefficientError`` where ``B == 0``.
 
     The one rule for every evaluator that divides by ``B``.  It is exact
@@ -90,38 +85,42 @@ def _nonzero_b(b):
     return b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialCoefficients:
     """Coefficients of the geometry that depend on ``x = |z_0|^2`` alone.
 
-    * ``F`` -- the derivative table ``(F, F', ..., F^(5))`` at ``x``,
-    * ``B = F'^2 x - F (F' + F'' x)`` -- determinant numerator,
+    The fields are ``x`` and the table ``F = (F, F', ..., F^(k))`` at
+    ``x``; from them, on first use, the record builds and keeps
+
+    * ``T = F' + F'' x`` and ``B = F'^2 x - F T`` -- determinant numerator,
     * ``L = (x (log B)')'`` -- Ricci correction in the (0,0) slot,
     * ``G = -L F / B`` -- non-constant factor of the scalar curvature,
     * ``dL``, ``dG`` -- their x-derivatives ``L'`` and ``G'``.
 
-    ``L`` and ``L'`` are expanded in ``B`` and its first three derivatives
-    (the third involves ``F^(5)``, which is why profiles carry five
-    orders), so built-in profiles evaluate them in closed form.
+    ``T`` and ``B`` need order two.  ``L``, ``G``, ``dL`` and ``dG`` are
+    one block that needs order five and raises ``SingularCoefficientError``
+    where ``B == 0``, so a record exists where ``B`` vanishes.  ``L`` and
+    ``L'`` are expanded in ``B`` and its first three derivatives (the third
+    involves ``F^(5)``, which is why profiles carry five orders), so
+    built-in profiles evaluate them in closed form.
     """
 
+    x: np.ndarray
     F: tuple
-    B: np.ndarray
-    L: np.ndarray
-    G: np.ndarray
-    dL: np.ndarray
-    dG: np.ndarray
 
-    @classmethod
-    def from_table(cls, x, d, b) -> "RadialCoefficients":
-        """Build the record from the table ``d = (F, ..., F^(5))`` at ``x`` and its ``B``.
+    @functools.cached_property
+    def T(self):
+        return self.F[1] + self.F[2] * self.x
 
-        ``b`` is ``_b(x, d)``, passed in by the caller that already holds
-        it (a point batch builds its ``B`` once); ``B == 0`` anywhere raises
-        ``SingularCoefficientError``.
-        """
-        f, f1, f2, f3, f4, f5 = d
-        b = _nonzero_b(b)
+    @functools.cached_property
+    def B(self):
+        return np.square(self.F[1]) * self.x - self.F[0] * self.T
+
+    @functools.cached_property
+    def _curvature_terms(self) -> tuple:
+        """``(L, G, L', G')``, built together from the order-five table."""
+        x, b = self.x, _nonsingular(self.B)
+        f, f1, f2, f3, f4, f5 = self.F
         b1 = x * f1 * f2 - 2.0 * f * f2 - x * f * f3
         b2 = -f1 * f2 + x * np.square(f2) - 3.0 * f * f3 - x * f * f4
         b3 = -4.0 * f1 * f3 + 2.0 * x * f2 * f3 - 4.0 * f * f4 - x * f1 * f4 - x * f * f5
@@ -131,44 +130,39 @@ class RadialCoefficients:
         ell1 = 2.0 * r2 + x * (b3 / b - 3.0 * b1 * b2 / np.square(b) + 2.0 * np.power(r1, 3))
         g = -ell * f / b
         g1 = -(ell1 * f + ell * f1) / b + ell * f * b1 / np.square(b)
-        return cls(F=d, B=b, L=ell, G=g, dL=ell1, dG=g1)
+        return ell, g, ell1, g1
+
+    L = property(lambda self: self._curvature_terms[0])
+    G = property(lambda self: self._curvature_terms[1])
+    dL = property(lambda self: self._curvature_terms[2])
+    dG = property(lambda self: self._curvature_terms[3])
 
 
 def radial_coefficients(profile: Profile, x) -> RadialCoefficients:
-    """Radial coefficients at abscissae ``x``, vectorized."""
-    d = _table(profile, x, MAX_DERIV_ORDER)
-    return RadialCoefficients.from_table(x, d, _b(x, d))
+    """Radial coefficients at abscissae ``x``, vectorized; ``B == 0`` raises here."""
+    rad = RadialCoefficients(x, _table(profile, x, MAX_DERIV_ORDER))
+    rad._curvature_terms   # built now, so a singular B raises SingularCoefficientError
+    return rad
 
 
 @dataclass(frozen=True, eq=False)
-class _PointBatch:
+class _PointBatch(RadialCoefficients):
     """One point batch of ``profile`` as every closed form reads it (see :func:`_interior`).
 
-    ``points`` (``(..., n)`` complex), ``x = |z_0|^2``, the gap ``A > 0``
-    and the table ``F = (F, ..., F^(upto))`` of ``profile`` at ``x``.
-    ``B`` (from a table to order two) and ``rad`` (to order five, built
-    from that ``B``) are made on first use and kept, so each batch builds
-    ``B`` once, and a batch exists where ``B`` vanishes: only the
-    consumers that divide by it raise.
+    The radial record of ``x = |z_0|^2`` and the table ``F = (F, ...,
+    F^(upto))`` of ``profile`` at ``x``, plus the ``points`` (``(..., n)``
+    complex) and the gap ``A > 0``.  Its coefficients are built on first
+    use and kept, so each batch builds ``B`` and the block of ``L`` and
+    ``G`` once.
     """
 
     points: np.ndarray
-    x: np.ndarray
     A: np.ndarray
-    F: tuple
     profile: Profile
 
     @property
     def n(self) -> int:
         return self.points.shape[-1]
-
-    @functools.cached_property
-    def B(self) -> np.ndarray:
-        return _b(self.x, self.F)
-
-    @functools.cached_property
-    def rad(self) -> RadialCoefficients:
-        return RadialCoefficients.from_table(self.x, self.F, self.B)
 
 
 def _interior(z, profile: Profile, upto: int = 2) -> _PointBatch:
@@ -192,7 +186,7 @@ def _interior(z, profile: Profile, upto: int = 2) -> _PointBatch:
     a = d[0] - s
     if np.any(a <= 0.0):
         raise DomainError("point on or outside the boundary (gap A <= 0)")
-    return _PointBatch(points=z, x=x, A=a, F=d, profile=profile)
+    return _PointBatch(x=x, F=d, points=z, A=a, profile=profile)
 
 
 def potential(z, profile: Profile):
@@ -201,9 +195,8 @@ def potential(z, profile: Profile):
 
 
 def _c(p: _PointBatch):
-    """``C = F'^2 x - (F' + F'' x) A``, the numerator of the (0,0) metric entry over ``A^2``."""
-    f1, f2 = p.F[1], p.F[2]
-    return np.square(f1) * p.x - (f1 + f2 * p.x) * p.A
+    """``C = F'^2 x - T A``, the numerator of the (0,0) metric entry over ``A^2``."""
+    return np.square(p.F[1]) * p.x - p.T * p.A
 
 
 def metric_closed_form(z, profile: Profile) -> np.ndarray:
@@ -385,10 +378,9 @@ def inverse_metric_closed_form(z, profile: Profile) -> np.ndarray:
     ``g^{i i~} = (A/B) (B + T |z_i|^2)``.  Satisfies ``Minv @ h = I``.
     """
     p = _interior(z, profile)
-    z, x, a, n = p.points, p.x, p.A, p.n
-    f, f1, f2 = p.F[:3]
-    b = _nonzero_b(p.B)
-    t = f1 + f2 * x
+    z, a, n = p.points, p.A, p.n
+    f, f1 = p.F[:2]
+    b = _nonsingular(p.B)
     ab = a / b
     zf = z[..., 1:]
     minv = np.empty(z.shape + (n,), dtype=complex)
@@ -397,7 +389,7 @@ def inverse_metric_closed_form(z, profile: Profile) -> np.ndarray:
     minv[..., 1:, 0] = col
     minv[..., 0, 1:] = np.conj(col)
     # block[i-1, j-1] = conj(z_i) z_j = z_j z~_i, the off-diagonal pattern
-    block = (ab * t)[..., None, None] * np.einsum("...i,...j->...ij", np.conj(zf), zf)
+    block = (ab * p.T)[..., None, None] * np.einsum("...i,...j->...ij", np.conj(zf), zf)
     step = n
     block.reshape(block.shape[:-2] + (-1,))[..., :: step] += (ab * b)[..., None]
     minv[..., 1:, 1:] = block
@@ -420,8 +412,8 @@ def grid_csv_rows(points: np.ndarray, profile: Profile) -> np.ndarray:
     (a positive-definiteness indicator).
     """
     p = _interior(points, profile, MAX_DERIV_ORDER)
-    a, rad = p.A, p.rad
+    a, ell = p.A, p.L
     min_eig = np.linalg.eigvalsh(metric_closed_form(p, profile))[..., 0]
-    return np.column_stack([_interleave(p.points).reshape(-1, 2 * p.n), a, rad.B + 0 * a,
-                            _c(p), rad.L + 0 * a, rad.G + 0 * a,
+    return np.column_stack([_interleave(p.points).reshape(-1, 2 * p.n), a, p.B + 0 * a,
+                            _c(p), ell + 0 * a, p.G + 0 * a,
                             det_closed_form(p, profile), min_eig])

@@ -159,9 +159,10 @@ def profile_from_function(fn: Callable, x0: float, name: str = "custom",
 def table_profile(x: np.ndarray, f: np.ndarray, kind_params: dict | None = None) -> Profile:
     """Profile interpolated from ``(x, F)`` samples with a quintic spline.
 
-    ``x`` must be finite, strictly increasing and start at 0 (or close to
-    it), and ``F`` finite and positive; the usable domain is
-    ``[x[0], x[-1])``.  Derivatives come from the spline and are flagged
+    ``x`` must be finite, strictly increasing and start at or below 0 (the
+    domain contains ``z_0 = 0``, and a spline is not extrapolated below its
+    data), and ``F`` finite and positive; the usable domain is
+    ``[0, x[-1])``.  Derivatives come from the spline and are flagged
     as lower precision.
     """
     from scipy.interpolate import InterpolatedUnivariateSpline
@@ -178,6 +179,8 @@ def table_profile(x: np.ndarray, f: np.ndarray, kind_params: dict | None = None)
                            f"(x, F) = ({float(x[i])!r}, {float(f[i])!r})")
     if np.any(np.diff(x) <= 0):
         raise ProfileError("table abscissae must be strictly increasing")
+    if x[0] > 0:
+        raise ProfileError(f"table abscissae must start at x <= 0, got x[0] = {float(x[0])!r}")
     if np.any(f <= 0):
         raise ProfileError("table profile values must be positive")
     spline = InterpolatedUnivariateSpline(x, f, k=5)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .geometry import _interleave
+from .geometry import RadialCoefficients, _interleave
 from .profiles import Profile, kahler_indicator
 from .sampling import GridSpec, _norm, boundary_samples
 
@@ -43,22 +43,23 @@ def _abs2(c):
     return np.square(np.hypot(c.real, c.imag))
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Points on the fiber boundary with the gradient of ``rho`` and the table of ``F`` there.
+@dataclass(frozen=True, eq=False)
+class BoundaryPoint(RadialCoefficients):
+    """Points on the fiber boundary: the radial record of ``|z_0|^2`` and the gradient of ``rho``.
 
-    ``coords`` satisfies ``sum_{k>=1} |z_k|^2 = F(|z_0|^2)`` to 1e-12 and
-    ``normal`` holds the holomorphic gradient
+    The record holds ``x = |z_0|^2`` and the table ``F = (F, F', F'')``
+    at ``x``, one entry per point (floats for one point), and builds
+    ``T = F' + F'' x`` on first use; the Levi-form functions read them,
+    so they take no profile.  ``coords`` satisfies
+    ``sum_{k>=1} |z_k|^2 = F(|z_0|^2)`` to 1e-12 and ``normal`` holds the
+    holomorphic gradient
     ``(d rho/dz_0, ..., d rho/dz_{n-1}) = (-F' z~_0, z~_1, ..., z~_{n-1})``,
     which never vanishes on this stratum.  Both have shape ``(..., n)``:
-    one point, or a batch over leading axes.  ``F`` is the table
-    ``(F, F', F'')`` at ``|z_0|^2``, one entry per point (floats for one
-    point); the Levi-form functions read it, so they take no profile.
+    one point, or a batch over leading axes.
     """
 
     coords: np.ndarray
     normal: np.ndarray
-    F: tuple
 
     @property
     def z0(self):
@@ -86,27 +87,26 @@ def boundary_point(profile: Profile, z0, direction) -> BoundaryPoint:
         raise ValueError("direction must be nonzero")
     z0 = np.asarray(z0, dtype=complex)
     z0 = np.broadcast_to(z0, np.broadcast_shapes(z0.shape, direction.shape[:-1]))
-    table = profile.derivs(_abs2(z0), 2)   # raises DomainError when |z0|^2 >= x0
+    x = _abs2(z0)
+    table = profile.derivs(x, 2)   # raises DomainError when |z0|^2 >= x0
     fiber = np.sqrt(table[0])[..., None] * direction / norm[..., None]
     coords = np.concatenate([z0[..., None], fiber], axis=-1)
     normal = np.concatenate([(-table[1] * np.conj(z0))[..., None], np.conj(fiber)], axis=-1)
-    return BoundaryPoint(coords=coords, normal=normal, F=table)
+    return BoundaryPoint(x=x, F=table, coords=coords, normal=normal)
 
 
 def levi_form(point: BoundaryPoint, x_vec):
     """Levi form of ``rho`` at the point, applied to ``x_vec``.
 
-    ``L = sum_{k>=1} |X_k|^2 - (F' + F'' |z_0|^2) |X_0|^2``, with ``F'``
-    and ``F''`` from the point's table; defined for every ``z_0``
+    ``L = sum_{k>=1} |X_k|^2 - T |X_0|^2`` with ``T = F' + F'' |z_0|^2``
+    from the point's record; defined for every ``z_0``
     including the ``z_0 = 0`` stratum, where it is positive on all
     nonzero vectors because ``F' < 0``.  ``x_vec`` of shape ``(..., n)``
     broadcasts against the point's leading axes.
     """
     x_vec = np.asarray(x_vec, dtype=complex)
-    x = _abs2(point.z0)
-    _, f1, f2 = point.F
     out = (np.sum(np.square(np.abs(x_vec[..., 1:])), axis=-1)
-           - (f1 + f2 * x) * _abs2(x_vec[..., 0]))
+           - point.T * _abs2(x_vec[..., 0]))
     return _scalar(out)
 
 
@@ -135,23 +135,21 @@ def restricted_levi(point: BoundaryPoint, y):
     """Levi form restricted to the complex tangent space, in closed form.
 
     Equals ``levi_form(point, tangent_vector(point, y))``:
-    ``sum |Y_k|^2 - ((F' + F'' x)/(F'^2 x)) |<z_fiber, Y>|^2`` with
-    ``x = |z_0|^2``, ``F'`` and ``F''`` from the point's table, and the
+    ``sum |Y_k|^2 - (T/(F'^2 x)) |<z_fiber, Y>|^2`` with ``x = |z_0|^2``,
+    ``F'`` and ``T = F' + F'' x`` from the point's record, and the
     pairing ``<z, Y> = sum z~_k Y_k``.  ``y`` of shape ``(..., n-1)``
     broadcasts against the point's leading axes.
     """
     if np.any(point.z0 == 0):
         raise DomainError("z_0 = 0 stratum: use the unrestricted Levi form")
     y = np.asarray(y, dtype=complex)
-    x = _abs2(point.z0)
-    _, f1, f2 = point.F
     pairing = np.sum(np.conj(point.fiber) * y, axis=-1)
     out = (np.sum(np.square(np.abs(y)), axis=-1)
-           - (f1 + f2 * x) / (np.square(f1) * x) * _abs2(pairing))
+           - point.T / (np.square(point.F[1]) * point.x) * _abs2(pairing))
     return _scalar(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalenceReport:
     """Result of the sampled pseudoconvexity/admissibility equivalence test."""
 

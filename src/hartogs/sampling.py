@@ -106,10 +106,10 @@ def interior_points(profile: Profile, n: int, spec: GridSpec | None = None) -> n
 class InteriorSample(_PointBatch):
     """One interior draw of ``profile`` under ``spec`` as a point-batch record.
 
-    ``points`` (``(m, n)`` complex), ``x = |z_0|^2``, the membership gap
-    ``A`` and the table ``F = (F, ..., F^(5))`` of ``profile`` at ``x``;
-    the arrays are read-only.  ``B`` and ``rad``, the radial coefficients
-    of the table, are built on the first use by any consumer and shared by
+    The batch (``x = |z_0|^2``, the table ``F = (F, ..., F^(5))`` of
+    ``profile`` at ``x``, the ``points`` (``(m, n)`` complex) and the gap
+    ``A``, all read-only) and the ``spec`` it was drawn under.  Its radial
+    coefficients are built on the first use by any consumer and shared by
     the rest, so a sample exists for profiles whose ``B`` vanishes.  Every
     closed form of ``profile`` takes the sample in place of its points
     (``metric_closed_form(sample, profile)``) and gives the same bits.
@@ -124,7 +124,7 @@ def interior_sample(profile: Profile, n: int, spec: GridSpec | None = None) -> I
     b = _interior(interior_points(profile, n, spec), profile, MAX_DERIV_ORDER)
     for array in (b.points, b.x, b.A) + b.F:
         array.flags.writeable = False
-    return InteriorSample(points=b.points, x=b.x, A=b.A, F=b.F, profile=profile, spec=spec)
+    return InteriorSample(x=b.x, F=b.F, points=b.points, A=b.A, profile=profile, spec=spec)
 
 
 def _resolved(profile: Profile, n: int,

@@ -1,5 +1,7 @@
 """Shared fixtures: profile zoo, grids, and small independent oracles."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,31 @@ from hartogs import (
     profile_from_function,
     table_profile,
 )
+from hartogs.geometry import RadialCoefficients
 from hartogs.profiles import Profile
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    """``count_builds(name)`` spies on the cached ``RadialCoefficients.<name>``.
+
+    It returns the list of records the coefficient is built on, in build
+    order; a record that reads a kept coefficient again adds nothing.
+    """
+    def install(name):
+        built = []
+        build = vars(RadialCoefficients)[name].func
+
+        def spy(record):
+            built.append(record)
+            return build(record)
+
+        prop = functools.cached_property(spy)
+        prop.__set_name__(RadialCoefficients, name)
+        monkeypatch.setattr(RadialCoefficients, name, prop)
+        return built
+
+    return install
 
 
 @pytest.fixture(scope="session")

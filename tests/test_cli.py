@@ -64,6 +64,12 @@ class TestConfigParsing:
             with pytest.raises(ConfigError):
                 load_config(write_config(tmp_path, f"bad{i}.txt", text))
 
+    def test_load_config_needs_a_profile_kind(self, tmp_path):
+        # the library entry point rejects the section, not only the CLI's build_profile
+        path = write_config(tmp_path, "c.txt", "command = check-kahler\nprofile.c1 = 1\n")
+        with pytest.raises(ConfigError, match=r"^config needs a profile\.kind entry$"):
+            load_config(path)
+
     @pytest.mark.parametrize("line", ["grid.points = abc", "n = 2.5", "fd_step = nan",
                                       "fd_step = 1" + "0" * 400, "tolerances = 5"],
                              ids=["points-abc", "n-2.5", "fd-nan", "fd-huge-int", "tol-scalar"])
@@ -205,6 +211,18 @@ class TestConfigParsing:
         assert capsys.readouterr().err == (
             "error: table profile data must be finite: 1 row(s) with NaN or inf, "
             f"first row 5: (x, F) = ({x!r}, {f!r})\n")
+
+    def test_table_above_zero_exit_2(self, tmp_path, capsys):
+        # a table from x = 0.5 leaves z_0 = 0 uncovered: one line, exit 2, no run
+        xs = np.linspace(0.5, 3.0, 20)
+        np.savetxt(tmp_path / "F.csv", np.column_stack([xs, np.exp(-xs)]), delimiter=",")
+        out = tmp_path / "rep.json"
+        cfg = write_config(tmp_path, "c.txt", "command = check-kahler\nprofile.kind = table\n"
+                           f"profile.path = F.csv\ngrid.points = 20\noutput = {out}\n")
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: table abscissae must start at x <= 0, got x[0] = 0.5\n")
+        assert not out.exists()
 
     def test_table_profile_from_csv(self, tmp_path):
         xs = np.linspace(0.0, 3.0, 120)
@@ -604,20 +622,14 @@ class TestOneEvaluationPerRun:
         assert main(["--config", cfg, "--quiet"]) == 0
         assert calls == [(40, 4)]
 
-    def test_b_is_built_once_on_the_sample(self, tmp_path, monkeypatch):
-        import hartogs.geometry
-        calls = []
-        build = hartogs.geometry._b
-
-        def spy(x, d):
-            calls.append(np.shape(x))
-            return build(x, d)
-
-        monkeypatch.setattr(hartogs.geometry, "_b", spy)
+    def test_b_is_built_once_on_the_sample(self, tmp_path, count_builds):
+        b_built, block_built = count_builds("B"), count_builds("_curvature_terms")
         cfg = write_config(tmp_path, "c.txt", self.CONFIG + f"output = {tmp_path / 'r.json'}\n")
         assert main(["--config", cfg, "--quiet"]) == 0
-        # the rest are the Ricci oracle's stencil points, not the sample
-        assert calls.count((40,)) == 1 and all(shape[0] > 40 for shape in calls if shape != (40,))
+        # the other B builds are on the Ricci oracle's stencil points, not the sample
+        shapes = [np.shape(record.x) for record in b_built]
+        assert shapes.count((40,)) == 1 and all(shape[0] > 40 for shape in shapes if shape != (40,))
+        assert [np.shape(record.x) for record in block_built] == [(40,)]
 
 
 _SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e308,

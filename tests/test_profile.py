@@ -172,6 +172,9 @@ class TestTableProfile:
             table_profile(xs, xs - 0.5)
         with pytest.raises(ProfileError):
             table_profile(xs[:4], np.exp(-xs[:4]))
+        # the domain contains z_0 = 0: data from x = 0.5 would be extrapolated below
+        with pytest.raises(ProfileError, match=r"start at x <= 0, got x\[0\] = 0.5$"):
+            table_profile(xs + 0.5, np.exp(-xs))
 
 
 def test_profile_from_function_matches_builtin(expp):

@@ -59,3 +59,18 @@ def test_python_blocks_run(tmp_path, capsys):
         scope = {"np": np, "hg": hartogs, "rec": rec, "prof": prof}
         exec(rebuild, scope)
         assert scope["ric"].tobytes() == hartogs.ricci_closed_form(scope["z"], prof).tobytes()
+
+
+def test_config_block_runs(tmp_path, monkeypatch):
+    # the documented config is a run as it stands: classify, linear(1,1), exit 0,
+    # with its report and both dumps written next to it
+    (block,) = re.findall(r"^```ini\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                          flags=re.M | re.S)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.txt").write_text(block, encoding="utf-8")
+    assert main(["--config", "run.txt", "--quiet"]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert (doc["config"]["command"], doc["config"]["profile"]["kind"]) == ("classify", "linear")
+    assert doc["verdict"] == "HYPERBOLIC"
+    for dump in ("grid.csv", "curves.scal.csv", "curves.L.csv"):
+        assert (tmp_path / dump).stat().st_size > 0, dump

@@ -25,7 +25,7 @@ from hartogs import (
     metric_closed_form,
     scalar_curvature,
 )
-from hartogs.geometry import RadialCoefficients, _interior
+from hartogs.geometry import _interior
 from hartogs.profiles import MAX_DERIV_ORDER
 
 SPEC = GridSpec(points=30, seed=5, x_cap=2.5)
@@ -77,20 +77,13 @@ class TestInteriorSample:
         s = interior_sample(constant_profile, 2, SPEC)
         assert s.points.shape == (30, 2)
 
-    def test_radial_record_is_built_once(self, expp, monkeypatch):
-        # classify and extremal_report share the sample's radial record
-        calls = []
-        from_table = RadialCoefficients.from_table.__func__
-
-        def counted(cls, x, d, b):
-            calls.append(x)
-            return from_table(cls, x, d, b)
-
-        monkeypatch.setattr(RadialCoefficients, "from_table", classmethod(counted))
+    def test_radial_record_is_built_once(self, expp, count_builds):
+        # classify and extremal_report share the sample's B and its L/G block
+        b_built, block_built = count_builds("B"), count_builds("_curvature_terms")
         s = interior_sample(expp, 3, SPEC)
         classify(expp, 3, s)
         extremal_report(expp, 3, s)
-        assert sum(x is s.x for x in calls) == 1
+        assert sum(r is s for r in b_built) == 1 and sum(r is s for r in block_built) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 6, 12])
     def test_pipelines_give_the_grid_spec_reports(self, oracle_profiles, n):
