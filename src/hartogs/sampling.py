@@ -1,10 +1,12 @@
 """Deterministic point samples inside and on the boundary of a Hartogs domain.
 
-Interior sweeps use a scrambled Halton sequence mapped through polar
-coordinates: one dimension drives ``|z_0|^2``, one its phase, one the total
-fiber radius, and the rest split the fiber energy across coordinates and
-phases.  Points too close to the boundary are rejected because the closed
-forms blow up like ``A^-(n+1)`` there; the margin is configurable.
+Interior sweeps use an Owen-scrambled Halton sequence, computed in the
+package and bit-identical to SciPy's ``Halton(scramble=True,
+seed=spec.seed)`` sampler, mapped through polar coordinates: one dimension
+drives ``|z_0|^2``, one its phase, one the total fiber radius, and the rest
+split the fiber energy across coordinates and phases.  Points too close to
+the boundary are rejected because the closed forms blow up like
+``A^-(n+1)`` there; the margin is configurable.
 
 An :class:`InteriorSample` is one interior draw as the point-batch record
 that every closed form reads (:func:`interior_sample`).  The closed forms
@@ -19,10 +21,11 @@ seeded ``numpy`` generator (:func:`boundary_samples`).  Both samplers take
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import DomainError
 from .geometry import _PointBatch, _interior
@@ -65,6 +68,59 @@ def x_grid(profile: Profile, count: int, spec: GridSpec | None = None) -> np.nda
     return np.linspace(1e-3 * hi, hi, count)
 
 
+def _primes(count: int) -> list:
+    """The first ``count`` primes."""
+    primes, candidate = [], 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _halton_blocks(d: int, seed: int, rows: int):
+    """Successive ``(rows, d)`` blocks of Owen-scrambled Halton points in ``[0, 1)^d``.
+
+    The same bits as SciPy's ``Halton(d, scramble=True, seed=seed).random(rows)``
+    called once per block (Owen, "A randomized Halton algorithm in R",
+    arXiv:1706.02808).  Dimension ``i`` has base ``b``, the ``i``-th prime,
+    and ``ceil(54 / log2 b) - 1`` digit permutations drawn row by row from
+    ``default_rng(seed)``, base after base.  Point ``k`` is
+    ``0.0 + perm[0, k_0] r_0 + perm[1, k_1] r_1 + ...`` over its base-``b``
+    digits ``k_j``, with ``r_0 = 1/b`` and ``r_(j+1) = r_j / b``, added in
+    that order: the levels up to the top digit of the block's last index go
+    through a table of partial sums, and the levels above it, whose digit is
+    0 at every point, are added one at a time.
+    """
+    rng = np.random.default_rng(seed)
+    terms = []   # per base: terms[j, digit] = perm[j, digit] * r_j
+    for base in _primes(d):
+        count = math.ceil(54 / math.log2(base)) - 1
+        perm = rng.permuted(np.tile(np.arange(base), (count, 1)), axis=1)
+        r = np.divide.accumulate(np.r_[1.0, np.full(count, float(base))])[1:]
+        terms.append(perm * r[:, None])
+    start = 0
+    while True:
+        k = np.arange(start, start + rows)
+        out = np.zeros((d, rows))
+        for term, v in zip(terms, out):
+            base = term.shape[1]
+            top = 0   # levels up to the last index's top digit
+            while top < len(term) and base ** top <= k[-1]:
+                top += 1
+            if top:
+                # partial sums over the lower levels, indexed by k mod base^(top-1)
+                table = np.zeros(1)
+                for level in term[:top - 1]:
+                    table = np.add.outer(level, table).ravel()
+                low = base ** (top - 1)
+                np.add(table[k % low], term[top - 1][k // low % base], out=v)
+            for constant in term[top:, 0]:
+                v += constant
+        yield out.T
+        start += rows
+
+
 def interior_points(profile: Profile, n: int, spec: GridSpec | None = None) -> np.ndarray:
     """Quasi-random interior points, shape ``(spec.points, n)`` complex.
 
@@ -77,10 +133,9 @@ def interior_points(profile: Profile, n: int, spec: GridSpec | None = None) -> n
     # spline-backed profiles are unreliable at the edge of their data range
     xmin = 0.0 if profile.exact_derivatives else 1e-3 * xmax
     # dims: x, theta0, fiber budget, n-1 fiber weights, n-1 fiber phases
-    sampler = qmc.Halton(d=2 * n + 1, scramble=True, seed=spec.seed)
+    blocks = _halton_blocks(2 * n + 1, spec.seed, max(2 * spec.points, 64))
     out = []
-    for _ in range(64):
-        u = sampler.random(max(2 * spec.points, 64))
+    for u in itertools.islice(blocks, 64):
         x = xmin + u[:, 0] * (xmax - xmin)
         f_here = profile.deriv(0, x)
         keep = f_here > delta

@@ -1,8 +1,11 @@
 """CLI: config grammar, dispatch, exit codes, report determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -782,6 +785,54 @@ class TestReportWriter:
             ric = -(n + 1.0) * metric_closed_form(point, prof)
             ric[0, 0] = ric[0, 0].real - record["L"]
             assert ric.tobytes() == ricci_closed_form(point, prof).tobytes()
+
+
+def _decades(lo, hi):
+    """Numbers spread over the decades ``10^lo .. 10^hi``."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+_PROFILE_SECTIONS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("linear"), "c1": _decades(-3, 3),
+                           "c2": st.one_of(st.just(0.0), _decades(-3, 3))}),
+    st.fixed_dictionaries({"kind": st.just("exp"), "scale": _decades(-3, 3)}),
+    st.fixed_dictionaries({"kind": st.just("power"), "p": _decades(-2, 2)}))
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite number {name} in the report")
+
+
+class TestAcceptedInputs:
+    """Random in-range configs: exit 0 or 1 with a finite report, or exit 2 with one line."""
+
+    @pytest.mark.parametrize("command", [c for c in VERDICTS if c != "full-suite"])
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 6), points=st.integers(1, 40), seed=st.integers(0, 2**32),
+           profile=_PROFILE_SECTIONS, a_margin=st.floats(1e-3, 0.999),
+           x_cap=_decades(-2, 3), fd_step=_decades(-6, -1))
+    def test_exit_status_and_output(self, command, n, points, seed, profile, a_margin,
+                                    x_cap, fd_step):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp, "report.json")
+            text = (f"command = {command}\nn = {n}\ngrid.points = {points}\n"
+                    f"grid.seed = {seed}\ngrid.a_margin = {a_margin!r}\n"
+                    f"grid.x_cap = {x_cap!r}\nfd_step = {fd_step!r}\noutput = {out}\n")
+            text += "".join(f"profile.{key} = {value}\n" for key, value in profile.items())
+            cfg = Path(tmp, "c.txt")
+            cfg.write_text(text)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                status = main(["--config", str(cfg), "--quiet"])
+            assert stdout.getvalue() == "", text
+            if status == 2:
+                err = stderr.getvalue()
+                assert err.count("\n") == 1 and err.endswith("\n") and err.strip(), text
+                assert not out.exists(), text
+            else:
+                assert status in (0, 1) and stderr.getvalue() == "", text
+                document = json.loads(out.read_text(), parse_constant=_no_constant)
+                assert document["verdict"] in VERDICTS[command], text
 
 
 def test_console_entry_point(tmp_path):

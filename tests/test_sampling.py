@@ -1,6 +1,10 @@
-"""The interior sample record: one draw shared by the pipelines."""
+"""The interior draw and its sample record: one draw shared by the pipelines."""
 
 import dataclasses
+import hashlib
+import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from hartogs import (
 )
 from hartogs.geometry import _interior
 from hartogs.profiles import MAX_DERIV_ORDER
+from hartogs.sampling import _halton_blocks
 
 SPEC = GridSpec(points=30, seed=5, x_cap=2.5)
 
@@ -137,3 +142,34 @@ class TestInteriorSample:
                 pipeline(linear_profile(1.0, 1.0), 3, s)
             with pytest.raises(ValueError, match="n=3"):
                 pipeline(expp, 2, s)
+
+
+class TestHaltonDraw:
+    """The package's scrambled Halton draw against its oracle, ``scipy.stats.qmc.Halton``."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 1000003, 2**40 + 3])
+    @pytest.mark.parametrize("d", [5, 7, 9, 13, 25])   # n = 2, 3, 4, 6, 12
+    def test_blocks_match_scipy_bit_for_bit(self, d, seed):
+        from scipy.stats import qmc
+        for rows in (1, 63, 64, 1000, 4000):
+            # the second block continues the first, as interior_points draws it
+            oracle = qmc.Halton(d=d, scramble=True, seed=seed)
+            for got in itertools.islice(_halton_blocks(d, seed, rows), 2):
+                want = oracle.random(rows)
+                assert got.shape == (rows, d)
+                assert got.tobytes() == want.tobytes(), (d, seed, rows)
+
+    def test_stream_is_pinned(self):
+        # fixed whatever scipy is installed: two 500-row blocks at d = 13
+        u = np.concatenate(list(itertools.islice(_halton_blocks(13, 1000003, 500), 2)))
+        assert (hashlib.sha256(u.tobytes()).hexdigest()
+                == "615e84100756d6817b3b82f5853d915042ca4066952b80163c984da472935d2e")
+
+    def test_a_run_imports_no_scipy_stats(self):
+        # a fresh interpreter: the package, the CLI and one interior sample
+        code = ("import sys, hartogs, hartogs.cli\n"
+                "hartogs.interior_sample(hartogs.exp_profile(1.0), 3, hartogs.GridSpec(points=20))\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
