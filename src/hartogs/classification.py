@@ -83,10 +83,6 @@ class PullbackReport:
     tol: float
     passed: bool
 
-    def to_json(self) -> dict:
-        return {"c1": self.c1, "c2": self.c2, "n": self.n, "grid": self.grid,
-                "max_error": self.max_error, "tol": self.tol, "passed": self.passed}
-
 
 def pullback_check(c1: float, c2: float, n: int, spec: GridSpec | None = None,
                    tol: float = PULLBACK_TOL) -> PullbackReport:

@@ -48,7 +48,11 @@ from .profiles import Profile, exp_profile, linear_profile, power_profile, table
 from .sampling import GridSpec
 
 __all__ = ["RunConfig", "Tolerances", "parse_config_text", "load_config", "build_profile",
-           "COMMANDS", "VERDICTS"]
+           "COMMANDS", "VERDICTS", "MAX_N"]
+
+# The largest complex dimension a run may ask for; the tests check every
+# closed form against its oracle for each n in 2..MAX_N.
+MAX_N = 12
 
 # Each command's verdicts, the one that counts as success first; ``expect``
 # must name one of its command's verdicts.
@@ -199,8 +203,8 @@ def _text(value, key: str) -> str:
 
 _POSITIVE = ("positive", lambda v: v > 0)
 # The range of each bounded key, by dotted name; its type is its field's.
-_RANGES = {"n": (">= 2", lambda v: v >= 2), "grid.points": (">= 1", lambda v: v >= 1),
-           "grid.seed": (">= 0", lambda v: v >= 0),
+_RANGES = {"n": (f"in 2..{MAX_N}", lambda v: 2 <= v <= MAX_N),
+           "grid.points": (">= 1", lambda v: v >= 1), "grid.seed": (">= 0", lambda v: v >= 0),
            "grid.a_margin": ("in (0, 1)", lambda v: 0 < v < 1), "grid.x_cap": _POSITIVE,
            "fd_step": _POSITIVE, "tolerances.oracle": _POSITIVE,
            "tolerances.extremal": _POSITIVE, "tolerances.classify": _POSITIVE}

@@ -5,8 +5,11 @@ The Ricci matrix of these metrics has a rigid shape: every entry is
 extra scalar correction ``-L(|z_0|^2)``.  So a point and the one float
 ``L`` fix the whole matrix: a :class:`CurvatureRecord` carries ``L``, and
 :func:`ricci_closed_form` is the one way to the matrix.  The scalar
-curvature follows by contraction, and the generalized curvatures are the
-coefficients of the one-variable polynomial ``det(g + t Ric)/det(g)``.
+curvature, its trace against the inverse metric, has one formula,
+``scal = G A - n(n+1)`` with ``G = -L F / B`` read from the radial record.
+The generalized curvatures, the coefficients of the one-variable
+polynomial ``det(g + t Ric)/det(g)``, are each a fixed affine image of
+``scal``, computed from it, so ``rho_0`` is ``scal`` bit for bit.
 
 Each quantity has two routes: the closed form and an independent numeric
 route (finite differences of ``log det``, or the eigenvalues of
@@ -85,25 +88,34 @@ def ricci_numeric(z, profile: Profile, step: float = 1e-3) -> np.ndarray:
 
 
 def scalar_curvature(z, profile: Profile):
-    """Scalar curvature ``-(A/B) F L - n(n+1)``, equivalently ``-n(n+1) + G A``."""
+    """Scalar curvature ``G A - n(n+1)``, with ``G = -L F / B`` from the radial record."""
     p = _interior(z, profile, MAX_DERIV_ORDER)
-    ell = p.L   # raises where B == 0, before the division below
-    out = -(p.A / p.B) * p.F[0] * ell - p.n * (p.n + 1.0)
+    out = p.G * p.A - p.n * (p.n + 1.0)
     return out if np.ndim(out) else float(out)
+
+
+def _rho(scal, n: int) -> np.ndarray:
+    """``rho_0 .. rho_{n-1}`` from the scalar curvature, on the last axis.
+
+    ``rho_k = c_k ((n(n+1)/(k+1) - n(n+1)) - scal)`` with
+    ``c_k = (n+1)^k (-1)^(k+1) C(n-1, k)``; for ``k = 0`` the bracket is
+    ``0.0 - scal`` and ``c_0 = -1``, so ``rho_0`` is ``scal`` bit for bit.
+    """
+    ks = np.arange(n)
+    c = (n + 1.0) ** ks * (-1.0) ** (ks + 1) * np.array([comb(n - 1, k) for k in range(n)])
+    nn = n * (n + 1.0)
+    return c * ((nn / (ks + 1.0) - nn) - np.asarray(scal)[..., None])
 
 
 def generalized_scalars_closed(z, profile: Profile) -> np.ndarray:
     """Generalized curvatures ``rho_0 .. rho_{n-1}`` in closed form.
 
-    ``rho_k = (n+1)^k (-1)^(k+1) C(n-1, k) [ n(n+1)/(k+1) + A F L / B ]``;
-    the k = 0 entry is the scalar curvature.
+    Each is an affine image of the scalar curvature ``scal``:
+    ``rho_k = (n+1)^k (-1)^(k+1) C(n-1, k) [ n(n+1)/(k+1) - n(n+1) - scal ]``,
+    and ``rho_0`` is :func:`scalar_curvature` bit for bit.
     """
     p = _interior(z, profile, MAX_DERIV_ORDER)
-    n = p.n
-    lam = p.A * p.F[0] * p.L / p.B
-    ks = np.arange(n)
-    pref = (n + 1.0) ** ks * (-1.0) ** (ks + 1) * np.array([comb(n - 1, k) for k in range(n)])
-    return pref * (n * (n + 1.0) / (ks + 1.0) + np.asarray(lam)[..., None])
+    return _rho(scalar_curvature(p, profile), p.n)
 
 
 def curvature_polynomial_coefficients(metric: np.ndarray, ricci: np.ndarray) -> np.ndarray:
@@ -168,10 +180,6 @@ def curvature_record(z, profile: Profile) -> CurvatureRecord:
     ``i`` of the batch equals the record of point ``i``.
     """
     p = _interior(z, profile, MAX_DERIV_ORDER)
-    ell = p.L
-    return CurvatureRecord(
-        point=p.points,
-        L=ell if np.ndim(ell) else float(ell),
-        scal=scalar_curvature(p, profile),
-        rho=generalized_scalars_closed(p, profile),
-    )
+    ell, scal = p.L, scalar_curvature(p, profile)
+    return CurvatureRecord(point=p.points, L=ell if np.ndim(ell) else float(ell),
+                           scal=scal, rho=_rho(scal, p.n))

@@ -89,9 +89,6 @@ class Profile:
         """k-th derivative ``F^(k)(x)``; the last entry of ``derivs(x, k)``."""
         return self.derivs(x, k)[k]
 
-    def __call__(self, x):
-        return self.deriv(0, x)
-
     def describe(self) -> dict:
         """JSON-ready description of the profile."""
         x0 = self.x0 if math.isfinite(self.x0) else "inf"

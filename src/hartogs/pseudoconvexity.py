@@ -3,12 +3,13 @@
 With defining function ``rho = |z_1|^2 + ... + |z_{n-1}|^2 - F(|z_0|^2)``,
 the boundary of the domain is strongly pseudoconvex at a point exactly
 when the Levi form of ``rho`` is positive on the complex tangent space.
-On the stratum ``z_0 != 0`` the tangency condition can be solved for
-``X_0``, giving a restricted Levi form in the fiber components alone; at
+Where ``F' z~_0 != 0`` the tangency condition can be solved for ``X_0``,
+giving a restricted Levi form in the fiber components alone.  At
 ``z_0 = 0`` the Levi form is positive on all of C^n and no restriction is
-needed.  The sampled equivalence test plays the sign of the restricted
-Levi form against the sign of the Kaehler admissibility indicator
-``(x F'/F)'``.
+needed; where ``F' = 0`` the condition leaves ``X_0`` free, and the Levi
+form on ``e_0 = (1, 0, ..., 0)`` is ``-T``.  The sampled equivalence test
+plays the sign of the restricted Levi form against the sign of the
+Kaehler admissibility indicator ``(x F'/F)'``.
 """
 
 from __future__ import annotations
@@ -95,6 +96,22 @@ def boundary_point(profile: Profile, z0, direction) -> BoundaryPoint:
     return BoundaryPoint(x=x, F=table, coords=coords, normal=normal)
 
 
+def _solvable(point: BoundaryPoint) -> None:
+    """Raises ``DomainError`` where ``F' z~_0 == 0``: the solve for ``X_0`` degenerates there."""
+    if np.any(point.z0 == 0):
+        raise DomainError("z_0 = 0 stratum: tangency solve degenerates; "
+                          "test the unrestricted Levi form instead")
+    if np.any(point.F[1] == 0):
+        raise DomainError("F' = 0 stratum: tangency leaves X_0 free; "
+                          "test the Levi form on e_0 instead")
+
+
+def _rows(point: BoundaryPoint, rows) -> BoundaryPoint:
+    """The boundary points ``rows`` (an index along the leading axis) of ``point``."""
+    return BoundaryPoint(x=point.x[rows], F=tuple(f[rows] for f in point.F),
+                         coords=point.coords[rows], normal=point.normal[rows])
+
+
 def levi_form(point: BoundaryPoint, x_vec):
     """Levi form of ``rho`` at the point, applied to ``x_vec``.
 
@@ -115,14 +132,13 @@ def tangent_vector(point: BoundaryPoint, y) -> np.ndarray:
 
     Solves the tangency condition
     ``-F' z~_0 X_0 + z~_1 X_1 + ... + z~_{n-1} X_{n-1} = 0`` for ``X_0``,
-    with ``F'`` from the point's table.  Requires ``z_0 != 0``; at the
-    ``z_0 = 0`` stratum the Levi form is positive without restriction, so
-    use :func:`levi_form` directly there.  ``y`` of shape ``(..., n-1)``
+    with ``F'`` from the point's table.  Requires ``F' z~_0 != 0``; at the
+    ``z_0 = 0`` stratum the Levi form is positive without restriction, and
+    where ``F' = 0`` ``X_0`` is free, so use :func:`levi_form` directly
+    there (``DomainError`` otherwise).  ``y`` of shape ``(..., n-1)``
     broadcasts against the point's leading axes.
     """
-    if np.any(point.z0 == 0):
-        raise DomainError("z_0 = 0 stratum: tangency solve degenerates; "
-                          "test the unrestricted Levi form instead")
+    _solvable(point)
     y = np.asarray(y, dtype=complex)
     f1 = point.F[1]
     pairing = np.sum(np.conj(point.fiber) * y, axis=-1)
@@ -138,10 +154,10 @@ def restricted_levi(point: BoundaryPoint, y):
     ``sum |Y_k|^2 - (T/(F'^2 x)) |<z_fiber, Y>|^2`` with ``x = |z_0|^2``,
     ``F'`` and ``T = F' + F'' x`` from the point's record, and the
     pairing ``<z, Y> = sum z~_k Y_k``.  ``y`` of shape ``(..., n-1)``
-    broadcasts against the point's leading axes.
+    broadcasts against the point's leading axes.  Like :func:`tangent_vector`,
+    raises ``DomainError`` where ``F' z~_0 == 0``.
     """
-    if np.any(point.z0 == 0):
-        raise DomainError("z_0 = 0 stratum: use the unrestricted Levi form")
+    _solvable(point)
     y = np.asarray(y, dtype=complex)
     pairing = np.sum(np.conj(point.fiber) * y, axis=-1)
     out = (np.sum(np.square(np.abs(y)), axis=-1)
@@ -184,9 +200,12 @@ def equivalence_check(profile: Profile, n: int = 2,
     (:func:`hartogs.sampling.boundary_samples`).  At every boundary point
     the restricted Levi form is evaluated both on the random tangent
     direction and on the fiber-aligned direction (the worst case of the
-    Cauchy-Schwarz bound).  Verdict is CONSISTENT when "restricted Levi
-    positive at all samples" agrees with "indicator negative at all
-    samples", i.e. when the sampled equivalence holds in either direction.
+    Cauchy-Schwarz bound).  Where ``F' = 0`` tangency leaves ``X_0``
+    free, so both entries of that sample are the Levi form on ``e_0``,
+    ``-T``, and its reported direction (the fiber part) is zero.  Verdict
+    is CONSISTENT when "restricted Levi positive at all samples" agrees
+    with "indicator negative at all samples", i.e. when the sampled
+    equivalence holds in either direction.
     The worst sample is the first one in draw order (tangent direction
     before fiber-aligned); a NaN or inf raises ``NumericError``.
     """
@@ -196,7 +215,11 @@ def equivalence_check(profile: Profile, n: int = 2,
     pts = boundary_point(profile, z0[:, None], fiber_dir[:, None])
     aligned = pts.fiber / _norm(pts.fiber)[..., None]
     directions = np.concatenate([tangent_dir[:, None], aligned], axis=1)
-    levi = restricted_levi(pts, directions)
+    free = pts.F[1][:, 0] == 0.0   # X_0 free: the Levi form on e_0 there
+    directions[free] = 0.0
+    levi = np.empty(directions.shape[:-1])
+    levi[~free] = restricted_levi(_rows(pts, ~free), directions[~free])
+    levi[free] = levi_form(_rows(pts, free), np.eye(n)[0])
     ind = kahler_indicator(profile, x)
     if not (np.all(np.isfinite(levi)) and np.all(np.isfinite(ind))):
         raise NumericError("non-finite restricted Levi form or Kaehler indicator")

@@ -34,7 +34,7 @@ from hartogs import (
     scalar_curvature,
     wirtinger_hessian,
 )
-from hartogs.config import RunConfig
+from hartogs.config import MAX_N, RunConfig
 from hartogs.cli import run as cli_run
 from hartogs.geometry import det_closed_form
 
@@ -44,7 +44,7 @@ PROFILES = {
     "exp": exp_profile(1.0),
     "power(2)": power_profile(2.0),
 }
-DIMS = range(2, 13)
+DIMS = range(2, MAX_N + 1)
 SPEC = GridSpec(points=200, seed=7, a_margin=0.05)
 FD_STEP = 2.5e-4   # keeps FD truncation below tolerance at the gap margin
 

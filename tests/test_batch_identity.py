@@ -29,6 +29,7 @@ from hartogs import (
     table_profile,
     tangent_vector,
 )
+from hartogs.config import MAX_N
 
 _XS = np.linspace(0.0, 3.0, 200)
 PROFILES = {
@@ -78,7 +79,7 @@ def _mismatches(batch, singles) -> list:
 
 
 @pytest.mark.parametrize("name", list(PROFILES))
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, MAX_N + 1))
 def test_single_calls_equal_the_batch(name, n):
     prof = PROFILES[name]
     pts = interior_points(prof, n, GridSpec(points=POINTS, seed=n))

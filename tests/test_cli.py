@@ -16,6 +16,7 @@ import hartogs.cli
 from hartogs.cli import _records_text, main
 from hartogs.curvature import CurvatureRecord
 from hartogs.config import (
+    MAX_N,
     VERDICTS,
     ConfigError,
     build_profile,
@@ -91,6 +92,18 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "grid.x_cap" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["curvature-report", "full-suite"])
+    def test_n_above_max_exit_2(self, tmp_path, capsys, command):
+        # n is bounded above as well: the closed forms are checked for n in 2..MAX_N
+        profile = "" if command == "full-suite" else "profile.kind = exp\n"
+        cfg = write_config(tmp_path, "bad.txt", f"command = {command}\n{profile}"
+                           f"n = {MAX_N + 1}\ngrid.points = 5\n")
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: n must be in 2..{MAX_N}, got {MAX_N + 1}\n")
+        ok = write_config(tmp_path, "ok.txt", f"command = {command}\n{profile}n = {MAX_N}\n")
+        assert load_config(ok).n == MAX_N
 
     @pytest.mark.parametrize("command", ["check-kahler", "classify", "pseudoconvexity-test",
                                          "full-suite"])
@@ -252,6 +265,23 @@ class TestCommands:
         assert doc["config"]["profile"]["c1"] == 1.0
         assert doc["config"]["grid"]["points"] == 80
         assert "HYPERBOLIC" in capsys.readouterr().out
+
+    def test_levi_test_on_the_flat_stratum(self, tmp_path, capsys):
+        # linear(1, 0) has F' = 0 everywhere: the tangency condition leaves X_0
+        # free, the Levi form on e_0 is -T = 0, and the sampled equivalence holds
+        out = tmp_path / "rep.json"
+        body = ("profile.kind = linear\nprofile.c1 = 1\nprofile.c2 = 0\n"
+                f"n = 2\ngrid.points = 20\noutput = {out}\n")
+        cfg = write_config(tmp_path, "c.txt", "command = pseudoconvexity-test\n" + body)
+        assert main(["--config", cfg, "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())["report"]
+        assert report["verdict"] == "CONSISTENT"
+        assert report["min_levi"] <= 0.0 and report["max_indicator"] >= 0.0
+        assert report["argmin"]["direction"] == [0.0, 0.0]
+        cfg = write_config(tmp_path, "k.txt", "command = check-kahler\n" + body)
+        assert main(["--config", cfg, "--quiet"]) == 1
+        assert json.loads(out.read_text())["verdict"] == "NOT_KAHLER"
 
     def test_expectation_matching(self, tmp_path):
         base = ("command = extremal-test\n"

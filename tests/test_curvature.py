@@ -19,6 +19,7 @@ from hartogs import (
     scalar_curvature,
     table_profile,
 )
+from hartogs.config import MAX_N
 
 
 class TestRicci:
@@ -53,7 +54,7 @@ class TestRicci:
         # is not (wiggle's non-admissible points), the batch call and the
         # call on such a point both raise
         for name, prof in oracle_profiles.items():
-            for n in range(2, 13):
+            for n in range(2, MAX_N + 1):
                 pts = interior_points(prof, n, GridSpec(points=3, seed=n))
                 single, failed = [], 0
                 for z in pts:
@@ -111,7 +112,7 @@ class TestScalarCurvature:
                 assert np.max(np.abs(traced.real - direct)) <= 1e-10, (name, n)
 
     def test_two_groupings_agree(self, builtin_profiles, wiggle, grid_small):
-        # -(A/B) F L - n(n+1) against the regrouping -n(n+1) + G A, G = -L F / B
+        # G A - n(n+1), G = -L F / B, against the grouping -(A/B) F L - n(n+1)
         xs = np.linspace(0.0, 2.0, 200)
         table = table_profile(xs, np.exp(-xs - 0.1 * xs ** 2))
         profiles = dict(builtin_profiles, wiggle=wiggle, table=table)
@@ -121,7 +122,7 @@ class TestScalarCurvature:
                 scal = scalar_curvature(pts, prof)
                 rad = radial_coefficients(prof, np.abs(pts[:, 0]) ** 2)
                 a = rad.F[0] - np.sum(np.abs(pts[:, 1:]) ** 2, axis=1)
-                regrouped = -n * (n + 1.0) + rad.G * a
+                regrouped = -(a / rad.B) * rad.F[0] * rad.L - n * (n + 1.0)
                 assert np.all(np.abs(scal - regrouped) <= 1e-12 * (1.0 + np.abs(scal))), (name, n)
 
     def test_depends_only_on_radii(self, expp):
@@ -148,6 +149,18 @@ class TestGeneralizedScalars:
                 scal = scalar_curvature(pts, prof)
                 assert np.max(np.abs(rho[..., 0] - scal)) <= 1e-12, (name, n)
 
+    @pytest.mark.parametrize("n", range(2, MAX_N + 1))
+    def test_rho0_is_scal_bit_for_bit(self, builtin_profiles, n):
+        # rho is computed from scal, so rho_0 is scal itself, in both entry points
+        for name, prof in builtin_profiles.items():
+            pts = interior_points(prof, n, GridSpec(points=200, seed=7))
+            scal = scalar_curvature(pts, prof)
+            np.testing.assert_array_equal(generalized_scalars_closed(pts, prof)[:, 0], scal,
+                                          err_msg=name)
+            rec = curvature_record(pts, prof)
+            np.testing.assert_array_equal(rec.scal, scal, err_msg=name)
+            np.testing.assert_array_equal(rec.rho[:, 0], scal, err_msg=name)
+
     def test_exponential_rho0(self, expp):
         rho = generalized_scalars_closed(np.array([1.0, 0.0], complex), expp)
         assert rho[0] == pytest.approx(-4.0, abs=1e-8)
@@ -162,7 +175,7 @@ class TestGeneralizedScalars:
                     assert np.max(np.abs(closed - poly)) <= 1e-8, (name, n)
 
     def test_poly_route_matches_closed_up_to_n12(self, oracle_profiles):
-        for n in range(2, 13):
+        for n in range(2, MAX_N + 1):
             for name, prof in oracle_profiles.items():
                 pts = interior_points(prof, n, GridSpec(points=20, seed=n))
                 closed = generalized_scalars_closed(pts, prof)

@@ -20,6 +20,7 @@ from hartogs import (
     scalar_curvature,
     table_profile,
 )
+from hartogs.config import MAX_N
 
 
 def dbar_reference(z, profile, step):
@@ -99,7 +100,7 @@ class TestHamiltonianField:
             x = hamiltonian_field(np.zeros(n, complex), expp)
             assert np.max(np.abs(x)) == 0.0
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, MAX_N + 1))
     def test_against_matrix_route(self, field_profiles, n):
         # the radial field (A^2/B)(r1 z_0, r2 z') against the inverse metric
         # contracted with the gradient, and against the solution of h^T X = grad
@@ -136,7 +137,7 @@ class TestResidual:
         # a (1, n) batch away from the grid
         assert np.max(np.abs(dbar_jacobian(np.array([[0.2, 0.3]], complex), lin11))) == 0.0
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, MAX_N + 1))
     def test_shared_record_matches_pointwise_field(self, field_profiles, n):
         # the oracle on the shared stencil engine against a stencil written out
         # here, which evaluates hamiltonian_field at every stencil point; its

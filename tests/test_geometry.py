@@ -1,5 +1,7 @@
 """Geometry closed forms against finite-difference and linear-algebra oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from hartogs import (
     boundary_samples,
     curvature_record,
     det_closed_form,
+    exp_profile,
     grid_csv_header,
     grid_csv_rows,
     hamiltonian_field,
@@ -22,15 +25,43 @@ from hartogs import (
     linear_profile,
     metric_closed_form,
     potential,
+    power_profile,
     principal_minor,
+    profile_from_function,
     radial_coefficients,
     ricci_closed_form,
     scalar_curvature,
+    table_profile,
     wirtinger_hessian,
+    x_grid,
     GridSpec,
 )
+from hartogs.config import MAX_N
 from hartogs.extremal import dbar_jacobian
+from hartogs.jets import Jet
 from conftest import l_coefficient_fd
+
+
+def _jet_derivative(jet):
+    """The jet of ``f'`` from the jet of ``f``, one order lower."""
+    return Jet([k * c for k, c in enumerate(jet.coeffs) if k])
+
+
+def _upto(jet, order):
+    """``jet`` truncated to ``order``."""
+    return Jet(jet.coeffs[:order + 1])
+
+
+_TABLE_XS = np.linspace(0.0, 3.0, 200)
+JET_PROFILES = {
+    "exp(1)": lambda: exp_profile(1.0),
+    "exp(3)": lambda: exp_profile(3.0),
+    "power(2)": lambda: power_profile(2.0),
+    "power(3.5)": lambda: power_profile(3.5),
+    "jet": lambda: profile_from_function(lambda j: (-j - j * j * 0.25).exp(),
+                                         x0=float("inf"), name="gauss"),
+    "table": lambda: table_profile(_TABLE_XS, np.exp(-_TABLE_XS - 0.1 * _TABLE_XS ** 2)),
+}
 
 
 def leading_minors_positive(h):
@@ -132,7 +163,7 @@ class TestWirtingerHessian:
     def test_batch_equals_single_points(self, oracle_profiles):
         # one stencil evaluation for the batch gives each point's Hessian bit for bit
         for name, prof in oracle_profiles.items():
-            for n in range(2, 13):
+            for n in range(2, MAX_N + 1):
                 pts = interior_points(prof, n, GridSpec(points=3, seed=n))
                 batch = wirtinger_hessian(lambda p: potential(p, prof), pts, 1e-3)
                 single = [wirtinger_hessian(lambda p: potential(p, prof), z, 1e-3) for z in pts]
@@ -289,6 +320,27 @@ class TestCoefficientBundle:
         with pytest.raises(SingularCoefficientError):
             radial_coefficients(constant_profile, 0.3)
 
+    @pytest.mark.parametrize("name", list(JET_PROFILES))
+    def test_block_against_taylor_jets(self, name):
+        # an oracle independent of the closed expansion: Taylor arithmetic on
+        # the profile's own table gives B to order 3, then L = (x B'/B)' and
+        # G = -L F / B to order 1 (B'/B, not log B, so B < 0 works too)
+        prof = JET_PROFILES[name]()
+        xs = x_grid(prof, 2001)
+        table = prof.derivs(xs, MAX_DERIV_ORDER)
+        f = Jet([d / math.factorial(k) for k, d in enumerate(table)])
+        f1 = _jet_derivative(f)
+        f, f1, f2 = _upto(f, 3), _upto(f1, 3), _jet_derivative(f1)
+        x = Jet([xs, np.ones_like(xs), np.zeros_like(xs), np.zeros_like(xs)])
+        b = f1 * f1 * x - f * (f1 + f2 * x)
+        ell = _jet_derivative(_upto(x, 2) * _jet_derivative(b) / _upto(b, 2))
+        g = -ell * _upto(f, 1) / _upto(b, 1)
+        rad = radial_coefficients(prof, xs)
+        for label, jet, closed in (("L", ell.coeffs[0], rad.L), ("G", g.coeffs[0], rad.G),
+                                   ("L'", ell.coeffs[1], rad.dL), ("G'", g.coeffs[1], rad.dG)):
+            gap = np.abs(jet - closed) / (1.0 + np.abs(closed))
+            assert np.max(gap) <= 1e-9, (name, label, float(np.max(gap)))
+
 
 class TestPositivity:
     def test_admissible_profiles_positive_definite(self, builtin_profiles, sample_points):
@@ -359,7 +411,7 @@ def test_hermitize_exactness(seed):
     assert np.array_equal(h, np.conj(h.T))
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, MAX_N + 1))
 def test_closed_forms_are_exactly_hermitian(oracle_profiles, n):
     # the closed forms write conjugate entries in conjugate slots, so on
     # sampled points symmetrizing them changes no byte (a flipped signed zero

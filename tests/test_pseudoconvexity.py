@@ -1,5 +1,7 @@
 """Boundary Levi form, tangent solve, and the sampled equivalence test."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,15 @@ class TestTangentVector:
         with pytest.raises(DomainError):
             restricted_levi(bp, np.array([1.0]))
 
+    def test_flat_stratum_signals(self, constant_profile):
+        # F' = 0: the tangency condition leaves X_0 free, so the solve for it
+        # degenerates like at z_0 = 0; the Levi form on e_0 is -T
+        bp = boundary_point(constant_profile, 0.5 + 0.5j, np.array([1.0, 1.0j]))
+        for fn in (tangent_vector, restricted_levi):
+            with pytest.raises(DomainError, match=r"^F' = 0 stratum: [^\n]*$"):
+                fn(bp, np.array([1.0, 0.0]))
+        assert levi_form(bp, np.array([1.0, 0.0, 0.0])) == -bp.T == 0.0
+
 
 class TestRestrictedLevi:
     def test_equals_levi_on_tangent(self, builtin_profiles):
@@ -214,6 +225,35 @@ class TestEquivalenceCheck:
         assert rep.max_indicator > 0.0
         x_star = abs(rep.argmin_point[0]) ** 2
         assert kahler_indicator(wiggle, x_star) > 0.0   # flagged inside the bad interval
+
+    def test_flat_profile(self, constant_profile):
+        # every sample on the F' = 0 stratum: the Levi form on e_0 is 0, so
+        # neither positivity holds and the verdict is CONSISTENT
+        rep = equivalence_check(constant_profile, 3, GridSpec(points=30, seed=1))
+        assert rep.verdict == "CONSISTENT"
+        assert rep.min_levi == 0.0 and rep.max_indicator == 0.0
+        np.testing.assert_array_equal(rep.argmin_direction, np.zeros(2))
+
+    def test_flat_stratum_in_a_mixed_batch(self):
+        # F' = 0 for x <= 1 only: those samples take the Levi form on e_0,
+        # -T = 0, and the others the restricted form, positive here
+        def deriv(k, x):
+            u = np.maximum(np.asarray(x) - 1.0, 0.0)
+            return (1.0 if k == 0 else 0.0) - math.perm(6, k) * u ** (6 - k)
+
+        prof = make_custom(deriv, x0=2.0, name="flat-then-bent")
+        spec = GridSpec(points=40, seed=3)
+        x, z0, fiber, tangent = boundary_samples(prof, 3, spec)
+        flat = x <= 1.0
+        assert flat.any() and not flat.all()
+        rep = equivalence_check(prof, 3, spec)
+        assert rep.verdict == "CONSISTENT" and rep.min_levi == 0.0
+        assert rep.argmin_point[0] == z0[np.argmax(flat)]
+        np.testing.assert_array_equal(rep.argmin_direction, np.zeros(2))
+        # the two directions of the bent samples, as the check draws them
+        bent = boundary_point(prof, z0[~flat], fiber[~flat])
+        assert np.all(restricted_levi(bent, tangent[~flat]) > 0.0)
+        assert np.all(restricted_levi(bent, bent.fiber) > 0.0)
 
     def test_two_derivative_tables(self, expp, monkeypatch):
         # the boundary batch's table and the indicator's: the Levi form reads the former

@@ -41,7 +41,7 @@ def python_blocks():
 
 def test_python_blocks_run(tmp_path, capsys):
     # the quick example prints the oracle gap, the scalar curvature and the verdict
-    quick, rebuild = python_blocks()
+    quick, rebuild, rho_rebuild = python_blocks()
     exec(quick, {})
     gap, _, verdict = capsys.readouterr().out.splitlines()
     assert float(gap) < 1e-8 and verdict == "NON_CONSTANT_CURVATURE"
@@ -59,6 +59,10 @@ def test_python_blocks_run(tmp_path, capsys):
         scope = {"np": np, "hg": hartogs, "rec": rec, "prof": prof}
         exec(rebuild, scope)
         assert scope["ric"].tobytes() == hartogs.ricci_closed_form(scope["z"], prof).tobytes()
+        # the rho rebuild reads the record's scal and point alone
+        scope = {"rec": {"point": rec["point"], "scal": rec["scal"]}}
+        exec(rho_rebuild, scope)
+        assert scope["rho"] == rec["rho"]
 
 
 def test_config_block_runs(tmp_path, monkeypatch):
