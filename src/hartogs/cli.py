@@ -1,10 +1,11 @@
 """Command-line front end: runs a configured pipeline and writes JSON reports.
 
 Exit status: 0 when the verdict matches expectations, 1 on verdict
-failure, 2 on configuration, numeric and write errors.  A run draws each
-interior grid once (:func:`~hartogs.sampling.interior_sample`, on first
-use) and passes the sample to its pipelines, its closed forms and the
-grid dump in place of the points; it runs under
+failure, 2 on configuration, numeric and write errors.  The runners, their
+pipelines and the grid dump take the interior grid from
+:func:`~hartogs.sampling.interior_sample` under ``cfg.grid``, which keeps
+the last sample, so a run draws each grid once and its closed forms read
+the sample in place of the points; it runs under
 ``np.errstate(divide="raise", invalid="raise", over="raise")``, and a
 floating-point error (a division by zero, an invalid operation or an
 overflow; underflow stays ignored) is a ``NumericError``.  Reports are
@@ -20,11 +21,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import json
 import sys
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -53,7 +52,7 @@ from .profiles import (
     power_profile,
 )
 from .pseudoconvexity import equivalence_check
-from .sampling import InteriorSample, interior_sample, x_grid
+from .sampling import interior_sample, x_grid
 
 SCHEMA_VERSION = 2
 
@@ -68,24 +67,17 @@ _SUITE_PROFILES = (
 )
 
 
-_Sampler = Callable[[], InteriorSample]
-
-
-def _sampler(cfg: RunConfig, profile: Profile) -> _Sampler:
-    """The run's interior sample of ``profile``, drawn on the first call only."""
-    return functools.cache(functools.partial(interior_sample, profile, cfg.n, cfg.grid))
-
-
 def _curve_x(cfg: RunConfig, profile: Profile) -> np.ndarray:
     """The abscissae of the Kaehler-indicator sweep and of the curve dump."""
     return x_grid(profile, max(cfg.grid.points, 101), cfg.grid)
 
 
-def _run_check_kahler(cfg: RunConfig, profile: Profile, sample: _Sampler) -> tuple[dict, str]:
+def _run_check_kahler(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
     xs = _curve_x(cfg, profile)
     ind = kahler_indicator(profile, xs)
     max_ind = float(np.max(ind))
-    min_eig = float(np.min(np.linalg.eigvalsh(metric_closed_form(sample(), profile))))
+    h = metric_closed_form(interior_sample(profile, cfg.n, cfg.grid), profile)
+    min_eig = float(np.min(np.linalg.eigvalsh(h)))
     verdict = "KAHLER" if max_ind < 0.0 else "NOT_KAHLER"
     report = {
         "max_indicator": max_ind,
@@ -147,9 +139,8 @@ def _dumps(document: dict) -> str:
     return head + _RECORDS_SLOT.replace("[]", _records_text(records)) + tail
 
 
-def _run_curvature_report(cfg: RunConfig, profile: Profile,
-                          sample: _Sampler) -> tuple[dict, str]:
-    s = sample()
+def _run_curvature_report(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
+    s = interior_sample(profile, cfg.n, cfg.grid)
     batch = curvature_record(s, profile)
     h = metric_closed_form(s, profile)
     # oracle deviations; FD Hessians only on a subsample, they dominate the cost.
@@ -185,20 +176,19 @@ def _run_curvature_report(cfg: RunConfig, profile: Profile,
     return report, "PASS" if ok else "FAIL"
 
 
-def _run_extremal(cfg: RunConfig, profile: Profile, sample: _Sampler) -> tuple[dict, str]:
-    rep = extremal_report(profile, cfg.n, sample(), step=cfg.fd_step,
+def _run_extremal(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
+    rep = extremal_report(profile, cfg.n, cfg.grid, step=cfg.fd_step,
                           tol=cfg.tolerances.extremal)
     return rep.to_json(), rep.verdict
 
 
-def _run_pseudoconvexity(cfg: RunConfig, profile: Profile,
-                         sample: _Sampler) -> tuple[dict, str]:
+def _run_pseudoconvexity(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
     rep = equivalence_check(profile, cfg.n, cfg.grid)   # boundary samples only
     return rep.to_json(), rep.verdict
 
 
-def _run_classify(cfg: RunConfig, profile: Profile, sample: _Sampler) -> tuple[dict, str]:
-    rep = classify(profile, cfg.n, sample(), tol=cfg.tolerances.classify)
+def _run_classify(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
+    rep = classify(profile, cfg.n, cfg.grid, tol=cfg.tolerances.classify)
     return rep.to_json(), rep.verdict
 
 
@@ -207,11 +197,10 @@ def _run_full_suite(cfg: RunConfig) -> tuple[dict, str]:
     ok = True
     for label, make, is_linear in _SUITE_PROFILES:
         profile = make()
-        sample = _sampler(cfg, profile)
-        positivity, kahler = _run_check_kahler(cfg, profile, sample)
-        cls, cls_verdict = _run_classify(cfg, profile, sample)
-        ext, ext_verdict = _run_extremal(cfg, profile, sample)
-        _, pc_verdict = _run_pseudoconvexity(cfg, profile, sample)
+        positivity, kahler = _run_check_kahler(cfg, profile)
+        cls, cls_verdict = _run_classify(cfg, profile)
+        ext, ext_verdict = _run_extremal(cfg, profile)
+        _, pc_verdict = _run_pseudoconvexity(cfg, profile)
         expected_cls = "HYPERBOLIC" if is_linear else "NON_CONSTANT_CURVATURE"
         expected_ext = "EXTREMAL" if is_linear else "NOT_EXTREMAL"
         row_ok = (kahler == "KAHLER" and positivity["positivity_agrees"]
@@ -264,10 +253,9 @@ def _execute(cfg: RunConfig, base_dir: Path | None) -> tuple[dict, str]:
     if cfg.command == "full-suite":
         return _run_full_suite(cfg)
     profile = build_profile(cfg.profile, base_dir)
-    sample = _sampler(cfg, profile)
-    report, verdict = _RUNNERS[cfg.command](cfg, profile, sample)
+    report, verdict = _RUNNERS[cfg.command](cfg, profile)
     if cfg.csv_dump:
-        rows = grid_csv_rows(sample(), profile)
+        rows = grid_csv_rows(interior_sample(profile, cfg.n, cfg.grid), profile)
         header = ",".join(grid_csv_header(cfg.n))
         with _writing(cfg.csv_dump):
             np.savetxt(cfg.csv_dump, rows, delimiter=",", header=header, comments="")

@@ -85,6 +85,14 @@ def _nonsingular(b):
     return b
 
 
+def _kept(a):
+    """``a`` made read-only if it is an array: a record's coefficients are
+    shared by every reader of the record."""
+    if isinstance(a, np.ndarray):
+        a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class RadialCoefficients:
     """Coefficients of the geometry that depend on ``x = |z_0|^2`` alone.
@@ -102,7 +110,8 @@ class RadialCoefficients:
     where ``B == 0``, so a record exists where ``B`` vanishes.  ``L`` and
     ``L'`` are expanded in ``B`` and its first three derivatives (the third
     involves ``F^(5)``, which is why profiles carry five orders), so
-    built-in profiles evaluate them in closed form.
+    built-in profiles evaluate them in closed form.  The kept arrays are
+    read-only.
     """
 
     x: np.ndarray
@@ -110,11 +119,11 @@ class RadialCoefficients:
 
     @functools.cached_property
     def T(self):
-        return self.F[1] + self.F[2] * self.x
+        return _kept(self.F[1] + self.F[2] * self.x)
 
     @functools.cached_property
     def B(self):
-        return np.square(self.F[1]) * self.x - self.F[0] * self.T
+        return _kept(np.square(self.F[1]) * self.x - self.F[0] * self.T)
 
     @functools.cached_property
     def _curvature_terms(self) -> tuple:
@@ -130,7 +139,7 @@ class RadialCoefficients:
         ell1 = 2.0 * r2 + x * (b3 / b - 3.0 * b1 * b2 / np.square(b) + 2.0 * np.power(r1, 3))
         g = -ell * f / b
         g1 = -(ell1 * f + ell * f1) / b + ell * f * b1 / np.square(b)
-        return ell, g, ell1, g1
+        return tuple(map(_kept, (ell, g, ell1, g1)))
 
     L = property(lambda self: self._curvature_terms[0])
     G = property(lambda self: self._curvature_terms[1])

@@ -46,10 +46,18 @@ class Jet:
         cs = [_as_coeff(other, shape)] + [np.zeros(shape) for _ in range(self.order)]
         return Jet(cs)
 
-    # -- ring operations -------------------------------------------------
+    def _operands(self, other) -> tuple[list, list]:
+        """The coefficients of ``self`` and of ``other`` (a jet or a constant),
+        both cut to the lower of their orders: the higher terms of the
+        longer jet are not determined by the shorter one."""
+        o = self._lift(other).coeffs
+        k = min(len(self.coeffs), len(o))
+        return self.coeffs[:k], o[:k]
+
+    # -- ring operations (the order of the result is the lower one) -----------
     def __add__(self, other):
-        o = self._lift(other)
-        return Jet([a + b for a, b in zip(self.coeffs, o.coeffs)])
+        f, g = self._operands(other)
+        return Jet([a + b for a, b in zip(f, g)])
 
     __radd__ = __add__
 
@@ -63,23 +71,17 @@ class Jet:
         return self._lift(other) - self
 
     def __mul__(self, other):
-        o = self._lift(other)
-        K = self.order
-        out = []
-        for k in range(K + 1):
-            s = sum(self.coeffs[j] * o.coeffs[k - j] for j in range(k + 1))
-            out.append(s)
-        return Jet(out)
+        f, g = self._operands(other)
+        return Jet([sum(f[j] * g[k - j] for j in range(k + 1)) for k in range(len(f))])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        K = self.order
+        f, g = self._operands(other)
         out = []
-        for k in range(K + 1):
-            s = self.coeffs[k] - sum(out[j] * o.coeffs[k - j] for j in range(k))
-            out.append(s / o.coeffs[0])
+        for k in range(len(f)):
+            s = f[k] - sum(out[j] * g[k - j] for j in range(k))
+            out.append(s / g[0])
         return Jet(out)
 
     def __rtruediv__(self, other):

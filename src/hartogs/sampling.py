@@ -12,7 +12,9 @@ An :class:`InteriorSample` is one interior draw as the point-batch record
 that every closed form reads (:func:`interior_sample`).  The closed forms
 take it in place of points and the pipelines in place of a ``GridSpec``,
 so one run draws each grid, evaluates its derivative table and builds
-its radial coefficients once.
+its radial coefficients once.  The last sample drawn is kept, so callers
+that pass the same profile, ``n`` and ``GridSpec`` share it, and
+:func:`interior_points` returns its read-only points.
 
 Boundary samples for the Levi-form test are three block draws from a
 seeded ``numpy`` generator (:func:`boundary_samples`).  Both samplers take
@@ -21,7 +23,6 @@ seeded ``numpy`` generator (:func:`boundary_samples`).  Both samplers take
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, asdict
 
@@ -78,83 +79,104 @@ def _primes(count: int) -> list:
     return primes
 
 
-def _halton_blocks(d: int, seed: int, rows: int):
-    """Successive ``(rows, d)`` blocks of Owen-scrambled Halton points in ``[0, 1)^d``.
+def _halton_terms(d: int, seed: int) -> list:
+    """Per dimension of the scrambled Halton sequence, ``terms[j, digit] = perm[j, digit] r_j``.
 
-    The same bits as SciPy's ``Halton(d, scramble=True, seed=seed).random(rows)``
-    called once per block (Owen, "A randomized Halton algorithm in R",
-    arXiv:1706.02808).  Dimension ``i`` has base ``b``, the ``i``-th prime,
-    and ``ceil(54 / log2 b) - 1`` digit permutations drawn row by row from
-    ``default_rng(seed)``, base after base.  Point ``k`` is
-    ``0.0 + perm[0, k_0] r_0 + perm[1, k_1] r_1 + ...`` over its base-``b``
-    digits ``k_j``, with ``r_0 = 1/b`` and ``r_(j+1) = r_j / b``, added in
-    that order: the levels up to the top digit of the block's last index go
-    through a table of partial sums, and the levels above it, whose digit is
-    0 at every point, are added one at a time.
+    The same scrambling as SciPy's ``Halton(d, scramble=True, seed=seed)``
+    (Owen, "A randomized Halton algorithm in R", arXiv:1706.02808).
+    Dimension ``i`` has base ``b``, the ``i``-th prime, and
+    ``ceil(54 / log2 b) - 1`` digit permutations drawn row by row from
+    ``default_rng(seed)``, base after base; ``r_0 = 1/b`` and
+    ``r_(j+1) = r_j / b``.
     """
     rng = np.random.default_rng(seed)
-    terms = []   # per base: terms[j, digit] = perm[j, digit] * r_j
+    terms = []
     for base in _primes(d):
         count = math.ceil(54 / math.log2(base)) - 1
         perm = rng.permuted(np.tile(np.arange(base), (count, 1)), axis=1)
-        r = np.divide.accumulate(np.r_[1.0, np.full(count, float(base))])[1:]
+        r = np.divide.accumulate(np.full(count + 2, float(base)))[2:]   # b/b = 1, 1/b, ...
         terms.append(perm * r[:, None])
-    start = 0
-    while True:
-        k = np.arange(start, start + rows)
-        out = np.zeros((d, rows))
-        for term, v in zip(terms, out):
-            base = term.shape[1]
-            top = 0   # levels up to the last index's top digit
-            while top < len(term) and base ** top <= k[-1]:
-                top += 1
-            if top:
-                # partial sums over the lower levels, indexed by k mod base^(top-1)
-                table = np.zeros(1)
-                for level in term[:top - 1]:
-                    table = np.add.outer(level, table).ravel()
-                low = base ** (top - 1)
-                np.add(table[k % low], term[top - 1][k // low % base], out=v)
-            for constant in term[top:, 0]:
-                v += constant
-        yield out.T
-        start += rows
+    return terms
 
 
-def interior_points(profile: Profile, n: int, spec: GridSpec | None = None) -> np.ndarray:
-    """Quasi-random interior points, shape ``(spec.points, n)`` complex.
+def _halton(terms: list, k: np.ndarray) -> np.ndarray:
+    """Points ``k`` (any indices) of the sequence of ``terms``, shape ``(len(k), len(terms))``.
 
-    Every returned point satisfies ``A >= a_margin * F(0)``.  The Halton
-    stream is scrambled with ``spec.seed``, so grids are reproducible.
+    Bit for bit SciPy's points ``k``: point ``k`` is
+    ``0.0 + terms[0, k_0] + terms[1, k_1] + ...`` over its base-``b``
+    digits ``k_j``, added in that order, whatever other indices are asked
+    for.  The levels up to the top digit of the largest index go through a
+    table of partial sums, and the levels above it, whose digit is 0 at
+    every point, are added one at a time.  The result is C-contiguous, as
+    the row sums of the fiber weights need for their bits.
     """
-    spec = _checked(n, spec)
+    out = np.zeros((k.size, len(terms)))
+    last = int(k.max(initial=0))
+    for term, v in zip(terms, out.T):
+        base = term.shape[1]
+        top = 0   # levels up to the largest index's top digit
+        while top < len(term) and base ** top <= last:
+            top += 1
+        if top:
+            # partial sums over the lower levels, indexed by k mod base^(top-1)
+            table = np.zeros(1)
+            for level in term[:top - 1]:
+                table = np.add.outer(level, table).ravel()
+            low = base ** (top - 1)
+            np.add(table[k % low], term[top - 1][k // low % base], out=v)
+        for constant in term[top:, 0]:
+            v += constant
+    return out
+
+
+def _draw(profile: Profile, n: int, spec: GridSpec) -> np.ndarray:
+    """The interior points of ``profile`` under a checked ``spec``, shape ``(spec.points, n)``.
+
+    Halton points come in blocks of ``max(2 points, 64)`` indices, at most
+    64 blocks.  Dimension 0 places ``x = |z_0|^2`` for a whole block, and
+    the points with ``F(x) <= a_margin F(0)`` are rejected; the other
+    ``2n`` dimensions are evaluated and mapped only at the first
+    ``spec.points`` indices that are kept.
+    """
     delta = spec.a_margin * profile.deriv(0, 0.0)
     xmax = _x_max(profile, spec)
     # spline-backed profiles are unreliable at the edge of their data range
     xmin = 0.0 if profile.exact_derivatives else 1e-3 * xmax
     # dims: x, theta0, fiber budget, n-1 fiber weights, n-1 fiber phases
-    blocks = _halton_blocks(2 * n + 1, spec.seed, max(2 * spec.points, 64))
-    out = []
-    for u in itertools.islice(blocks, 64):
-        x = xmin + u[:, 0] * (xmax - xmin)
+    terms = _halton_terms(2 * n + 1, spec.seed)
+    rows = max(2 * spec.points, 64)
+    kept, need = [], spec.points
+    for start in range(0, 64 * rows, rows):
+        k = np.arange(start, start + rows)
+        x = xmin + _halton(terms[:1], k)[:, 0] * (xmax - xmin)
         f_here = profile.deriv(0, x)
-        keep = f_here > delta
-        x, u, f_here = x[keep], u[keep], f_here[keep]
-        z0 = np.sqrt(x) * np.exp(2j * np.pi * u[:, 1])
-        budget = u[:, 2] * (f_here - delta)
-        # split the fiber budget with exponential spacings (simplex sample)
-        w = -np.log(np.clip(u[:, 3:n + 2], 1e-12, 1.0))
-        w /= np.sum(w, axis=1, keepdims=True)
-        radii = np.sqrt(budget[:, None] * w)
-        phases = np.exp(2j * np.pi * u[:, n + 2:2 * n + 1])
-        pts = np.concatenate([z0[:, None], radii * phases], axis=1)
-        out.append(pts)
-        if sum(p.shape[0] for p in out) >= spec.points:
+        keep = np.flatnonzero(f_here > delta)[:need]
+        kept.append((k[keep], x[keep], f_here[keep]))
+        need -= keep.size
+        if not need:
             break
-    pts = np.concatenate(out, axis=0)
-    if pts.shape[0] < spec.points:
+    else:
         raise DomainError("could not draw enough interior points; margin too tight?")
-    return pts[: spec.points]
+    k, x, f_here = (np.concatenate(parts) for parts in zip(*kept))
+    u = _halton(terms[1:], k)   # dims 1..2n: u[:, i] is dimension i + 1
+    z0 = np.sqrt(x) * np.exp(2j * np.pi * u[:, 0])
+    budget = u[:, 1] * (f_here - delta)
+    # split the fiber budget with exponential spacings (simplex sample)
+    w = -np.log(np.clip(u[:, 2:n + 1], 1e-12, 1.0))
+    w /= np.sum(w, axis=1, keepdims=True)
+    radii = np.sqrt(budget[:, None] * w)
+    phases = np.exp(2j * np.pi * u[:, n + 1:2 * n])
+    return np.concatenate([z0[:, None], radii * phases], axis=1)
+
+
+def interior_points(profile: Profile, n: int, spec: GridSpec | None = None) -> np.ndarray:
+    """Quasi-random interior points, shape ``(spec.points, n)`` complex, read-only.
+
+    Every returned point satisfies ``A >= a_margin * F(0)``.  The Halton
+    stream is scrambled with ``spec.seed``, so grids are reproducible.
+    They are the points of ``interior_sample(profile, n, spec)``.
+    """
+    return interior_sample(profile, n, spec).points
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,13 +195,28 @@ class InteriorSample(_PointBatch):
     spec: GridSpec
 
 
+_last: InteriorSample | None = None   # the last sample drawn, see interior_sample
+
+
 def interior_sample(profile: Profile, n: int, spec: GridSpec | None = None) -> InteriorSample:
-    """Draw :func:`interior_points` once and evaluate its derivative table once."""
-    spec = spec or GridSpec()
-    b = _interior(interior_points(profile, n, spec), profile, MAX_DERIV_ORDER)
+    """Draw the interior grid once and evaluate its derivative table once.
+
+    The last sample is kept: a call for the same profile object, the same
+    ``n`` and an equal ``spec`` returns it again, so the callers that pass
+    one ``GridSpec`` (``interior_points``, ``classify``,
+    ``extremal_report``) share one draw.  The sample and its arrays are
+    read-only, so sharing it is safe.
+    """
+    global _last
+    spec = _checked(n, spec)
+    last = _last
+    if last is not None and last.profile is profile and last.n == n and last.spec == spec:
+        return last
+    b = _interior(_draw(profile, n, spec), profile, MAX_DERIV_ORDER)
     for array in (b.points, b.x, b.A) + b.F:
         array.flags.writeable = False
-    return InteriorSample(x=b.x, F=b.F, points=b.points, A=b.A, profile=profile, spec=spec)
+    _last = InteriorSample(x=b.x, F=b.F, points=b.points, A=b.A, profile=profile, spec=spec)
+    return _last
 
 
 def _resolved(profile: Profile, n: int,

@@ -587,19 +587,19 @@ class TestExpect:
 
 
 class TestOneInteriorDraw:
-    """Each run draws every interior grid once, through ``sampling.interior_points``."""
+    """Each run draws every interior grid once, through ``sampling._draw``."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
         import hartogs.sampling
         calls = []
-        draw = hartogs.sampling.interior_points
+        draw = hartogs.sampling._draw
 
-        def spy(profile, n, spec=None):
+        def spy(profile, n, spec):
             calls.append((profile.describe(), n, spec))
             return draw(profile, n, spec)
 
-        monkeypatch.setattr(hartogs.sampling, "interior_points", spy)
+        monkeypatch.setattr(hartogs.sampling, "_draw", spy)
         return calls
 
     def test_full_suite_draws_four_grids(self, tmp_path, draws):

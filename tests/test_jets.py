@@ -62,3 +62,17 @@ def test_product_rule(a, b):
     expected = (a * math.exp(a * x0) * math.sin(b * x0 + 1)
                 + b * math.exp(a * x0) * math.cos(b * x0 + 1))
     assert d[1] == pytest.approx(expected, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("op, forward, backward", [
+    (lambda f, g: f + g, [3.0, 7.0], [3.0, 7.0]),
+    (lambda f, g: f - g, [-1.0, -3.0], [1.0, 3.0]),
+    (lambda f, g: f * g, [2.0, 9.0], [2.0, 9.0]),
+    (lambda f, g: f / g, [0.5, -0.25], [2.0, 1.0]),
+], ids=["add", "sub", "mul", "div"])
+def test_mixed_orders_truncate_to_the_lower(op, forward, backward):
+    # the order-2 jet is cut to order 1, in either operand order: its
+    # extra term is not determined by the order-1 jet
+    long, short = jets.Jet([1.0, 2.0, 3.0]), jets.Jet([2.0, 5.0])
+    assert [float(c) for c in op(long, short).coeffs] == forward
+    assert [float(c) for c in op(short, long).coeffs] == backward
