@@ -4,7 +4,8 @@ The Ricci matrix of these metrics has a rigid shape: every entry is
 ``-(n+1)`` times the metric except the (0,0) slot, which picks up the
 extra scalar correction ``-L(|z_0|^2)``.  So a point and the one float
 ``L`` fix the whole matrix: a :class:`CurvatureRecord` carries ``L``, and
-:func:`ricci_closed_form` is the one way to the matrix.  The scalar
+:func:`ricci_closed_form` is the one way to the matrix, a copy of the
+point batch's kept metric scaled, with ``-L`` in the (0,0) slot.  The scalar
 curvature, its trace against the inverse metric, has one formula,
 ``scal = G A - n(n+1)`` with ``G = -L F / B`` read from the radial record.
 The generalized curvatures, the coefficients of the one-variable
@@ -27,7 +28,6 @@ import numpy as np
 from .errors import NumericError
 from .geometry import (
     det_closed_form,
-    metric_closed_form,
     wirtinger_hessian,
     _interior,
     _interleave,
@@ -47,7 +47,10 @@ __all__ = [
 
 
 def _ricci(h: np.ndarray, ell) -> np.ndarray:
-    """Ricci matrices from the metric ``h`` and ``L`` at the same points."""
+    """Ricci matrices from the metric ``h`` and ``L`` at the same points.
+
+    A new array: ``h`` may be a batch's kept metric, which no reader writes.
+    """
     ric = -(h.shape[-1] + 1.0) * h
     # a real (0,0) entry: its imaginary part stays +0.0 where h_00 < 0 too
     ric[..., 0, 0] = ric[..., 0, 0].real - ell
@@ -63,7 +66,7 @@ def ricci_closed_form(z, profile: Profile) -> np.ndarray:
     Hessian, i.e. the metric itself.
     """
     p = _interior(z, profile, MAX_DERIV_ORDER)
-    return _ricci(metric_closed_form(p, profile), p.L)
+    return _ricci(p.metric, p.L)
 
 
 def ricci_numeric(z, profile: Profile, step: float = 1e-3) -> np.ndarray:
@@ -145,8 +148,7 @@ def generalized_scalars_poly(z, profile: Profile) -> np.ndarray:
     Broadcasts: ``(n,)`` points give ``(n,)``, ``(m, n)`` give ``(m, n)``.
     """
     p = _interior(z, profile, MAX_DERIV_ORDER)
-    h = metric_closed_form(p, profile)
-    return curvature_polynomial_coefficients(h, _ricci(h, p.L))
+    return curvature_polynomial_coefficients(p.metric, _ricci(p.metric, p.L))
 
 
 @dataclass(frozen=True, eq=False)

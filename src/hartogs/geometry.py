@@ -12,11 +12,15 @@ All functions broadcast over leading axes: ``z`` may be ``(n,)`` or
 Every evaluator reads ``F`` and its derivatives at ``|z_0|^2`` from one
 ``Profile.derivs`` call per point batch, into the one record of the batch
 (:func:`_interior`), which also takes that record (an ``InteriorSample``)
-in place of the points.  The record is a :class:`RadialCoefficients`, the
-one record of ``x`` and its table, whose coefficients ``T``, ``B``, ``L``,
-``G``, ``L'`` and ``G'`` are built on first use and kept.  The closed-form matrices write conjugate
-entries into mirror slots, so they are exactly Hermitian without a
-symmetrizing pass.
+in place of the points.  The last sample drawn is kept here, in one slot,
+and answers for its own points: the ``points`` array of the kept sample,
+given with its profile, is read as the sample, with no derivative call.
+The record is a :class:`RadialCoefficients`, the one record of ``x`` and
+its table, whose coefficients ``T``, ``B``, ``L``, ``G``, ``L'`` and
+``G'`` are built on first use and kept; a point batch keeps its metric
+matrix the same way, read-only.  The closed-form matrices are assembled
+in their output arrays and write conjugate entries into mirror slots, so
+they are exactly Hermitian without a symmetrizing pass.
 
 The one finite-difference engine lives here too: the Wirtinger Hessian,
 the independent oracle against which every closed form is tested, and a
@@ -160,9 +164,9 @@ class _PointBatch(RadialCoefficients):
 
     The radial record of ``x = |z_0|^2`` and the table ``F = (F, ...,
     F^(upto))`` of ``profile`` at ``x``, plus the ``points`` (``(..., n)``
-    complex) and the gap ``A > 0``.  Its coefficients are built on first
-    use and kept, so each batch builds ``B`` and the block of ``L`` and
-    ``G`` once.
+    complex) and the gap ``A > 0``.  Its coefficients and its metric
+    matrix are built on first use and kept, read-only, so each batch
+    builds ``B``, the block of ``L`` and ``G``, and the metric once.
     """
 
     points: np.ndarray
@@ -173,19 +177,34 @@ class _PointBatch(RadialCoefficients):
     def n(self) -> int:
         return self.points.shape[-1]
 
+    @functools.cached_property
+    def metric(self) -> np.ndarray:
+        """The metric matrix of the batch, ``(..., n, n)`` (see :func:`metric_closed_form`)."""
+        return _kept(_metric(self))
+
+
+# The last interior sample drawn (an ``InteriorSample``, set by
+# ``sampling.interior_sample``): the one kept slot, read by :func:`_interior`.
+_last = None
+
 
 def _interior(z, profile: Profile, upto: int = 2) -> _PointBatch:
     """The record of the points ``z``, with one derivative table to order ``upto``.
 
     A record ``z`` of ``profile`` whose table reaches ``upto`` is returned
-    as it is; any other record raises ``ValueError``.  ``derivs`` enforces
-    ``|z_0|^2 < x0``; a point with ``A <= 0`` raises ``DomainError``.
+    as it is; any other record raises ``ValueError``.  The kept sample
+    (``_last``) answers for its own points: ``z`` that is its ``points``
+    array, with its ``profile``, gives the sample itself.  ``derivs``
+    enforces ``|z_0|^2 < x0``; a point with ``A <= 0`` raises ``DomainError``.
     """
     if isinstance(z, _PointBatch):
         if z.profile is not profile or len(z.F) <= upto:
             raise ValueError(f"a record of {z.profile.describe()} to order {len(z.F) - 1} "
                              f"given for {profile.describe()} to order {upto}")
         return z
+    kept = _last
+    if kept is not None and z is kept.points and profile is kept.profile:
+        return kept
     z = np.asarray(z, dtype=complex)
     if z.ndim == 0 or z.shape[-1] < 2:
         raise DomainError(f"points need n >= 2 coordinates, got shape {z.shape}")
@@ -214,9 +233,14 @@ def metric_closed_form(z, profile: Profile) -> np.ndarray:
     Shape ``(..., n, n)``, exactly Hermitian.  The matrix is positive
     definite precisely when ``kahler_indicator < 0`` at ``|z_0|^2``; for
     non-admissible profiles the (indefinite) matrix is still returned so
-    that falsification sweeps can inspect it.
+    that falsification sweeps can inspect it.  It is the batch's kept
+    matrix: read-only, shared by every reader of the batch.
     """
-    p = _interior(z, profile)
+    return _interior(z, profile).metric
+
+
+def _metric(p: _PointBatch) -> np.ndarray:
+    """The metric of the batch ``p``, assembled in its output array."""
     z, a, n = p.points, p.A, p.n
     a2 = np.square(a)
     zf = z[..., 1:]
@@ -225,11 +249,19 @@ def metric_closed_form(z, profile: Profile) -> np.ndarray:
     top = -p.F[1][..., None] * np.conj(z[..., :1]) * zf / a2[..., None]
     h[..., 0, 1:] = top
     h[..., 1:, 0] = np.conj(top)
-    block = np.einsum("...i,...j->...ij", np.conj(zf), zf)
-    step = n  # write the diagonal of the fiber block in place
-    block.reshape(block.shape[:-2] + (-1,))[..., :: step] += a[..., None]
-    h[..., 1:, 1:] = block / a2[..., None, None]
+    block = h[..., 1:, 1:]
+    np.einsum("...i,...j->...ij", np.conj(zf), zf, out=block)
+    diagonal = _fiber_diagonal(h)
+    diagonal += a[..., None]
+    np.divide(block, a2[..., None, None], out=block)
     return h
+
+
+def _fiber_diagonal(m: np.ndarray) -> np.ndarray:
+    """The diagonal of the fiber block ``m[..., 1:, 1:]``, ``(..., n-1)``: a view
+    of a C-contiguous ``m``, so writing it writes ``m``."""
+    n = m.shape[-1]
+    return m.reshape(m.shape[:-2] + (n * n,))[..., n + 1::n + 1]
 
 
 def _stencil(m: int) -> np.ndarray:
@@ -398,10 +430,11 @@ def inverse_metric_closed_form(z, profile: Profile) -> np.ndarray:
     minv[..., 1:, 0] = col
     minv[..., 0, 1:] = np.conj(col)
     # block[i-1, j-1] = conj(z_i) z_j = z_j z~_i, the off-diagonal pattern
-    block = (ab * p.T)[..., None, None] * np.einsum("...i,...j->...ij", np.conj(zf), zf)
-    step = n
-    block.reshape(block.shape[:-2] + (-1,))[..., :: step] += (ab * b)[..., None]
-    minv[..., 1:, 1:] = block
+    block = minv[..., 1:, 1:]
+    np.einsum("...i,...j->...ij", np.conj(zf), zf, out=block)
+    np.multiply((ab * p.T)[..., None, None], block, out=block)
+    diagonal = _fiber_diagonal(minv)
+    diagonal += (ab * b)[..., None]
     return minv
 
 
@@ -422,7 +455,7 @@ def grid_csv_rows(points: np.ndarray, profile: Profile) -> np.ndarray:
     """
     p = _interior(points, profile, MAX_DERIV_ORDER)
     a, ell = p.A, p.L
-    min_eig = np.linalg.eigvalsh(metric_closed_form(p, profile))[..., 0]
+    min_eig = np.linalg.eigvalsh(p.metric)[..., 0]
     return np.column_stack([_interleave(p.points).reshape(-1, 2 * p.n), a, p.B + 0 * a,
                             _c(p), ell + 0 * a, p.G + 0 * a,
                             det_closed_form(p, profile), min_eig])

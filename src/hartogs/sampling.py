@@ -12,22 +12,27 @@ An :class:`InteriorSample` is one interior draw as the point-batch record
 that every closed form reads (:func:`interior_sample`).  The closed forms
 take it in place of points and the pipelines in place of a ``GridSpec``,
 so one run draws each grid, evaluates its derivative table and builds
-its radial coefficients once.  The last sample drawn is kept, so callers
-that pass the same profile, ``n`` and ``GridSpec`` share it, and
-:func:`interior_points` returns its read-only points.
+its radial coefficients and its metric once.  The last sample drawn is
+kept, so callers that pass the same profile, ``n`` and ``GridSpec``
+share it, and :func:`interior_points` returns its read-only points; the
+kept sample answers for those points too, so a closed form called on
+them reads the sample as if it had been passed.
 
 Boundary samples for the Levi-form test are three block draws from a
 seeded ``numpy`` generator (:func:`boundary_samples`).  Both samplers take
-``(profile, n, spec)`` and reject ``n < 2`` and ``spec.points < 1`` alike.
+``(profile, n, spec)`` and reject ``n < 2`` and a ``GridSpec`` field out
+of its range alike.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import geometry
 from .errors import DomainError
 from .geometry import _PointBatch, _interior
 from .profiles import MAX_DERIV_ORDER, Profile
@@ -53,13 +58,34 @@ def _x_max(profile: Profile, spec: GridSpec) -> float:
     return min(spec.x_cap, profile.x0 * (1.0 - 1e-2))
 
 
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# The range of each GridSpec field, as the config keys ``grid.*`` bound them.
+_SPEC_RULES = {"points": ("an integer >= 1", lambda v: _integer(v) and v >= 1),
+               "seed": ("an integer >= 0", lambda v: _integer(v) and v >= 0),
+               "a_margin": ("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1),
+               "x_cap": ("a finite number > 0", lambda v: _real(v) and v > 0)}
+
+
 def _checked(n: int, spec: GridSpec | None) -> GridSpec:
-    """The argument rule of both samplers; ``spec`` defaults to ``GridSpec()``."""
+    """The argument rule of both samplers; ``spec`` defaults to ``GridSpec()``.
+
+    ``n < 2`` raises ``DomainError``; a ``spec`` field out of its range
+    (:data:`_SPEC_RULES`) raises a ``ValueError`` that names the field.
+    """
     if n < 2:
         raise DomainError(f"Hartogs domains need n >= 2 coordinates, got n={n}")
     spec = spec or GridSpec()
-    if spec.points < 1:
-        raise ValueError(f"points must be >= 1, got {spec.points}")
+    for name, (rule, ok) in _SPEC_RULES.items():
+        value = getattr(spec, name)
+        if not ok(value):
+            raise ValueError(f"GridSpec.{name} must be {rule}, got {value!r}")
     return spec
 
 
@@ -195,28 +221,26 @@ class InteriorSample(_PointBatch):
     spec: GridSpec
 
 
-_last: InteriorSample | None = None   # the last sample drawn, see interior_sample
-
-
 def interior_sample(profile: Profile, n: int, spec: GridSpec | None = None) -> InteriorSample:
     """Draw the interior grid once and evaluate its derivative table once.
 
-    The last sample is kept: a call for the same profile object, the same
-    ``n`` and an equal ``spec`` returns it again, so the callers that pass
-    one ``GridSpec`` (``interior_points``, ``classify``,
-    ``extremal_report``) share one draw.  The sample and its arrays are
-    read-only, so sharing it is safe.
+    The last sample is kept (in ``geometry._last``, the one slot): a call
+    for the same profile object, the same ``n`` and an equal ``spec``
+    returns it again, so the callers that pass one ``GridSpec``
+    (``interior_points``, ``classify``, ``extremal_report``) share one
+    draw, and a closed form given its ``points`` array reads the sample.
+    The sample and its arrays are read-only, so sharing it is safe.
     """
-    global _last
     spec = _checked(n, spec)
-    last = _last
+    last = geometry._last
     if last is not None and last.profile is profile and last.n == n and last.spec == spec:
         return last
     b = _interior(_draw(profile, n, spec), profile, MAX_DERIV_ORDER)
     for array in (b.points, b.x, b.A) + b.F:
         array.flags.writeable = False
-    _last = InteriorSample(x=b.x, F=b.F, points=b.points, A=b.A, profile=profile, spec=spec)
-    return _last
+    geometry._last = InteriorSample(x=b.x, F=b.F, points=b.points, A=b.A, profile=profile,
+                                    spec=spec)
+    return geometry._last
 
 
 def _resolved(profile: Profile, n: int,

@@ -435,6 +435,13 @@ def dbar_stencil(z, profile):
     return dbar_jacobian(z, profile)
 
 
+def _output_bytes(out) -> bytes:
+    """The bytes of an evaluator's output; a record's are those of its array fields."""
+    if isinstance(out, np.ndarray):
+        return out.tobytes()
+    return b"".join(np.asarray(v).tobytes() for v in vars(out).values())
+
+
 @pytest.mark.parametrize("evaluator", [
     metric_closed_form, inverse_metric_closed_form, ricci_closed_form,
     scalar_curvature, hamiltonian_field, curvature_record, dbar_stencil,
@@ -448,7 +455,8 @@ def test_one_derivative_evaluation_per_call(evaluator, expp, monkeypatch):
         return derivs(self, x, upto)
 
     monkeypatch.setattr(Profile, "derivs", counted)
-    pts = interior_points(expp, 3, GridSpec(points=7, seed=2))
+    kept = interior_points(expp, 3, GridSpec(points=7, seed=2))
+    pts = np.array(kept)   # a writable copy: not the kept sample's points, the raw path
     batches = [pts[0]] if evaluator is curvature_record else [pts[0], pts]
     for z in batches:
         calls.clear()
@@ -458,3 +466,10 @@ def test_one_derivative_evaluation_per_call(evaluator, expp, monkeypatch):
             assert calls == [(np.atleast_2d(z).shape[0] * (1 + 8 * 3),)]
         else:
             assert calls == [np.shape(z)[:-1]], evaluator.__name__
+    # the kept points: the sample answers for them, with the bits of the raw path
+    # (the FD stencil around them is new points, evaluated in its one call)
+    want = _output_bytes(evaluator(pts, expp))
+    calls.clear()
+    assert _output_bytes(evaluator(kept, expp)) == want, evaluator.__name__
+    assert calls == ([(7 * (1 + 8 * 3),)] if evaluator is dbar_stencil else []), \
+        evaluator.__name__

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from hartogs import (
     InteriorSample,
     Profile,
     SingularCoefficientError,
+    boundary_samples,
     classify,
     curvature_record,
     det_closed_form,
@@ -117,7 +119,7 @@ class TestInteriorSample:
         profiles = dict(oracle_profiles, constant=constant_profile)
         for name, prof in profiles.items():
             s = interior_sample(prof, n, SPEC)
-            want = outcome(closed, s.points, prof)
+            want = outcome(closed, np.array(s.points), prof)   # a copy: the raw path
             calls = []
             derivs = Profile.derivs
 
@@ -135,12 +137,28 @@ class TestInteriorSample:
         assert raises == (closed not in (metric_closed_form, det_closed_form))
 
     @pytest.mark.parametrize("closed", CLOSED_FORMS, ids=lambda f: f.__name__)
-    def test_closed_forms_take_a_record_of_their_profile_only(self, expp, closed):
+    def test_closed_forms_take_a_record_of_their_profile_only(self, expp, closed,
+                                                              monkeypatch):
         s = interior_sample(expp, 3, SPEC)
+        pts = np.array(s.points)   # a writable copy: not the kept sample's points
         with pytest.raises(ValueError, match="record of"):
             closed(s, exp_profile(1.0))               # an equal profile, not this one
         with pytest.raises(ValueError, match="to order 0"):
-            closed(_interior(s.points, expp, 0), expp)  # a table too short for any of them
+            closed(_interior(pts, expp, 0), expp)     # a table too short for any of them
+        # the kept points answer with the sample for its own profile only
+        calls = []
+        derivs = Profile.derivs
+
+        def counted(self, x, upto=MAX_DERIV_ORDER):
+            calls.append(np.shape(x))
+            return derivs(self, x, upto)
+
+        monkeypatch.setattr(Profile, "derivs", counted)
+        assert outcome(closed, s.points, expp) == outcome(closed, s, expp)
+        assert calls == []
+        other = exp_profile(1.0)
+        assert outcome(closed, s.points, other) == outcome(closed, pts, other)
+        assert calls == [(30,), (30,)]
 
     def test_wrong_profile_or_n_is_a_value_error(self, expp):
         s = interior_sample(expp, 3, SPEC)
@@ -193,6 +211,34 @@ class TestKeptSample:
         classify(prof, 3, SPEC)
         assert [d[1:] for d in draws] == [(3, SPEC)]
         assert pts is interior_sample(prof, 3, SPEC).points
+
+
+class TestGridSpecFields:
+    """Both samplers check every ``GridSpec`` field and name the one out of range."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("points", 0), ("points", 20.0), ("points", True), ("points", "20"),
+        ("seed", -1), ("seed", 1.0), ("seed", None),
+        ("a_margin", 0.0), ("a_margin", 1.0), ("a_margin", float("nan")), ("a_margin", "0.1"),
+        ("x_cap", 0.0), ("x_cap", -1.0), ("x_cap", float("nan")), ("x_cap", float("inf")),
+    ])
+    def test_out_of_range_is_a_value_error_naming_the_field(self, expp, field, value):
+        spec = dataclasses.replace(SPEC, **{field: value})
+        for sampler in (interior_points, boundary_samples):
+            with pytest.raises(ValueError, match=f"^GridSpec.{field} must be [^\n]*, "
+                                                 f"got {re.escape(repr(value))}$"):
+                sampler(expp, 2, spec)
+
+    def test_a_float_count_does_not_read_the_kept_sample(self, expp):
+        interior_points(expp, 2, dataclasses.replace(SPEC, points=20))
+        with pytest.raises(ValueError, match="GridSpec.points"):
+            interior_points(expp, 2, dataclasses.replace(SPEC, points=20.0))
+
+    def test_numpy_scalars_are_accepted(self, expp):
+        spec = GridSpec(points=np.int64(7), seed=np.int32(2), a_margin=np.float64(0.1),
+                        x_cap=np.float32(2.0))
+        assert interior_points(expp, 2, spec).shape == (7, 2)
+        assert boundary_samples(expp, 2, spec)[0].shape == (7,)
 
 
 class TestHaltonDraw:
