@@ -18,9 +18,9 @@ import numpy as np
 from .errors import DomainError
 from .extremal import _radial_parts, _radial_residual
 from .geometry import metric_closed_form, radial_coefficients
-from .curvature import scalar_curvature
+from .curvature import _scal
 from .profiles import Profile, linear_profile
-from .sampling import GridSpec, InteriorSample, _resolved, interior_points, x_grid
+from .sampling import GridSpec, _grid_spec, _interior_sample, interior_points, x_grid
 
 __all__ = [
     "HyperbolicMap",
@@ -57,9 +57,6 @@ class HyperbolicMap:
         z = np.asarray(z, dtype=complex)
         return z * self.scales(z.shape[-1])
 
-    def jacobian(self, n: int) -> np.ndarray:
-        return np.diag(self.scales(n))
-
 
 def hyperbolic_metric(z) -> np.ndarray:
     """Metric of the unit ball with potential ``-log(1 - |z|^2)``.
@@ -92,7 +89,7 @@ def pullback_check(c1: float, c2: float, n: int, spec: GridSpec | None = None,
     pullback is a congruence by a fixed real diagonal matrix; the identity
     is exact up to roundoff when the profile really is ``c1 - c2 x``.
     """
-    spec = spec or GridSpec()
+    spec = _grid_spec(spec)
     err = _pullback_error(c1, c2, interior_points(linear_profile(c1, c2), n, spec))
     return PullbackReport(c1=c1, c2=c2, n=n, grid=spec.describe(),
                           max_error=err, tol=tol, passed=err <= tol)
@@ -137,7 +134,7 @@ class ClassificationReport:
         }
 
 
-def classify(profile: Profile, n: int = 2, spec: GridSpec | InteriorSample | None = None,
+def classify(profile: Profile, n: int = 2, spec: GridSpec | None = None,
              tol: float = 1e-8) -> ClassificationReport:
     """Decide whether the metric is the hyperbolic one in disguise.
 
@@ -149,14 +146,9 @@ def classify(profile: Profile, n: int = 2, spec: GridSpec | InteriorSample | Non
     (the ``max_residual`` of :func:`hartogs.extremal.extremal_report`).  A
     vanishing ``L`` whose fit or pullback check fails yields INCONSISTENT:
     either the tolerances are misconfigured or the profile data violates
-    the standing hypotheses.
-
-    ``spec`` may be an :class:`~hartogs.sampling.InteriorSample` of
-    ``profile`` at ``n``; the interior grid is then that sample's points,
-    and a ``GridSpec`` draws it.  The pullback check runs on the same points.
+    the standing hypotheses.  The pullback check runs on the interior grid.
     """
-    sample = _resolved(profile, n, spec)
-    spec = sample.spec
+    spec, sample = _interior_sample(profile, n, spec)
     xs = x_grid(profile, X_POINTS, spec)
     rad = radial_coefficients(profile, xs)
     max_l = float(np.max(np.abs(rad.L)))
@@ -164,7 +156,7 @@ def classify(profile: Profile, n: int = 2, spec: GridSpec | InteriorSample | Non
     base = dict(profile=profile.describe(), n=n, grid=spec.describe(), tol=tol,
                 max_abs_l=max_l, argmax_x=arg_x)
     if max_l > tol:
-        scal = scalar_curvature(sample, profile)
+        scal = _scal(sample)
         res = float(np.max(_radial_residual(*_radial_parts(sample))))
         return ClassificationReport(
             **base, c1=None, c2=None, fit_error=None, pullback_max_error=None,

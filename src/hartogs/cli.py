@@ -3,9 +3,9 @@
 Exit status: 0 when the verdict matches expectations, 1 on verdict
 failure, 2 on configuration, numeric and write errors.  The runners, their
 pipelines and the grid dump take the interior grid from
-:func:`~hartogs.sampling.interior_sample` under ``cfg.grid``, which keeps
-the last sample, so a run draws each grid once and its closed forms read
-the sample in place of the points; it runs under
+:func:`~hartogs.sampling.interior_points` under ``cfg.grid``, which keeps
+the last sample, so a run draws each grid once and its closed forms,
+given the kept points, read the sample; it runs under
 ``np.errstate(divide="raise", invalid="raise", over="raise")``, and a
 floating-point error (a division by zero, an invalid operation or an
 overflow; underflow stays ignored) is a ``NumericError``.  Reports are
@@ -52,7 +52,7 @@ from .profiles import (
     power_profile,
 )
 from .pseudoconvexity import equivalence_check
-from .sampling import interior_sample, x_grid
+from .sampling import interior_points, x_grid
 
 SCHEMA_VERSION = 2
 
@@ -76,7 +76,7 @@ def _run_check_kahler(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
     xs = _curve_x(cfg, profile)
     ind = kahler_indicator(profile, xs)
     max_ind = float(np.max(ind))
-    h = metric_closed_form(interior_sample(profile, cfg.n, cfg.grid), profile)
+    h = metric_closed_form(interior_points(profile, cfg.n, cfg.grid), profile)
     min_eig = float(np.min(np.linalg.eigvalsh(h)))
     verdict = "KAHLER" if max_ind < 0.0 else "NOT_KAHLER"
     report = {
@@ -140,13 +140,13 @@ def _dumps(document: dict) -> str:
 
 
 def _run_curvature_report(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
-    s = interior_sample(profile, cfg.n, cfg.grid)
-    batch = curvature_record(s, profile)
-    h = metric_closed_form(s, profile)
+    pts = interior_points(profile, cfg.n, cfg.grid)
+    batch = curvature_record(pts, profile)
+    h = metric_closed_form(pts, profile)
     # oracle deviations; FD Hessians only on a subsample, they dominate the cost.
     # Both Hessian oracles are judged per point relative to the size of the closed form.
     k = ORACLE_POINTS
-    sub, h_sub = s.points[:k], h[:k]
+    sub, h_sub = pts[:k], h[:k]
     ric = _ricci(h_sub, batch.L[:k])
     fd = wirtinger_hessian(lambda p: potential(p, profile), sub, cfg.fd_step)
     metric_ratio = _finite_max(
@@ -158,10 +158,10 @@ def _run_curvature_report(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
     ricci_ratio = _finite_max(
         ric_errs / (cfg.tolerances.oracle * (1.0 + np.max(np.abs(ric), axis=(-2, -1)))),
         "Ricci oracle error")
-    det = det_closed_form(s, profile)
+    det = det_closed_form(pts, profile)
     det_err = _finite_max(np.abs(det - np.linalg.det(h).real) / np.abs(det), "determinant error")
     inv_err = _finite_max(np.abs(
-        np.einsum("mab,mbc->mac", h, inverse_metric_closed_form(s, profile))
+        np.einsum("mab,mbc->mac", h, inverse_metric_closed_form(pts, profile))
         - np.eye(cfg.n)[None]
     ), "inverse error")
     ok = metric_ratio <= 1.0 and ricci_ratio <= 1.0 and det_err <= 1e-8 and inv_err <= 1e-8
@@ -255,7 +255,7 @@ def _execute(cfg: RunConfig, base_dir: Path | None) -> tuple[dict, str]:
     profile = build_profile(cfg.profile, base_dir)
     report, verdict = _RUNNERS[cfg.command](cfg, profile)
     if cfg.csv_dump:
-        rows = grid_csv_rows(interior_sample(profile, cfg.n, cfg.grid), profile)
+        rows = grid_csv_rows(interior_points(profile, cfg.n, cfg.grid), profile)
         header = ",".join(grid_csv_header(cfg.n))
         with _writing(cfg.csv_dump):
             np.savetxt(cfg.csv_dump, rows, delimiter=",", header=header, comments="")

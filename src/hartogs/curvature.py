@@ -92,7 +92,11 @@ def ricci_numeric(z, profile: Profile, step: float = 1e-3) -> np.ndarray:
 
 def scalar_curvature(z, profile: Profile):
     """Scalar curvature ``G A - n(n+1)``, with ``G = -L F / B`` from the radial record."""
-    p = _interior(z, profile, MAX_DERIV_ORDER)
+    return _scal(_interior(z, profile, MAX_DERIV_ORDER))
+
+
+def _scal(p):
+    """The scalar curvature of the batch ``p`` (see :func:`scalar_curvature`)."""
     out = p.G * p.A - p.n * (p.n + 1.0)
     return out if np.ndim(out) else float(out)
 
@@ -118,7 +122,7 @@ def generalized_scalars_closed(z, profile: Profile) -> np.ndarray:
     and ``rho_0`` is :func:`scalar_curvature` bit for bit.
     """
     p = _interior(z, profile, MAX_DERIV_ORDER)
-    return _rho(scalar_curvature(p, profile), p.n)
+    return _rho(_scal(p), p.n)
 
 
 def curvature_polynomial_coefficients(metric: np.ndarray, ricci: np.ndarray) -> np.ndarray:
@@ -182,6 +186,6 @@ def curvature_record(z, profile: Profile) -> CurvatureRecord:
     ``i`` of the batch equals the record of point ``i``.
     """
     p = _interior(z, profile, MAX_DERIV_ORDER)
-    ell, scal = p.L, scalar_curvature(p, profile)
+    ell, scal = p.L, _scal(p)
     return CurvatureRecord(point=p.points, L=ell if np.ndim(ell) else float(ell),
                            scal=scal, rho=_rho(scal, p.n))

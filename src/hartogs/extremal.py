@@ -43,7 +43,7 @@ from .geometry import (
     radial_coefficients,
 )
 from .profiles import MAX_DERIV_ORDER, Profile
-from .sampling import GridSpec, InteriorSample, _resolved, x_grid
+from .sampling import GridSpec, _interior_sample, x_grid
 
 __all__ = [
     "scal_conjugate_gradient",
@@ -182,7 +182,7 @@ class ExtremalReport:
         }
 
 
-def extremal_report(profile: Profile, n: int, spec: GridSpec | InteriorSample | None = None,
+def extremal_report(profile: Profile, n: int, spec: GridSpec | None = None,
                     step: float = 1e-3, tol: float = 1e-5) -> ExtremalReport:
     """Sweep the radial residual over an interior grid and issue a verdict.
 
@@ -192,13 +192,9 @@ def extremal_report(profile: Profile, n: int, spec: GridSpec | InteriorSample | 
     on the first ``ORACLE_POINTS`` grid points only; ``oracle_fiber_error``
     is the largest ``max|FD - closed| / (1 + max|closed|)`` over them,
     against the closed fiber columns ``-2 A (r_a / B) z_a z_i``.
-
-    ``spec`` may be an :class:`~hartogs.sampling.InteriorSample` of
-    ``profile`` at ``n``, whose points are then the grid; a ``GridSpec``
-    draws it.
     """
-    sample = _resolved(profile, n, spec)
-    spec, z = sample.spec, sample.points
+    spec, sample = _interior_sample(profile, n, spec)
+    z = sample.points
     c0, c1 = _radial_parts(sample)
     per_point = _radial_residual(c0, c1)
     k = ORACLE_POINTS

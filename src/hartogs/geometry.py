@@ -9,12 +9,12 @@ for a given profile ``F``.  The Kaehler potential is ``Phi = -log A`` with
 All functions broadcast over leading axes: ``z`` may be ``(n,)`` or
 ``(m, n)``, matrices come back as ``(..., n, n)``.
 
-Every evaluator reads ``F`` and its derivatives at ``|z_0|^2`` from one
-``Profile.derivs`` call per point batch, into the one record of the batch
-(:func:`_interior`), which also takes that record (an ``InteriorSample``)
-in place of the points.  The last sample drawn is kept here, in one slot,
-and answers for its own points: the ``points`` array of the kept sample,
-given with its profile, is read as the sample, with no derivative call.
+Every evaluator takes points and reads ``F`` and its derivatives at
+``|z_0|^2`` from one ``Profile.derivs`` call per point batch, into the one
+record of the batch (:func:`_interior`).  The last interior sample drawn
+is kept here, in one slot, and answers for its own points: the ``points``
+array of the kept sample, given with its profile, is read as the sample,
+with no derivative call.
 The record is a :class:`RadialCoefficients`, the one record of ``x`` and
 its table, whose coefficients ``T``, ``B``, ``L``, ``G``, ``L'`` and
 ``G'`` are built on first use and kept; a point batch keeps its metric
@@ -183,28 +183,22 @@ class _PointBatch(RadialCoefficients):
         return _kept(_metric(self))
 
 
-# The last interior sample drawn (an ``InteriorSample``, set by
-# ``sampling.interior_sample``): the one kept slot, read by :func:`_interior`.
+# The last interior sample drawn, ``(spec, batch)`` with the batch's table to
+# order five (set by ``sampling._interior_sample``): the one kept slot, read by
+# :func:`_interior`.
 _last = None
 
 
 def _interior(z, profile: Profile, upto: int = 2) -> _PointBatch:
     """The record of the points ``z``, with one derivative table to order ``upto``.
 
-    A record ``z`` of ``profile`` whose table reaches ``upto`` is returned
-    as it is; any other record raises ``ValueError``.  The kept sample
-    (``_last``) answers for its own points: ``z`` that is its ``points``
-    array, with its ``profile``, gives the sample itself.  ``derivs``
-    enforces ``|z_0|^2 < x0``; a point with ``A <= 0`` raises ``DomainError``.
+    The kept sample (``_last``) answers for its own points: ``z`` that is
+    its ``points`` array, with its ``profile``, gives the sample itself.
+    ``derivs`` enforces ``|z_0|^2 < x0``; a point with ``A <= 0`` raises
+    ``DomainError``.
     """
-    if isinstance(z, _PointBatch):
-        if z.profile is not profile or len(z.F) <= upto:
-            raise ValueError(f"a record of {z.profile.describe()} to order {len(z.F) - 1} "
-                             f"given for {profile.describe()} to order {upto}")
-        return z
-    kept = _last
-    if kept is not None and z is kept.points and profile is kept.profile:
-        return kept
+    if _last is not None and z is _last[1].points and profile is _last[1].profile:
+        return _last[1]
     z = np.asarray(z, dtype=complex)
     if z.ndim == 0 or z.shape[-1] < 2:
         raise DomainError(f"points need n >= 2 coordinates, got shape {z.shape}")
@@ -389,7 +383,11 @@ def det_closed_form(z, profile: Profile):
     Equivalently ``-(F^2/A^(n+1)) * (x F'/F)'``; positive exactly when the
     profile is Kaehler-admissible at ``x = |z_0|^2``.
     """
-    p = _interior(z, profile)
+    return _det(_interior(z, profile))
+
+
+def _det(p: _PointBatch):
+    """The determinant of the batch ``p`` (see :func:`det_closed_form`)."""
     out = p.B / np.power(p.A, p.n + 1)
     return out if np.ndim(out) else float(out)
 
@@ -458,4 +456,4 @@ def grid_csv_rows(points: np.ndarray, profile: Profile) -> np.ndarray:
     min_eig = np.linalg.eigvalsh(p.metric)[..., 0]
     return np.column_stack([_interleave(p.points).reshape(-1, 2 * p.n), a, p.B + 0 * a,
                             _c(p), ell + 0 * a, p.G + 0 * a,
-                            det_closed_form(p, profile), min_eig])
+                            _det(p), min_eig])

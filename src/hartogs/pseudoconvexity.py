@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .geometry import RadialCoefficients, _interleave
 from .profiles import Profile, kahler_indicator
-from .sampling import GridSpec, _norm, boundary_samples
+from .sampling import GridSpec, _grid_spec, _norm, boundary_samples
 
 __all__ = [
     "BoundaryPoint",
@@ -209,7 +209,7 @@ def equivalence_check(profile: Profile, n: int = 2,
     The worst sample is the first one in draw order (tangent direction
     before fiber-aligned); a NaN or inf raises ``NumericError``.
     """
-    spec = spec or GridSpec()
+    spec = _grid_spec(spec)
     x, z0, fiber_dir, tangent_dir = boundary_samples(profile, n, spec)
     # leading axes (m, 1): each point broadcasts over its two directions
     pts = boundary_point(profile, z0[:, None], fiber_dir[:, None])

@@ -8,20 +8,19 @@ split the fiber energy across coordinates and phases.  Points too close to
 the boundary are rejected because the closed forms blow up like
 ``A^-(n+1)`` there; the margin is configurable.
 
-An :class:`InteriorSample` is one interior draw as the point-batch record
-that every closed form reads (:func:`interior_sample`).  The closed forms
-take it in place of points and the pipelines in place of a ``GridSpec``,
-so one run draws each grid, evaluates its derivative table and builds
-its radial coefficients and its metric once.  The last sample drawn is
-kept, so callers that pass the same profile, ``n`` and ``GridSpec``
-share it, and :func:`interior_points` returns its read-only points; the
-kept sample answers for those points too, so a closed form called on
-them reads the sample as if it had been passed.
+An interior draw is evaluated once, into the point-batch record that
+every closed form reads, and the last one is kept (:func:`_interior_sample`).
+So callers that pass the same profile, ``n`` and ``GridSpec`` share one
+draw, one derivative table, one set of radial coefficients and one metric:
+:func:`interior_points` returns the kept sample's read-only points, and a
+closed form called on them reads the sample.
 
 Boundary samples for the Levi-form test are three block draws from a
 seeded ``numpy`` generator (:func:`boundary_samples`).  Both samplers take
-``(profile, n, spec)`` and reject ``n < 2`` and a ``GridSpec`` field out
-of its range alike.
+``(profile, n, spec)`` and reject ``n < 2`` alike.  Every public function
+that takes a ``GridSpec`` reads it through :func:`_grid_spec`, so ``None``
+is the default grid, and anything but a ``GridSpec`` or a field out of its
+range raises.
 """
 
 from __future__ import annotations
@@ -34,11 +33,10 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError
-from .geometry import _PointBatch, _interior
+from .geometry import _interior
 from .profiles import MAX_DERIV_ORDER, Profile
 
-__all__ = ["GridSpec", "InteriorSample", "interior_points", "interior_sample", "x_grid",
-           "boundary_samples"]
+__all__ = ["GridSpec", "interior_points", "x_grid", "boundary_samples"]
 
 
 @dataclass(frozen=True)
@@ -73,15 +71,16 @@ _SPEC_RULES = {"points": ("an integer >= 1", lambda v: _integer(v) and v >= 1),
                "x_cap": ("a finite number > 0", lambda v: _real(v) and v > 0)}
 
 
-def _checked(n: int, spec: GridSpec | None) -> GridSpec:
-    """The argument rule of both samplers; ``spec`` defaults to ``GridSpec()``.
+def _grid_spec(spec) -> GridSpec:
+    """``spec`` checked, or ``GridSpec()`` for ``None``: how every public function reads its grid.
 
-    ``n < 2`` raises ``DomainError``; a ``spec`` field out of its range
-    (:data:`_SPEC_RULES`) raises a ``ValueError`` that names the field.
+    Anything but a ``GridSpec`` raises ``TypeError``; a field out of its
+    range (:data:`_SPEC_RULES`) raises a ``ValueError`` that names the field.
     """
-    if n < 2:
-        raise DomainError(f"Hartogs domains need n >= 2 coordinates, got n={n}")
-    spec = spec or GridSpec()
+    if spec is None:
+        return GridSpec()
+    if not isinstance(spec, GridSpec):
+        raise TypeError(f"spec must be a GridSpec or None, got {type(spec).__name__}")
     for name, (rule, ok) in _SPEC_RULES.items():
         value = getattr(spec, name)
         if not ok(value):
@@ -89,9 +88,17 @@ def _checked(n: int, spec: GridSpec | None) -> GridSpec:
     return spec
 
 
+def _checked(n: int, spec) -> GridSpec:
+    """The argument rule of both samplers: ``n < 2`` raises ``DomainError``,
+    then ``spec`` is read by :func:`_grid_spec`."""
+    if n < 2:
+        raise DomainError(f"Hartogs domains need n >= 2 coordinates, got n={n}")
+    return _grid_spec(spec)
+
+
 def x_grid(profile: Profile, count: int, spec: GridSpec | None = None) -> np.ndarray:
     """Uniform abscissa grid in ``(0, min(x0, x_cap))`` away from endpoints."""
-    hi = _x_max(profile, spec or GridSpec())
+    hi = _x_max(profile, _grid_spec(spec))
     return np.linspace(1e-3 * hi, hi, count)
 
 
@@ -200,58 +207,32 @@ def interior_points(profile: Profile, n: int, spec: GridSpec | None = None) -> n
 
     Every returned point satisfies ``A >= a_margin * F(0)``.  The Halton
     stream is scrambled with ``spec.seed``, so grids are reproducible.
-    They are the points of ``interior_sample(profile, n, spec)``.
+    They are the points of the kept sample (:func:`_interior_sample`), so
+    a closed form given them with ``profile`` reads that sample.
     """
-    return interior_sample(profile, n, spec).points
+    return _interior_sample(profile, n, spec)[1].points
 
 
-@dataclass(frozen=True, eq=False)
-class InteriorSample(_PointBatch):
-    """One interior draw of ``profile`` under ``spec`` as a point-batch record.
+def _interior_sample(profile: Profile, n: int, spec: GridSpec | None) -> tuple:
+    """``(spec, sample)``: ``spec`` checked, and its interior grid as a point batch.
 
-    The batch (``x = |z_0|^2``, the table ``F = (F, ..., F^(5))`` of
-    ``profile`` at ``x``, the ``points`` (``(m, n)`` complex) and the gap
-    ``A``, all read-only) and the ``spec`` it was drawn under.  Its radial
-    coefficients are built on the first use by any consumer and shared by
-    the rest, so a sample exists for profiles whose ``B`` vanishes.  Every
-    closed form of ``profile`` takes the sample in place of its points
-    (``metric_closed_form(sample, profile)``) and gives the same bits.
-    """
-
-    spec: GridSpec
-
-
-def interior_sample(profile: Profile, n: int, spec: GridSpec | None = None) -> InteriorSample:
-    """Draw the interior grid once and evaluate its derivative table once.
-
-    The last sample is kept (in ``geometry._last``, the one slot): a call
-    for the same profile object, the same ``n`` and an equal ``spec``
-    returns it again, so the callers that pass one ``GridSpec``
-    (``interior_points``, ``classify``, ``extremal_report``) share one
-    draw, and a closed form given its ``points`` array reads the sample.
-    The sample and its arrays are read-only, so sharing it is safe.
+    The grid is drawn once and its table evaluated once, to order five.
+    The last pair is kept (``geometry._last``, the one slot): a call for
+    the same profile object, the same ``n`` and an equal ``spec`` returns
+    it again, so the callers that pass one ``GridSpec`` (``interior_points``,
+    ``classify``, ``extremal_report``) share one draw, and a closed form
+    given the sample's ``points`` array reads the sample.  The sample and
+    its arrays are read-only, so sharing it is safe.
     """
     spec = _checked(n, spec)
     last = geometry._last
-    if last is not None and last.profile is profile and last.n == n and last.spec == spec:
+    if last is not None and last[1].profile is profile and last[1].n == n and last[0] == spec:
         return last
     b = _interior(_draw(profile, n, spec), profile, MAX_DERIV_ORDER)
     for array in (b.points, b.x, b.A) + b.F:
         array.flags.writeable = False
-    geometry._last = InteriorSample(x=b.x, F=b.F, points=b.points, A=b.A, profile=profile,
-                                    spec=spec)
+    geometry._last = (spec, b)
     return geometry._last
-
-
-def _resolved(profile: Profile, n: int,
-              spec: GridSpec | InteriorSample | None) -> InteriorSample:
-    """``spec`` itself if it is a sample of ``profile`` in dimension ``n``, else a draw."""
-    if not isinstance(spec, InteriorSample):
-        return interior_sample(profile, n, spec)
-    if spec.profile is not profile or spec.n != n:
-        raise ValueError(f"sample of {spec.profile.describe()} at n={spec.n} "
-                         f"given for {profile.describe()} at n={n}")
-    return spec
 
 
 def _norm(v) -> np.ndarray:

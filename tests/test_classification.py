@@ -60,7 +60,6 @@ class TestHyperbolicMap:
     def test_identity_scales(self):
         phi = HyperbolicMap(1.0, 1.0)
         np.testing.assert_array_equal(phi.scales(3), np.ones(3))
-        np.testing.assert_array_equal(phi.jacobian(2), np.eye(2))
 
 
 class TestPullback:

@@ -13,7 +13,6 @@ from hartogs import (
     extremal_report,
     generalized_scalars_closed,
     interior_points,
-    interior_sample,
     inverse_metric_closed_form,
     linear_profile,
     metric_closed_form,
@@ -25,6 +24,7 @@ from hartogs import (
 from hartogs.config import MAX_N
 from hartogs.geometry import _interior, _nonsingular
 from hartogs.profiles import MAX_DERIV_ORDER
+from hartogs.sampling import _interior_sample
 
 PROFILES = {
     "exp": exp_profile(1.0),
@@ -103,27 +103,27 @@ def test_closed_forms_give_the_reference_bits(name, n):
 
 class TestKeptMetric:
     def test_read_only_and_built_once(self):
-        prof = PROFILES["exp"]
-        s = interior_sample(prof, 4, GridSpec(points=50, seed=3))
-        h = metric_closed_form(s, prof)
+        prof, spec = PROFILES["exp"], GridSpec(points=50, seed=3)
+        pts = interior_points(prof, 4, spec)
+        h = metric_closed_form(pts, prof)
         with pytest.raises(ValueError):
             h[0, 0, 0] = 0.0
-        assert metric_closed_form(s, prof) is h
-        assert metric_closed_form(s.points, prof) is h      # the kept points read the sample
+        assert metric_closed_form(pts, prof) is h
+        assert _interior_sample(prof, 4, spec)[1].metric is h   # the kept sample's metric
         # points that are not the kept sample's build their own read-only matrix
-        raw = metric_closed_form(np.array(s.points), prof)
+        raw = metric_closed_form(np.array(pts), prof)
         assert raw is not h and not raw.flags.writeable
         assert raw.tobytes() == h.tobytes()
 
     def test_ricci_leaves_the_metric_unchanged(self):
         prof = PROFILES["gauss"]
-        s = interior_sample(prof, 5, GridSpec(points=50, seed=4))
-        h = metric_closed_form(s, prof)
+        pts = interior_points(prof, 5, GridSpec(points=50, seed=4))
+        h = metric_closed_form(pts, prof)
         before = h.tobytes()
-        ric = ricci_closed_form(s, prof)
+        ric = ricci_closed_form(pts, prof)
         assert ric.flags.writeable and not np.shares_memory(ric, h)
         ric[...] = 0.0
-        assert h.tobytes() == before and metric_closed_form(s, prof) is h
+        assert h.tobytes() == before and metric_closed_form(pts, prof) is h
 
     def test_one_grid_spec_evaluates_the_table_once(self, monkeypatch):
         # the jet-sweep op: the points, six closed forms on them, both pipelines
@@ -142,14 +142,10 @@ class TestKeptMetric:
         for closed in SIX_CLOSED_FORMS:
             closed(pts, prof)
         assert calls == []
-        # the pipelines evaluate only their own stencils and curves: the same
-        # calls as when handed the sample itself
+        # the pipelines read the kept sample and evaluate only their own
+        # stencils and curves, none of them on the 80 grid points
         extremal_report(prof, n, spec)
         classify(prof, n, spec)
-        with_spec = list(calls)
+        assert calls and all(shape != (80,) for shape, _ in calls)
         calls.clear()
-        s = interior_sample(prof, n, spec)
-        assert s.points is pts and calls == []
-        extremal_report(prof, n, s)
-        classify(prof, n, s)
-        assert with_spec == calls and ((80,), MAX_DERIV_ORDER) not in calls
+        assert interior_points(prof, n, spec) is pts and calls == []

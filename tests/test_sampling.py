@@ -1,4 +1,4 @@
-"""The interior draw and its sample record: one draw shared by the pipelines."""
+"""The interior draw and its kept sample: one draw shared by the closed forms and the pipelines."""
 
 import dataclasses
 import hashlib
@@ -12,28 +12,29 @@ import pytest
 from hartogs import (
     CurvatureRecord,
     GridSpec,
-    InteriorSample,
     Profile,
     SingularCoefficientError,
     boundary_samples,
     classify,
     curvature_record,
     det_closed_form,
+    equivalence_check,
     exp_profile,
     extremal_report,
     generalized_scalars_closed,
     grid_csv_rows,
     interior_points,
-    interior_sample,
     inverse_metric_closed_form,
-    linear_profile,
     metric_closed_form,
+    pullback_check,
     scalar_curvature,
+    x_grid,
 )
+import hartogs.geometry
 import hartogs.sampling
 from hartogs.geometry import _interior
 from hartogs.profiles import MAX_DERIV_ORDER
-from hartogs.sampling import _draw, _halton, _halton_terms
+from hartogs.sampling import _draw, _halton, _halton_terms, _interior_sample
 
 SPEC = GridSpec(points=30, seed=5, x_cap=2.5)
 
@@ -59,13 +60,14 @@ def outcome(closed, z, profile):
 
 
 class TestInteriorSample:
+    """The kept interior sample: one draw and its table, read through its points."""
+
     def test_fields_are_one_draw_and_its_table(self, expp):
-        s = interior_sample(expp, 3, SPEC)
-        assert isinstance(s, InteriorSample)
-        assert s.profile is expp and s.spec == SPEC and s.n == 3
         pts = interior_points(expp, 3, SPEC)
-        np.testing.assert_array_equal(s.points, pts)
-        b = _interior(pts, expp, MAX_DERIV_ORDER)
+        spec, s = _interior_sample(expp, 3, SPEC)
+        assert spec == SPEC and s.profile is expp and s.n == 3 and s.points is pts
+        assert _interior(pts, expp, MAX_DERIV_ORDER) is s   # the kept points read the sample
+        b = _interior(np.array(pts), expp, MAX_DERIV_ORDER)
         np.testing.assert_array_equal(s.x, b.x)
         np.testing.assert_array_equal(s.A, b.A)
         assert len(s.F) == MAX_DERIV_ORDER + 1
@@ -73,53 +75,58 @@ class TestInteriorSample:
             np.testing.assert_array_equal(got, want)
 
     def test_arrays_are_read_only(self, expp):
-        s = interior_sample(expp, 2, SPEC)
+        _, s = _interior_sample(expp, 2, SPEC)
         for array in (s.points, s.x, s.A) + s.F:
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
     def test_singular_profile_still_samples(self, constant_profile):
-        # B == 0 everywhere: the record builds no radial coefficients, so it
+        # B == 0 everywhere: the sample builds no radial coefficients, so it
         # exists; the consumers that need them raise
-        s = interior_sample(constant_profile, 2, SPEC)
-        assert s.points.shape == (30, 2)
+        assert interior_points(constant_profile, 2, SPEC).shape == (30, 2)
 
     def test_radial_record_is_built_once(self, count_builds):
-        # classify and extremal_report share the sample's B and its L/G block;
-        # a new profile object, so the sample is not one kept from another test
+        # a closed form on the kept points, classify and extremal_report share
+        # the sample's B and its L/G block; a new profile object, so the
+        # sample is not one kept from another test
         prof = exp_profile(1.0)
         b_built, block_built = count_builds("B"), count_builds("_curvature_terms")
-        s = interior_sample(prof, 3, SPEC)
-        classify(prof, 3, s)
-        extremal_report(prof, 3, s)
+        scalar_curvature(interior_points(prof, 3, SPEC), prof)
+        classify(prof, 3, SPEC)
+        extremal_report(prof, 3, SPEC)
+        _, s = _interior_sample(prof, 3, SPEC)
         assert sum(r is s for r in b_built) == 1 and sum(r is s for r in block_built) == 1
 
     def test_radial_block_is_read_only(self, expp):
         # a kept sample is shared by unrelated calls: no reader may write its coefficients
-        s = interior_sample(expp, 3, SPEC)
+        _, s = _interior_sample(expp, 3, SPEC)
         for name in ("T", "B", "L", "G", "dL", "dG"):
             with pytest.raises(ValueError):
                 getattr(s, name)[0] *= 2.0
 
     @pytest.mark.parametrize("n", [2, 3, 6, 12])
     def test_pipelines_give_the_grid_spec_reports(self, oracle_profiles, n):
+        # a pipeline whose grid is kept, its coefficients and metric already
+        # built by the closed forms, reports what it reports on a fresh draw
         for name, prof in oracle_profiles.items():
-            s = interior_sample(prof, n, SPEC)
-            assert (classify(prof, n, s).to_json()
-                    == classify(prof, n, SPEC).to_json()), name
-            assert (extremal_report(prof, n, s).to_json()
-                    == extremal_report(prof, n, SPEC).to_json()), name
+            pts = interior_points(prof, n, SPEC)
+            for closed in CLOSED_FORMS:
+                outcome(closed, pts, prof)
+            kept = [pipeline(prof, n, SPEC).to_json() for pipeline in (classify, extremal_report)]
+            for pipeline, report in zip((classify, extremal_report), kept):
+                hartogs.geometry._last = None   # a fresh draw
+                assert pipeline(prof, n, SPEC).to_json() == report, (name, pipeline.__name__)
 
     @pytest.mark.parametrize("closed", CLOSED_FORMS, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("n", [2, 5])
     def test_closed_forms_read_the_sample(self, oracle_profiles, constant_profile,
                                           monkeypatch, closed, n):
-        # a sample in place of its points: the same bytes (or, where B == 0,
-        # the same error), and no derivative call
+        # the kept points: the bytes of the raw path (or, where B == 0, the
+        # same error), and no derivative call
         profiles = dict(oracle_profiles, constant=constant_profile)
         for name, prof in profiles.items():
-            s = interior_sample(prof, n, SPEC)
-            want = outcome(closed, np.array(s.points), prof)   # a copy: the raw path
+            pts = interior_points(prof, n, SPEC)
+            want = outcome(closed, np.array(pts), prof)   # a copy: the raw path
             calls = []
             derivs = Profile.derivs
 
@@ -129,23 +136,22 @@ class TestInteriorSample:
 
             with monkeypatch.context() as patch:
                 patch.setattr(Profile, "derivs", counted)
-                got = outcome(closed, s, prof)
+                got = outcome(closed, pts, prof)
             assert got == want and calls == [], name
         # where B == 0 the metric and the determinant evaluate, the rest raise
-        s = interior_sample(constant_profile, n, SPEC)
-        raises = outcome(closed, s, constant_profile) is SingularCoefficientError
+        pts = interior_points(constant_profile, n, SPEC)
+        raises = outcome(closed, pts, constant_profile) is SingularCoefficientError
         assert raises == (closed not in (metric_closed_form, det_closed_form))
 
     @pytest.mark.parametrize("closed", CLOSED_FORMS, ids=lambda f: f.__name__)
     def test_closed_forms_take_a_record_of_their_profile_only(self, expp, closed,
                                                               monkeypatch):
-        s = interior_sample(expp, 3, SPEC)
-        pts = np.array(s.points)   # a writable copy: not the kept sample's points
-        with pytest.raises(ValueError, match="record of"):
-            closed(s, exp_profile(1.0))               # an equal profile, not this one
-        with pytest.raises(ValueError, match="to order 0"):
-            closed(_interior(pts, expp, 0), expp)     # a table too short for any of them
-        # the kept points answer with the sample for its own profile only
+        # the kept points answer with the sample for its own profile object
+        # only: an equal profile, or a copy of the points, evaluates its own table
+        kept = interior_points(expp, 3, SPEC)
+        pts = np.array(kept)
+        other = exp_profile(1.0)
+        want = outcome(closed, pts, other)
         calls = []
         derivs = Profile.derivs
 
@@ -154,25 +160,13 @@ class TestInteriorSample:
             return derivs(self, x, upto)
 
         monkeypatch.setattr(Profile, "derivs", counted)
-        assert outcome(closed, s.points, expp) == outcome(closed, s, expp)
-        assert calls == []
-        other = exp_profile(1.0)
-        assert outcome(closed, s.points, other) == outcome(closed, pts, other)
+        assert outcome(closed, kept, other) == want
+        assert outcome(closed, pts, expp) == want
         assert calls == [(30,), (30,)]
-
-    def test_wrong_profile_or_n_is_a_value_error(self, expp):
-        s = interior_sample(expp, 3, SPEC)
-        for pipeline in (classify, extremal_report):
-            with pytest.raises(ValueError, match="sample of"):
-                pipeline(exp_profile(1.0), 3, s)      # an equal profile, not this one
-            with pytest.raises(ValueError, match="sample of"):
-                pipeline(linear_profile(1.0, 1.0), 3, s)
-            with pytest.raises(ValueError, match="n=3"):
-                pipeline(expp, 2, s)
 
 
 class TestKeptSample:
-    """``interior_sample`` keeps its last sample and returns it for the same call."""
+    """The sampler keeps its last sample and returns it for the same call."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -187,20 +181,21 @@ class TestKeptSample:
 
     def test_a_hit_is_the_same_sample(self, draws):
         prof = exp_profile(1.0)
-        s = interior_sample(prof, 3, SPEC)
-        assert interior_sample(prof, 3, dataclasses.replace(SPEC)) is s   # an equal spec
+        pts = interior_points(prof, 3, SPEC)
+        assert interior_points(prof, 3, dataclasses.replace(SPEC)) is pts   # an equal spec
         assert len(draws) == 1
-        assert s.points.tobytes() == _draw(prof, 3, SPEC).tobytes()
+        assert pts.tobytes() == _draw(prof, 3, SPEC).tobytes()
 
     def test_another_profile_n_or_spec_misses(self, draws):
         prof = exp_profile(1.0)
         for args in ((exp_profile(1.0), 3, SPEC),            # equal, not the same object
                      (prof, 4, SPEC),
                      (prof, 3, dataclasses.replace(SPEC, seed=SPEC.seed + 1))):
-            s = interior_sample(prof, 3, SPEC)
-            other = interior_sample(*args)
-            assert other is not s
-            assert other.profile is args[0] and (other.n, other.spec) == args[1:]
+            pts = interior_points(prof, 3, SPEC)
+            other = interior_points(*args)
+            assert other is not pts
+            spec, s = hartogs.geometry._last
+            assert s.points is other and s.profile is args[0] and (s.n, spec) == args[1:]
         assert len(draws) == 6
 
     def test_one_grid_spec_draws_once(self, draws):
@@ -210,11 +205,26 @@ class TestKeptSample:
         extremal_report(prof, 3, SPEC)
         classify(prof, 3, SPEC)
         assert [d[1:] for d in draws] == [(3, SPEC)]
-        assert pts is interior_sample(prof, 3, SPEC).points
+        assert pts is interior_points(prof, 3, SPEC)
+
+
+def _grid_readers(expp):
+    """Every public function that takes a ``GridSpec``, as ``spec -> call``."""
+    return {
+        "interior_points": lambda spec: interior_points(expp, 2, spec),
+        "boundary_samples": lambda spec: boundary_samples(expp, 2, spec),
+        "x_grid": lambda spec: x_grid(expp, 3, spec),
+        "classify": lambda spec: classify(expp, 2, spec),
+        "extremal_report": lambda spec: extremal_report(expp, 2, spec),
+        "equivalence_check": lambda spec: equivalence_check(expp, 2, spec),
+        "pullback_check": lambda spec: pullback_check(1.0, 1.0, 2, spec),
+    }
 
 
 class TestGridSpecFields:
-    """Both samplers check every ``GridSpec`` field and name the one out of range."""
+    """Every public function that takes a ``GridSpec`` reads it one way: ``None``
+    is the default grid, anything else but a ``GridSpec`` is a ``TypeError``,
+    and a field out of its range is a ``ValueError`` that names the field."""
 
     @pytest.mark.parametrize("field, value", [
         ("points", 0), ("points", 20.0), ("points", True), ("points", "20"),
@@ -224,10 +234,19 @@ class TestGridSpecFields:
     ])
     def test_out_of_range_is_a_value_error_naming_the_field(self, expp, field, value):
         spec = dataclasses.replace(SPEC, **{field: value})
-        for sampler in (interior_points, boundary_samples):
+        for name, read in _grid_readers(expp).items():
             with pytest.raises(ValueError, match=f"^GridSpec.{field} must be [^\n]*, "
                                                  f"got {re.escape(repr(value))}$"):
-                sampler(expp, 2, spec)
+                read(spec)
+
+    def test_anything_but_a_grid_spec_is_a_type_error(self, expp):
+        # a falsy value is not the default grid, and a points array is not
+        # printed into the message
+        for spec in (0, "", "spec", {"points": 20}, interior_points(expp, 2, SPEC)):
+            for name, read in _grid_readers(expp).items():
+                with pytest.raises(TypeError, match=r"^spec must be a GridSpec or None, "
+                                                    r"got \w+$"):
+                    read(spec)
 
     def test_a_float_count_does_not_read_the_kept_sample(self, expp):
         interior_points(expp, 2, dataclasses.replace(SPEC, points=20))
@@ -295,7 +314,7 @@ class TestHaltonDraw:
     def test_a_run_imports_no_scipy_stats(self):
         # a fresh interpreter: the package, the CLI and one interior sample
         code = ("import sys, hartogs, hartogs.cli\n"
-                "hartogs.interior_sample(hartogs.exp_profile(1.0), 3, hartogs.GridSpec(points=20))\n"
+                "hartogs.interior_points(hartogs.exp_profile(1.0), 3, hartogs.GridSpec(points=20))\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
