@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .profiles import Profile, exp_profile, linear_profile, power_profile, table_profile
-from .sampling import GridSpec
+from .sampling import GridSpec, _GRID_RANGES
 
 __all__ = ["RunConfig", "Tolerances", "parse_config_text", "load_config", "build_profile",
            "COMMANDS", "VERDICTS", "MAX_N"]
@@ -204,8 +204,7 @@ def _text(value, key: str) -> str:
 _POSITIVE = ("positive", lambda v: v > 0)
 # The range of each bounded key, by dotted name; its type is its field's.
 _RANGES = {"n": (f"in 2..{MAX_N}", lambda v: 2 <= v <= MAX_N),
-           "grid.points": (">= 1", lambda v: v >= 1), "grid.seed": (">= 0", lambda v: v >= 0),
-           "grid.a_margin": ("in (0, 1)", lambda v: 0 < v < 1), "grid.x_cap": _POSITIVE,
+           **{f"grid.{name}": rule for name, rule in _GRID_RANGES.items()},
            "fd_step": _POSITIVE, "tolerances.oracle": _POSITIVE,
            "tolerances.extremal": _POSITIVE, "tolerances.classify": _POSITIVE}
 

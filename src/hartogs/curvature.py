@@ -32,7 +32,7 @@ from .geometry import (
     _interior,
     _interleave,
 )
-from .profiles import MAX_DERIV_ORDER, Profile
+from .profiles import MAX_DERIV_ORDER, Profile, _scalar
 
 __all__ = [
     "ricci_closed_form",
@@ -97,8 +97,7 @@ def scalar_curvature(z, profile: Profile):
 
 def _scal(p):
     """The scalar curvature of the batch ``p`` (see :func:`scalar_curvature`)."""
-    out = p.G * p.A - p.n * (p.n + 1.0)
-    return out if np.ndim(out) else float(out)
+    return _scalar(p.G * p.A - p.n * (p.n + 1.0))
 
 
 def _rho(scal, n: int) -> np.ndarray:
@@ -186,6 +185,5 @@ def curvature_record(z, profile: Profile) -> CurvatureRecord:
     ``i`` of the batch equals the record of point ``i``.
     """
     p = _interior(z, profile, MAX_DERIV_ORDER)
-    ell, scal = p.L, _scal(p)
-    return CurvatureRecord(point=p.points, L=ell if np.ndim(ell) else float(ell),
-                           scal=scal, rho=_rho(scal, p.n))
+    scal = _scal(p)
+    return CurvatureRecord(point=p.points, L=_scalar(p.L), scal=scal, rho=_rho(scal, p.n))

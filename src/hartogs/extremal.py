@@ -42,7 +42,7 @@ from .geometry import (
     _interleave,
     radial_coefficients,
 )
-from .profiles import MAX_DERIV_ORDER, Profile
+from .profiles import MAX_DERIV_ORDER, Profile, _scalar
 from .sampling import GridSpec, _interior_sample, x_grid
 
 __all__ = [
@@ -144,9 +144,7 @@ def reduced_conditions(profile: Profile, x: float) -> tuple[float, float]:
     if not profile.exact_derivatives and np.any(xa == 0.0):
         raise DomainError("reduced conditions at x = 0 need exact derivatives")
     r1, r2 = _reduced(radial_coefficients(profile, xa))
-    if np.ndim(xa):
-        return r1, r2
-    return float(r1), float(r2)
+    return _scalar(r1), _scalar(r2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,10 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularCoefficientError, StepError
-from .profiles import MAX_DERIV_ORDER, Profile
+from .profiles import MAX_DERIV_ORDER, Profile, _scalar
 
 __all__ = [
-    "hermitize",
     "potential",
     "metric_closed_form",
     "wirtinger_hessian",
@@ -51,16 +50,6 @@ __all__ = [
     "grid_csv_header",
     "grid_csv_rows",
 ]
-
-
-def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part ``(M + M^H)/2``.
-
-    The symmetrization makes ``out[..., a, b] == conj(out[..., b, a])``
-    exact in floating point (sums commute entrywise).  No evaluator needs
-    it; the tests use it as the reference of exact Hermiticity.
-    """
-    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
 def _interleave(v) -> np.ndarray:
@@ -388,8 +377,7 @@ def det_closed_form(z, profile: Profile):
 
 def _det(p: _PointBatch):
     """The determinant of the batch ``p`` (see :func:`det_closed_form`)."""
-    out = p.B / np.power(p.A, p.n + 1)
-    return out if np.ndim(out) else float(out)
+    return _scalar(p.B / np.power(p.A, p.n + 1))
 
 
 def principal_minor(z, profile: Profile, alpha: int):
@@ -404,8 +392,7 @@ def principal_minor(z, profile: Profile, alpha: int):
     if not 1 <= alpha <= n - 1:
         raise ValueError(f"alpha must be in 1..{n - 1}, got {alpha}")
     tail = np.sum(np.square(np.abs(z[..., alpha:])), axis=-1)
-    out = np.power(a, n - alpha) + np.power(a, n - alpha - 1) * tail
-    return out if np.ndim(out) else float(out)
+    return _scalar(np.power(a, n - alpha) + np.power(a, n - alpha - 1) * tail)
 
 
 def inverse_metric_closed_form(z, profile: Profile) -> np.ndarray:

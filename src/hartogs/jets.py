@@ -35,10 +35,6 @@ class Jet:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def value(self):
-        return self.coeffs[0]
-
     def _lift(self, other) -> "Jet":
         if isinstance(other, Jet):
             return other

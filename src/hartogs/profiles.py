@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ProfileError, StepError
+from .errors import DomainError, ProfileError
 from . import jets
 
 __all__ = [
@@ -32,12 +32,17 @@ __all__ = [
     "table_profile",
     "profile_from_function",
     "kahler_indicator",
-    "derivative_consistency",
 ]
 
 # Metric needs F'', the Ricci correction needs F'''', and the derivative of
 # the scalar-curvature coefficient needs F'''''.
 MAX_DERIV_ORDER = 5
+
+
+def _scalar(out):
+    """``out`` as it stands if it has an axis, else as a Python ``float``: the
+    return rule of every evaluator, so one point gives a float."""
+    return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True)
@@ -204,33 +209,4 @@ def kahler_indicator(profile: Profile, x) -> float:
     if np.any(bad):
         raise ProfileError(f"profile non-positive at {np.count_nonzero(bad)} abscissa(e), "
                            f"first {float(xa[bad].flat[0])!r}")
-    out = (f1 + xa * f2) / f - xa * np.square(f1 / f)
-    return out if xa.ndim else float(out)
-
-
-# 5-point first-derivative stencil: O(step^4) truncation error.
-_STENCIL = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
-
-
-def derivative_consistency(profile: Profile, x: float, step: float) -> float:
-    """Largest mismatch between stated and finite-difference derivatives.
-
-    For each order ``k = 1..4`` the profile's ``F^(k)(x)`` is compared
-    against a five-point central difference of ``F^(k-1)``, and the
-    worst relative deviation ``|fd - deriv| / (1 + |deriv|)`` is returned.
-    Chaining through the next-lower order keeps the finite-difference
-    noise at first-derivative level for every k, so a healthy profile
-    scores near roundoff while a corrupted derivative table is flagged
-    with an O(1) score.
-    """
-    if step <= 0:
-        raise StepError(f"step must be positive, got {step}")
-    if x - 2 * step <= 0 or x + 2 * step >= profile.x0:
-        raise DomainError(f"stencil [x-2*step, x+2*step] leaves (0, {profile.x0})")
-    stated = profile.derivs(x, 4)
-    shifted = [(w, profile.derivs(x + j * step, 3)) for j, w in _STENCIL]
-    worst = 0.0
-    for k in range(1, 5):
-        fd = sum(w * d[k - 1] for w, d in shifted) / (12.0 * step)
-        worst = max(worst, abs(fd - stated[k]) / (1.0 + abs(stated[k])))
-    return worst
+    return _scalar((f1 + xa * f2) / f - xa * np.square(f1 / f))

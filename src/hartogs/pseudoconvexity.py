@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .geometry import RadialCoefficients, _interleave
-from .profiles import Profile, kahler_indicator
+from .profiles import Profile, _scalar, kahler_indicator
 from .sampling import GridSpec, _grid_spec, _norm, boundary_samples
 
 __all__ = [
@@ -34,10 +34,6 @@ __all__ = [
 ]
 
 
-def _scalar(out):
-    return out if np.ndim(out) else float(out)
-
-
 def _abs2(c):
     """``|c|^2`` elementwise: ``hypot(re, im)``, the ``abs`` of one complex scalar, squared."""
     c = np.asarray(c)
@@ -46,21 +42,20 @@ def _abs2(c):
 
 @dataclass(frozen=True, eq=False)
 class BoundaryPoint(RadialCoefficients):
-    """Points on the fiber boundary: the radial record of ``|z_0|^2`` and the gradient of ``rho``.
+    """Points on the fiber boundary: the radial record of ``|z_0|^2`` and the coordinates.
 
     The record holds ``x = |z_0|^2`` and the table ``F = (F, F', F'')``
     at ``x``, one entry per point (floats for one point), and builds
     ``T = F' + F'' x`` on first use; the Levi-form functions read them,
     so they take no profile.  ``coords`` satisfies
-    ``sum_{k>=1} |z_k|^2 = F(|z_0|^2)`` to 1e-12 and ``normal`` holds the
-    holomorphic gradient
-    ``(d rho/dz_0, ..., d rho/dz_{n-1}) = (-F' z~_0, z~_1, ..., z~_{n-1})``,
-    which never vanishes on this stratum.  Both have shape ``(..., n)``:
-    one point, or a batch over leading axes.
+    ``sum_{k>=1} |z_k|^2 = F(|z_0|^2)`` to 1e-12 and has shape
+    ``(..., n)``: one point, or a batch over leading axes.  The holomorphic
+    gradient of ``rho`` there, ``(-F' z~_0, z~_1, ..., z~_{n-1})``, follows
+    from ``coords`` and ``F'``; the tangency condition of
+    :func:`tangent_vector` is its pairing with ``X``.
     """
 
     coords: np.ndarray
-    normal: np.ndarray
 
     @property
     def z0(self):
@@ -92,8 +87,7 @@ def boundary_point(profile: Profile, z0, direction) -> BoundaryPoint:
     table = profile.derivs(x, 2)   # raises DomainError when |z0|^2 >= x0
     fiber = np.sqrt(table[0])[..., None] * direction / norm[..., None]
     coords = np.concatenate([z0[..., None], fiber], axis=-1)
-    normal = np.concatenate([(-table[1] * np.conj(z0))[..., None], np.conj(fiber)], axis=-1)
-    return BoundaryPoint(x=x, F=table, coords=coords, normal=normal)
+    return BoundaryPoint(x=x, F=table, coords=coords)
 
 
 def _solvable(point: BoundaryPoint) -> None:
@@ -109,7 +103,7 @@ def _solvable(point: BoundaryPoint) -> None:
 def _rows(point: BoundaryPoint, rows) -> BoundaryPoint:
     """The boundary points ``rows`` (an index along the leading axis) of ``point``."""
     return BoundaryPoint(x=point.x[rows], F=tuple(f[rows] for f in point.F),
-                         coords=point.coords[rows], normal=point.normal[rows])
+                         coords=point.coords[rows])
 
 
 def levi_form(point: BoundaryPoint, x_vec):

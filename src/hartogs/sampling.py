@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -64,27 +64,32 @@ def _real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
-# The range of each GridSpec field, as the config keys ``grid.*`` bound them.
-_SPEC_RULES = {"points": ("an integer >= 1", lambda v: _integer(v) and v >= 1),
-               "seed": ("an integer >= 0", lambda v: _integer(v) and v >= 0),
-               "a_margin": ("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1),
-               "x_cap": ("a finite number > 0", lambda v: _real(v) and v > 0)}
+# The range of each GridSpec field: ``(text, test)`` on a value of the field's
+# type.  The config keys ``grid.*`` are bounded by this table too.
+_GRID_RANGES = {"points": (">= 1", lambda v: v >= 1), "seed": (">= 0", lambda v: v >= 0),
+                "a_margin": ("in (0, 1)", lambda v: 0 < v < 1),
+                "x_cap": ("positive", lambda v: v > 0)}
 
 
 def _grid_spec(spec) -> GridSpec:
     """``spec`` checked, or ``GridSpec()`` for ``None``: how every public function reads its grid.
 
-    Anything but a ``GridSpec`` raises ``TypeError``; a field out of its
-    range (:data:`_SPEC_RULES`) raises a ``ValueError`` that names the field.
+    Anything but a ``GridSpec`` raises ``TypeError``.  A field that is not
+    of its type (an integer, or a finite number) or is out of its range
+    (:data:`_GRID_RANGES`) raises a ``ValueError`` that names the field.
     """
     if spec is None:
         return GridSpec()
     if not isinstance(spec, GridSpec):
         raise TypeError(f"spec must be a GridSpec or None, got {type(spec).__name__}")
-    for name, (rule, ok) in _SPEC_RULES.items():
-        value = getattr(spec, name)
-        if not ok(value):
-            raise ValueError(f"GridSpec.{name} must be {rule}, got {value!r}")
+    for field in fields(GridSpec):
+        value = getattr(spec, field.name)
+        kind, typed = ("an integer", _integer) if field.type == "int" else ("a finite number", _real)
+        rule, within = _GRID_RANGES[field.name]
+        if not typed(value):
+            raise ValueError(f"GridSpec.{field.name} must be {kind}, got {value!r}")
+        if not within(value):
+            raise ValueError(f"GridSpec.{field.name} must be {rule}, got {value!r}")
     return spec
 
 

@@ -135,6 +135,15 @@ def sample_points(builtin_profiles, grid_small):
 # independent oracles used across test modules
 # ---------------------------------------------------------------------------
 
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """Hermitian part ``(M + M^H)/2``: the reference of exact Hermiticity.
+
+    The symmetrization makes ``out[..., a, b] == conj(out[..., b, a])``
+    exact in floating point (sums commute entrywise).
+    """
+    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+
+
 def fd1(fn, x, h=1e-4):
     """Five-point first derivative of a scalar callable (O(h^4))."""
     return (fn(x - 2 * h) - 8 * fn(x - h) + 8 * fn(x + h) - fn(x + 2 * h)) / (12 * h)

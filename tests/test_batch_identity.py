@@ -94,9 +94,7 @@ def test_single_calls_equal_the_batch(name, n):
     x_vecs = np.random.default_rng(n).standard_normal((POINTS, n)) * (1.0 + 0.5j)
     bpts = boundary_point(prof, z0, fiber)
     singles = [boundary_point(prof, z0[k], fiber[k]) for k in range(POINTS)]
-    found["boundary_point"] = _mismatches(
-        np.concatenate([bpts.coords, bpts.normal], axis=-1),
-        [np.concatenate([one.coords, one.normal]) for one in singles])
+    found["boundary_point"] = _mismatches(bpts.coords, [one.coords for one in singles])
     # each point carries the table (F, F', F'') of its profile at |z_0|^2
     xb = np.square(np.hypot(bpts.z0.real, bpts.z0.imag))
     table = np.stack(bpts.F, axis=-1)

@@ -18,7 +18,6 @@ from hartogs import (
     grid_csv_header,
     grid_csv_rows,
     hamiltonian_field,
-    hermitize,
     interior_points,
     inverse_metric_closed_form,
     kahler_indicator,
@@ -39,7 +38,7 @@ from hartogs import (
 from hartogs.config import MAX_N
 from hartogs.extremal import dbar_jacobian
 from hartogs.jets import Jet
-from conftest import l_coefficient_fd
+from conftest import hermitize, l_coefficient_fd
 
 
 def _jet_derivative(jet):

@@ -10,9 +10,9 @@ PUBLIC = [
     "RadialCoefficients", "SingularCoefficientError", "StepError", "boundary_point",
     "boundary_samples", "classification", "classify", "curvature",
     "curvature_polynomial_coefficients", "curvature_record", "dbar_jacobian",
-    "derivative_consistency", "det_closed_form", "equivalence_check", "errors", "exp_profile",
+    "det_closed_form", "equivalence_check", "errors", "exp_profile",
     "extremal", "extremal_report", "generalized_scalars_closed", "generalized_scalars_poly",
-    "geometry", "grid_csv_header", "grid_csv_rows", "hamiltonian_field", "hermitize",
+    "geometry", "grid_csv_header", "grid_csv_rows", "hamiltonian_field",
     "hyperbolic_metric", "interior_points", "inverse_metric_closed_form", "jets",
     "kahler_indicator", "levi_form", "linear_profile", "metric_closed_form", "potential",
     "power_profile", "principal_minor", "profile_from_function", "profiles", "pseudoconvexity",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hartogs import (
+    ConfigError,
     CurvatureRecord,
     GridSpec,
     Profile,
@@ -32,6 +33,7 @@ from hartogs import (
 )
 import hartogs.geometry
 import hartogs.sampling
+from hartogs.config import load_config
 from hartogs.geometry import _interior
 from hartogs.profiles import MAX_DERIV_ORDER
 from hartogs.sampling import _draw, _halton, _halton_terms, _interior_sample
@@ -221,23 +223,59 @@ def _grid_readers(expp):
     }
 
 
+# GridSpec fields out of range, each with what a config file that spells it,
+# ``grid.<field> = <value>``, gives: the message of its ConfigError, or None
+# where the config grammar reads the text as a number in range (an integral
+# number is an integer there, and text that reads as a number is one).
+OUT_OF_RANGE = [
+    ("points", 0, "grid.points must be >= 1, got 0"),
+    ("points", 20.0, None),
+    ("points", True, "grid.points must be an integer, got True"),
+    ("points", "20", None),
+    ("seed", -1, "grid.seed must be >= 0, got -1"),
+    ("seed", 1.0, None),
+    ("seed", None, "grid.seed must be an integer, got 'None'"),
+    ("a_margin", 0.0, "grid.a_margin must be in (0, 1), got 0.0"),
+    ("a_margin", 1.0, "grid.a_margin must be in (0, 1), got 1.0"),
+    ("a_margin", float("nan"), "grid.a_margin must be a finite number, got nan"),
+    ("a_margin", "0.1", None),
+    ("x_cap", 0.0, "grid.x_cap must be positive, got 0.0"),
+    ("x_cap", -1.0, "grid.x_cap must be positive, got -1.0"),
+    ("x_cap", float("nan"), "grid.x_cap must be a finite number, got nan"),
+    ("x_cap", float("inf"), "grid.x_cap must be a finite number, got inf"),
+]
+
+
 class TestGridSpecFields:
     """Every public function that takes a ``GridSpec`` reads it one way: ``None``
     is the default grid, anything else but a ``GridSpec`` is a ``TypeError``,
     and a field out of its range is a ``ValueError`` that names the field."""
 
-    @pytest.mark.parametrize("field, value", [
-        ("points", 0), ("points", 20.0), ("points", True), ("points", "20"),
-        ("seed", -1), ("seed", 1.0), ("seed", None),
-        ("a_margin", 0.0), ("a_margin", 1.0), ("a_margin", float("nan")), ("a_margin", "0.1"),
-        ("x_cap", 0.0), ("x_cap", -1.0), ("x_cap", float("nan")), ("x_cap", float("inf")),
-    ])
+    @pytest.mark.parametrize("field, value", [(field, value) for field, value, _ in OUT_OF_RANGE])
     def test_out_of_range_is_a_value_error_naming_the_field(self, expp, field, value):
         spec = dataclasses.replace(SPEC, **{field: value})
         for name, read in _grid_readers(expp).items():
             with pytest.raises(ValueError, match=f"^GridSpec.{field} must be [^\n]*, "
                                                  f"got {re.escape(repr(value))}$"):
                 read(spec)
+
+    @pytest.mark.parametrize("field, value, message", OUT_OF_RANGE,
+                             ids=[f"{field}-{value}" for field, value, _ in OUT_OF_RANGE])
+    def test_config_keys_read_the_same_ranges(self, expp, tmp_path, field, value, message):
+        # the keys grid.* are bounded by the library's one range table: a value
+        # the config file reads as it stands gets the library's message, with
+        # the key in place of the field
+        path = tmp_path / "run.txt"
+        path.write_text(f"command = classify\nprofile.kind = exp\ngrid.{field} = {value}\n")
+        if message is None:
+            assert getattr(load_config(path).grid, field) == float(value)
+            return
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        if value is not None:   # the file reads None as the text 'None'
+            library = message.replace("grid.", "GridSpec.", 1)
+            with pytest.raises(ValueError, match=f"^{re.escape(library)}$"):
+                interior_points(expp, 2, dataclasses.replace(SPEC, **{field: value}))
 
     def test_anything_but_a_grid_spec_is_a_type_error(self, expp):
         # a falsy value is not the default grid, and a points array is not
