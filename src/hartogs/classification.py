@@ -19,8 +19,8 @@ from .errors import DomainError
 from .extremal import _radial_parts, _radial_residual
 from .geometry import metric_closed_form, radial_coefficients
 from .curvature import _scal
-from .profiles import Profile, linear_profile
-from .sampling import GridSpec, _grid_spec, _interior_sample, interior_points, x_grid
+from .profiles import Profile, _finite_max, linear_profile
+from .sampling import _BOUNDS, GridSpec, _bounded, _interior_sample, x_grid
 
 __all__ = [
     "HyperbolicMap",
@@ -87,10 +87,12 @@ def pullback_check(c1: float, c2: float, n: int, spec: GridSpec | None = None,
 
     The Jacobian ``J`` of the rescaling is constant and diagonal, so the
     pullback is a congruence by a fixed real diagonal matrix; the identity
-    is exact up to roundoff when the profile really is ``c1 - c2 x``.
+    is exact up to roundoff when the profile really is ``c1 - c2 x``.  A ``tol``
+    not positive and finite raises ``ValueError``, a NaN or inf error ``NumericError``.
     """
-    spec = _grid_spec(spec)
-    err = _pullback_error(c1, c2, interior_points(linear_profile(c1, c2), n, spec))
+    tol = _bounded("tol", tol, _BOUNDS["tol"])
+    spec, sample = _interior_sample(linear_profile(c1, c2), n, spec)
+    err = _pullback_error(c1, c2, sample.points)
     return PullbackReport(c1=c1, c2=c2, n=n, grid=spec.describe(),
                           max_error=err, tol=tol, passed=err <= tol)
 
@@ -101,7 +103,8 @@ def _pullback_error(c1: float, c2: float, pts) -> float:
     scales = phi.scales(pts.shape[-1])
     g_ball = hyperbolic_metric(phi(pts))
     pulled = scales[None, :, None] * g_ball * scales[None, None, :]
-    return float(np.max(np.abs(pulled - metric_closed_form(pts, linear_profile(c1, c2)))))
+    return _finite_max(np.abs(pulled - metric_closed_form(pts, linear_profile(c1, c2))),
+                       "pullback error")
 
 
 @dataclass(frozen=True)
@@ -147,25 +150,27 @@ def classify(profile: Profile, n: int = 2, spec: GridSpec | None = None,
     vanishing ``L`` whose fit or pullback check fails yields INCONSISTENT:
     either the tolerances are misconfigured or the profile data violates
     the standing hypotheses.  The pullback check runs on the interior grid.
+    A ``tol`` not positive and finite raises ``ValueError``, a NaN or inf figure ``NumericError``.
     """
+    tol = _bounded("tol", tol, _BOUNDS["tol"])
     spec, sample = _interior_sample(profile, n, spec)
     xs = x_grid(profile, X_POINTS, spec)
     rad = radial_coefficients(profile, xs)
-    max_l = float(np.max(np.abs(rad.L)))
+    max_l = _finite_max(np.abs(rad.L), "radial Ricci correction L")
     arg_x = float(xs[int(np.argmax(np.abs(rad.L)))])
     base = dict(profile=profile.describe(), n=n, grid=spec.describe(), tol=tol,
                 max_abs_l=max_l, argmax_x=arg_x)
     if max_l > tol:
-        scal = _scal(sample)
-        res = float(np.max(_radial_residual(*_radial_parts(sample))))
+        spread = _finite_max(np.ptp(_scal(sample)), "scalar curvature spread")
+        res = _radial_residual(*_radial_parts(sample))[1]
         return ClassificationReport(
             **base, c1=None, c2=None, fit_error=None, pullback_max_error=None,
-            rho0_spread=float(np.ptp(scal)), extremal_max_residual=res,
+            rho0_spread=spread, extremal_max_residual=res,
             verdict="NON_CONSTANT_CURVATURE",
         )
     f0, f1 = profile.derivs(0.0, 1)
     c1, c2 = float(f0), float(-f1)
-    fit_error = float(np.max(np.abs(rad.F[0] - (c1 - c2 * xs))))
+    fit_error = _finite_max(np.abs(rad.F[0] - (c1 - c2 * xs)), "linear fit error")
     if fit_error > tol or c2 <= 0:
         return ClassificationReport(
             **base, c1=c1, c2=c2, fit_error=fit_error, pullback_max_error=None,

@@ -46,6 +46,7 @@ from .geometry import (
 )
 from .profiles import (
     Profile,
+    _finite_max,
     exp_profile,
     kahler_indicator,
     linear_profile,
@@ -86,14 +87,6 @@ def _run_check_kahler(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
         "positivity_agrees": (max_ind < 0.0) == (min_eig > 0.0),
     }
     return report, verdict
-
-
-def _finite_max(values, what: str) -> float:
-    """Largest of ``values``; a NaN or inf raises instead of turning into a verdict."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise NumericError(f"non-finite {what}")
-    return float(np.max(values))
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

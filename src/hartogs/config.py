@@ -36,8 +36,7 @@ the dumps.  Any other key, like anything else amiss, is a ConfigError.
 from __future__ import annotations
 
 import inspect
-import math
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -45,7 +44,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .profiles import Profile, exp_profile, linear_profile, power_profile, table_profile
-from .sampling import GridSpec, _GRID_RANGES
+from .sampling import _BOUNDS, GridSpec, _bounded
 
 __all__ = ["RunConfig", "Tolerances", "parse_config_text", "load_config", "build_profile",
            "COMMANDS", "VERDICTS", "MAX_N"]
@@ -174,39 +173,22 @@ def build_profile(spec: dict, base_dir: Path | None = None) -> Profile:
         raise ConfigError(f"bad profile specification: {exc}") from exc
 
 
-def _integer(value, key: str) -> int:
-    """``value`` as an int; a non-number or a non-integral number is a ConfigError."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+def _number(value, key: str, integer: bool = False):
+    """``value`` as an int (``integer``; an integral float counts) or a float, read
+    by the library's one check within the key's range: any error is a ConfigError."""
+    if integer and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    try:
+        return _bounded(key, value, _RANGES.get(key), integer)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _number(value, key: str) -> float:
-    """``value`` as a float; a non-number, NaN or inf is a ConfigError."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            number = float(value)
-        except OverflowError:   # an integer literal beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ConfigError(f"{key} must be a finite number, got {value!r}")
-
-
-def _text(value, key: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-_POSITIVE = ("positive", lambda v: v > 0)
-# The range of each bounded key, by dotted name; its type is its field's.
+# The range of each bounded key; ``grid.*`` and ``tolerances.*`` take the library's rules.
 _RANGES = {"n": (f"in 2..{MAX_N}", lambda v: 2 <= v <= MAX_N),
-           **{f"grid.{name}": rule for name, rule in _GRID_RANGES.items()},
-           "fd_step": _POSITIVE, "tolerances.oracle": _POSITIVE,
-           "tolerances.extremal": _POSITIVE, "tolerances.classify": _POSITIVE}
+           "fd_step": ("positive", lambda v: v > 0),
+           **{f"grid.{f.name}": _BOUNDS[f.name] for f in fields(GridSpec)},
+           **{f"tolerances.{f.name}": _BOUNDS["tol"] for f in fields(Tolerances)}}
 
 
 def _build(cls, node: dict, prefix: str = "", unknown: tuple = ()):
@@ -225,11 +207,10 @@ def _build(cls, node: dict, prefix: str = "", unknown: tuple = ()):
             if not isinstance(value, dict):
                 raise ConfigError(f"'{name}' must be a section ({name}.key = ...)")
             value = dict(value) if hint is dict else _build(hint, value, name + ".")
-        else:
-            value = {int: _integer, float: _number}.get(hint, _text)(value, name)
-        rule = _RANGES.get(name)
-        if rule and not rule[1](value):
-            raise ConfigError(f"{name} must be {rule[0]}, got {value}")
+        elif hint in (int, float):
+            value = _number(value, name, hint is int)
+        elif not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
         values[key] = value
     return cls(**values)
 

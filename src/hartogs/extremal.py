@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 from .geometry import (
     _PointBatch,
     _dbar,
@@ -42,8 +42,8 @@ from .geometry import (
     _interleave,
     radial_coefficients,
 )
-from .profiles import MAX_DERIV_ORDER, Profile, _scalar
-from .sampling import GridSpec, _interior_sample, x_grid
+from .profiles import MAX_DERIV_ORDER, Profile, _finite_max, _scalar
+from .sampling import _BOUNDS, GridSpec, _bounded, _interior_sample, x_grid
 
 __all__ = [
     "scal_conjugate_gradient",
@@ -95,15 +95,11 @@ def _scaled(z, c0, c1) -> np.ndarray:
     return out
 
 
-def _radial_residual(c0, c1) -> np.ndarray:
-    """Per-point residual ``max(|A r1 / B|, |A r2 / B|)`` from :func:`_radial_parts`.
-
-    A non-finite value raises instead of turning into a verdict.
-    """
+def _radial_residual(c0, c1) -> tuple:
+    """The per-point residual ``max(|A r1 / B|, |A r2 / B|)`` from :func:`_radial_parts`
+    and its largest value; a NaN or inf raises instead of turning into a verdict."""
     res = np.maximum(np.abs(c0), np.abs(c1))
-    if not np.all(np.isfinite(res)):
-        raise NumericError("non-finite radial extremality residual")
-    return res
+    return res, _finite_max(res, "radial extremality residual")
 
 
 def hamiltonian_field(z, profile: Profile) -> np.ndarray:
@@ -189,24 +185,24 @@ def extremal_report(profile: Profile, n: int, spec: GridSpec | None = None,
     ``tol``.  The FD oracle :func:`dbar_jacobian` (base step ``step``) runs
     on the first ``ORACLE_POINTS`` grid points only; ``oracle_fiber_error``
     is the largest ``max|FD - closed| / (1 + max|closed|)`` over them,
-    against the closed fiber columns ``-2 A (r_a / B) z_a z_i``.
+    against the closed fiber columns ``-2 A (r_a / B) z_a z_i``.  A ``tol`` not
+    positive and finite raises ``ValueError``, a NaN or inf figure ``NumericError``.
     """
+    tol = _bounded("tol", tol, _BOUNDS["tol"])
     spec, sample = _interior_sample(profile, n, spec)
     z = sample.points
     c0, c1 = _radial_parts(sample)
-    per_point = _radial_residual(c0, c1)
+    per_point, max_res = _radial_residual(c0, c1)
     k = ORACLE_POINTS
     sub = z[:k]
     closed = -2.0 * _scaled(sub, c0[:k], c1[:k])[:, :, None] * sub[:, None, 1:]
     fd = dbar_jacobian(sub, profile, step)[:, :, 1:]
-    oracle = float(np.max(np.max(np.abs(fd - closed), axis=(1, 2))
-                          / (1.0 + np.max(np.abs(closed), axis=(1, 2)))))
-    if not np.isfinite(oracle):
-        raise NumericError("non-finite extremality oracle error")
+    oracle = _finite_max(np.max(np.abs(fd - closed), axis=(1, 2))
+                         / (1.0 + np.max(np.abs(closed), axis=(1, 2))),
+                         "extremality oracle error")
     arg = int(np.argmax(per_point))
     xs = x_grid(profile, X_POINTS, spec)
     r1, r2 = reduced_conditions(profile, xs)
-    max_res = float(per_point[arg])
     return ExtremalReport(
         profile=profile.describe(), n=n, grid=spec.describe(), step=step, tol=tol,
         max_residual=max_res, oracle_fiber_error=oracle, argmax_point=z[arg],

@@ -298,7 +298,7 @@ def _central_differences(f, z, step, disp, assemble):
     """
     if z.ndim not in (1, 2):
         raise ValueError(f"stencil centres must have shape (n,) or (m, n), got {z.shape}")
-    if step <= 0:
+    if not step > 0:   # NaN included
         raise StepError(f"step must be positive, got {step}")
     n = z.shape[-1]
     pts = z.reshape(-1, n)

@@ -94,8 +94,13 @@ class Jet:
                 base = base * base
                 e >>= 1
             return result
-        # real exponent: f^p = exp(p log f), requires f > 0
-        return (p * self.log()).exp()
+        # real exponent: the Taylor recurrence of f g' = p f' g for g = f^p, requires f > 0
+        f = self.coeffs
+        g = [np.power(f[0], p)]
+        for k in range(1, self.order + 1):
+            s = sum((p * j - (k - j)) * f[j] * g[k - j] for j in range(1, k + 1))
+            g.append(s / (k * f[0]))
+        return Jet(g)
 
     # -- elementary functions (standard Taylor recurrences) ---------------
     def exp(self) -> "Jet":

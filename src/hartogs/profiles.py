@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ProfileError
+from .errors import DomainError, NumericError, ProfileError
 from . import jets
 
 __all__ = [
@@ -43,6 +43,13 @@ def _scalar(out):
     """``out`` as it stands if it has an axis, else as a Python ``float``: the
     return rule of every evaluator, so one point gives a float."""
     return out if np.ndim(out) else float(out)
+
+
+def _finite_max(values, what: str) -> float:
+    """Largest of ``values``; a NaN or inf raises ``NumericError``, never a verdict."""
+    if not np.all(np.isfinite(values)):
+        raise NumericError(f"non-finite {what}")
+    return float(np.max(values))
 
 
 @dataclass(frozen=True)

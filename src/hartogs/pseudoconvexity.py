@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 from .geometry import RadialCoefficients, _interleave
-from .profiles import Profile, _scalar, kahler_indicator
+from .profiles import Profile, _finite_max, _scalar, kahler_indicator
 from .sampling import GridSpec, _grid_spec, _norm, boundary_samples
 
 __all__ = [
@@ -215,8 +215,8 @@ def equivalence_check(profile: Profile, n: int = 2,
     levi[~free] = restricted_levi(_rows(pts, ~free), directions[~free])
     levi[free] = levi_form(_rows(pts, free), np.eye(n)[0])
     ind = kahler_indicator(profile, x)
-    if not (np.all(np.isfinite(levi)) and np.all(np.isfinite(ind))):
-        raise NumericError("non-finite restricted Levi form or Kaehler indicator")
+    for values in (levi, ind):
+        _finite_max(values, "restricted Levi form or Kaehler indicator")
     k, j = np.unravel_index(np.argmin(levi), levi.shape)
     i = int(np.argmax(ind))
     min_levi, max_ind = float(levi[k, j]), float(ind[i])

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -61,14 +62,28 @@ def _integer(v) -> bool:
 
 
 def _real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    if isinstance(v, numbers.Integral):   # exact: an int beyond the float range is not finite
+        return _integer(v) and abs(v) <= sys.float_info.max
+    return isinstance(v, numbers.Real) and math.isfinite(v)
 
 
-# The range of each GridSpec field: ``(text, test)`` on a value of the field's
-# type.  The config keys ``grid.*`` are bounded by this table too.
-_GRID_RANGES = {"points": (">= 1", lambda v: v >= 1), "seed": (">= 0", lambda v: v >= 0),
-                "a_margin": ("in (0, 1)", lambda v: 0 < v < 1),
-                "x_cap": ("positive", lambda v: v > 0)}
+# The range of each bounded number the library takes: ``(text, test)`` on a value
+# of its type.  The config keys ``grid.*`` and ``tolerances.*`` read this table.
+_BOUNDS = {"points": (">= 1", lambda v: v >= 1), "seed": (">= 0", lambda v: v >= 0),
+           "a_margin": ("in (0, 1)", lambda v: 0 < v < 1),
+           "x_cap": ("positive", lambda v: v > 0), "tol": ("positive", lambda v: v > 0)}
+
+
+def _bounded(label: str, value, bound: tuple | None = None, integer: bool = False):
+    """``value`` as a Python ``int`` (``integer``) or ``float`` within ``bound``, a rule of
+    :data:`_BOUNDS`; else a one-line ``ValueError``, ``<label> must be ..., got ...``."""
+    kind, typed = ("an integer", _integer) if integer else ("a finite number", _real)
+    if not typed(value):
+        raise ValueError(f"{label} must be {kind}, got {value!r}")
+    value = int(value) if integer else float(value)
+    if bound and not bound[1](value):
+        raise ValueError(f"{label} must be {bound[0]}, got {value!r}")
+    return value
 
 
 def _grid_spec(spec) -> GridSpec:
@@ -76,27 +91,22 @@ def _grid_spec(spec) -> GridSpec:
 
     Anything but a ``GridSpec`` raises ``TypeError``.  A field that is not
     of its type (an integer, or a finite number) or is out of its range
-    (:data:`_GRID_RANGES`) raises a ``ValueError`` that names the field.
+    (:data:`_BOUNDS`) raises a ``ValueError`` that names the field; the spec
+    returned holds Python numbers.
     """
     if spec is None:
         return GridSpec()
     if not isinstance(spec, GridSpec):
         raise TypeError(f"spec must be a GridSpec or None, got {type(spec).__name__}")
-    for field in fields(GridSpec):
-        value = getattr(spec, field.name)
-        kind, typed = ("an integer", _integer) if field.type == "int" else ("a finite number", _real)
-        rule, within = _GRID_RANGES[field.name]
-        if not typed(value):
-            raise ValueError(f"GridSpec.{field.name} must be {kind}, got {value!r}")
-        if not within(value):
-            raise ValueError(f"GridSpec.{field.name} must be {rule}, got {value!r}")
-    return spec
+    return GridSpec(**{f.name: _bounded(f"GridSpec.{f.name}", getattr(spec, f.name),
+                                        _BOUNDS[f.name], f.type == "int")
+                       for f in fields(GridSpec)})
 
 
 def _checked(n: int, spec) -> GridSpec:
-    """The argument rule of both samplers: ``n < 2`` raises ``DomainError``,
-    then ``spec`` is read by :func:`_grid_spec`."""
-    if n < 2:
+    """The argument rule of both samplers: ``n`` not an integer raises ``ValueError``
+    and ``n < 2`` ``DomainError``, then ``spec`` is read by :func:`_grid_spec`."""
+    if _bounded("n", n, integer=True) < 2:
         raise DomainError(f"Hartogs domains need n >= 2 coordinates, got n={n}")
     return _grid_spec(spec)
 

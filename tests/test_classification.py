@@ -6,12 +6,14 @@ import pytest
 from hartogs import (
     DomainError,
     GridSpec,
+    NumericError,
     HyperbolicMap,
     classify,
     extremal_report,
     hyperbolic_metric,
     interior_points,
     linear_profile,
+    profile_from_function,
     pullback_check,
     scalar_curvature,
     wirtinger_hessian,
@@ -113,6 +115,14 @@ class TestClassify:
         prof = linear_profile(2.0, 1.0)
         for tol in (1e-8, 5e-9, 2.5e-9):
             assert classify(prof, 2, tol=tol).verdict == "HYPERBOLIC"
+
+    def test_a_nan_l_sweep_is_a_numeric_error(self):
+        # a domain declared past the profile's zero at x = 2: the L sweep reaches
+        # x = 2.97 and is NaN there, while the interior draw rejects those points
+        prof = profile_from_function(lambda j: (2.0 - j) ** 0.5, x0=3.0)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError, match="^non-finite radial Ricci correction L$"):
+            classify(prof, 2, GridSpec(points=50, seed=1))
 
     def test_json_fields(self, expp):
         doc = classify(expp, 2).to_json()

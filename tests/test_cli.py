@@ -876,12 +876,13 @@ def test_console_entry_point(tmp_path):
     assert "HYPERBOLIC" in proc.stdout
 
 
-def test_cli_imports_two_private_names():
+def test_cli_imports_three_private_names():
     # the CLI reads every closed form by its public name; the Ricci matrices
-    # of the records and the interleaved point spelling are its private needs
+    # of the records, the interleaved point spelling and the pipelines' one
+    # non-finite guard are its private needs
     import ast
     tree = ast.parse(Path(hartogs.cli.__file__).read_text())
     private = sorted(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                      for alias in node.names
                      if alias.name.startswith("_") and not alias.name.startswith("__"))
-    assert private == ["_interleave", "_ricci"]
+    assert private == ["_finite_max", "_interleave", "_ricci"]

@@ -159,6 +159,14 @@ class TestWirtingerHessian:
         with pytest.raises(StepError):
             wirtinger_hessian(lambda p: potential(p, lin11), np.vstack([inside, z]), 1e-2)
 
+    def test_step_must_be_positive(self, lin11):
+        # a NaN step is not positive, not a stencil that leaves the domain
+        from hartogs import StepError
+        z = np.array([0.2, 0.3], complex)
+        for step in (0.0, -1e-3, float("nan")):
+            with pytest.raises(StepError, match=f"^step must be positive, got {step}$"):
+                wirtinger_hessian(lambda p: potential(p, lin11), z, step)
+
     def test_batch_equals_single_points(self, oracle_profiles):
         # one stencil evaluation for the batch gives each point's Hessian bit for bit
         for name, prof in oracle_profiles.items():

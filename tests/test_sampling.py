@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import re
 import subprocess
 import sys
@@ -33,10 +34,10 @@ from hartogs import (
 )
 import hartogs.geometry
 import hartogs.sampling
-from hartogs.config import load_config
+from hartogs.config import _RANGES, Tolerances, load_config
 from hartogs.geometry import _interior
 from hartogs.profiles import MAX_DERIV_ORDER
-from hartogs.sampling import _draw, _halton, _halton_terms, _interior_sample
+from hartogs.sampling import _BOUNDS, _draw, _grid_spec, _halton, _halton_terms, _interior_sample
 
 SPEC = GridSpec(points=30, seed=5, x_cap=2.5)
 
@@ -227,6 +228,7 @@ def _grid_readers(expp):
 # ``grid.<field> = <value>``, gives: the message of its ConfigError, or None
 # where the config grammar reads the text as a number in range (an integral
 # number is an integer there, and text that reads as a number is one).
+HUGE = 10**400   # an integer beyond the float range
 OUT_OF_RANGE = [
     ("points", 0, "grid.points must be >= 1, got 0"),
     ("points", 20.0, None),
@@ -243,7 +245,10 @@ OUT_OF_RANGE = [
     ("x_cap", -1.0, "grid.x_cap must be positive, got -1.0"),
     ("x_cap", float("nan"), "grid.x_cap must be a finite number, got nan"),
     ("x_cap", float("inf"), "grid.x_cap must be a finite number, got inf"),
+    ("a_margin", HUGE, f"grid.a_margin must be a finite number, got {HUGE}"),
+    ("x_cap", HUGE, f"grid.x_cap must be a finite number, got {HUGE}"),
 ]
+CASE_IDS = [f"{field}-{'10**400' if value == HUGE else value}" for field, value, _ in OUT_OF_RANGE]
 
 
 class TestGridSpecFields:
@@ -251,7 +256,8 @@ class TestGridSpecFields:
     is the default grid, anything else but a ``GridSpec`` is a ``TypeError``,
     and a field out of its range is a ``ValueError`` that names the field."""
 
-    @pytest.mark.parametrize("field, value", [(field, value) for field, value, _ in OUT_OF_RANGE])
+    @pytest.mark.parametrize("field, value", [(field, value) for field, value, _ in OUT_OF_RANGE],
+                             ids=CASE_IDS)
     def test_out_of_range_is_a_value_error_naming_the_field(self, expp, field, value):
         spec = dataclasses.replace(SPEC, **{field: value})
         for name, read in _grid_readers(expp).items():
@@ -259,8 +265,7 @@ class TestGridSpecFields:
                                                  f"got {re.escape(repr(value))}$"):
                 read(spec)
 
-    @pytest.mark.parametrize("field, value, message", OUT_OF_RANGE,
-                             ids=[f"{field}-{value}" for field, value, _ in OUT_OF_RANGE])
+    @pytest.mark.parametrize("field, value, message", OUT_OF_RANGE, ids=CASE_IDS)
     def test_config_keys_read_the_same_ranges(self, expp, tmp_path, field, value, message):
         # the keys grid.* are bounded by the library's one range table: a value
         # the config file reads as it stands gets the library's message, with
@@ -296,6 +301,46 @@ class TestGridSpecFields:
                         x_cap=np.float32(2.0))
         assert interior_points(expp, 2, spec).shape == (7, 2)
         assert boundary_samples(expp, 2, spec)[0].shape == (7,)
+
+    def test_numpy_scalars_are_read_as_python_numbers(self, expp):
+        spec = GridSpec(points=np.int64(30), seed=np.int32(2), a_margin=np.float64(0.1),
+                        x_cap=np.float32(2.0))
+        grid = _grid_spec(spec).describe()
+        assert grid == {"points": 30, "seed": 2, "a_margin": 0.1, "x_cap": 2.0}
+        assert [type(v) for v in grid.values()] == [int, int, float, float]
+        for report in (extremal_report(expp, 2, spec), classify(expp, 2, spec),
+                       equivalence_check(expp, 2, spec)):
+            json.dumps(report.to_json())
+
+    def test_config_ranges_are_the_library_table(self):
+        # the keys grid.* and tolerances.* are bounded by the library's rules themselves
+        for field in dataclasses.fields(GridSpec):
+            assert _RANGES[f"grid.{field.name}"] is _BOUNDS[field.name]
+        for field in dataclasses.fields(Tolerances):
+            assert _RANGES[f"tolerances.{field.name}"] is _BOUNDS["tol"]
+        assert {key for key in _RANGES if "." in key} == (
+            {f"grid.{field.name}" for field in dataclasses.fields(GridSpec)}
+            | {f"tolerances.{field.name}" for field in dataclasses.fields(Tolerances)})
+
+
+class TestRunArguments:
+    """The pipelines check ``n`` and a verdict tolerance ``tol`` before they
+    sample: a one-line ``ValueError`` that names the argument."""
+
+    @pytest.mark.parametrize("tol, rule", [(float("nan"), "a finite number"),
+                                           (float("inf"), "a finite number"), (0, "positive"),
+                                           (-1, "positive"), (True, "a finite number")])
+    def test_a_bad_tol_is_a_value_error_naming_tol(self, expp, tol, rule):
+        for call in (lambda: classify(expp, 2, SPEC, tol=tol),
+                     lambda: extremal_report(expp, 2, SPEC, tol=tol),
+                     lambda: pullback_check(1.0, 1.0, 2, SPEC, tol=tol)):
+            with pytest.raises(ValueError, match=f"^tol must be {rule}, got [^\n]*$"):
+                call()
+
+    def test_a_non_integer_n_is_a_value_error(self, expp):
+        for call in (interior_points, boundary_samples, classify, extremal_report):
+            with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.0$"):
+                call(expp, 2.0, SPEC)
 
 
 class TestHaltonDraw:
