@@ -93,7 +93,7 @@ def pullback_check(c1: float, c2: float, n: int, spec: GridSpec | None = None,
     tol = _bounded("tol", tol, _BOUNDS["tol"])
     spec, sample = _interior_sample(linear_profile(c1, c2), n, spec)
     err = _pullback_error(c1, c2, sample.points)
-    return PullbackReport(c1=c1, c2=c2, n=n, grid=spec.describe(),
+    return PullbackReport(c1=c1, c2=c2, n=sample.n, grid=spec.describe(),
                           max_error=err, tol=tol, passed=err <= tol)
 
 
@@ -158,7 +158,7 @@ def classify(profile: Profile, n: int = 2, spec: GridSpec | None = None,
     rad = radial_coefficients(profile, xs)
     max_l = _finite_max(np.abs(rad.L), "radial Ricci correction L")
     arg_x = float(xs[int(np.argmax(np.abs(rad.L)))])
-    base = dict(profile=profile.describe(), n=n, grid=spec.describe(), tol=tol,
+    base = dict(profile=profile.describe(), n=sample.n, grid=spec.describe(), tol=tol,
                 max_abs_l=max_l, argmax_x=arg_x)
     if max_l > tol:
         spread = _finite_max(np.ptp(_scal(sample)), "scalar curvature spread")

@@ -35,6 +35,7 @@ from .errors import ConfigError, HartogsError, NumericError
 from .extremal import ORACLE_POINTS, extremal_report
 from .geometry import (
     _interleave,
+    _oracle_error,
     det_closed_form,
     grid_csv_header,
     grid_csv_rows,
@@ -141,16 +142,13 @@ def _run_curvature_report(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
     k = ORACLE_POINTS
     sub, h_sub = pts[:k], h[:k]
     ric = _ricci(h_sub, batch.L[:k])
-    fd = wirtinger_hessian(lambda p: potential(p, profile), sub, cfg.fd_step)
-    metric_ratio = _finite_max(
-        np.max(np.abs(h_sub - fd), axis=(-2, -1))
-        / (cfg.tolerances.oracle * (1.0 + np.max(np.abs(h_sub), axis=(-2, -1)))),
-        "metric oracle error")
-    ric_errs = np.max(np.abs(ric - ricci_numeric(sub, profile, cfg.fd_step)), axis=(-2, -1))
+    tol = cfg.tolerances.oracle
+    err, size = _oracle_error(
+        wirtinger_hessian(lambda p: potential(p, profile), sub, cfg.fd_step), h_sub)
+    metric_ratio = _finite_max(err / (tol * size), "metric oracle error")
+    ric_errs, ric_size = _oracle_error(ricci_numeric(sub, profile, cfg.fd_step), ric)
     ric_err = _finite_max(ric_errs, "Ricci oracle error")
-    ricci_ratio = _finite_max(
-        ric_errs / (cfg.tolerances.oracle * (1.0 + np.max(np.abs(ric), axis=(-2, -1)))),
-        "Ricci oracle error")
+    ricci_ratio = _finite_max(ric_errs / (tol * ric_size), "Ricci oracle error")
     det = det_closed_form(pts, profile)
     det_err = _finite_max(np.abs(det - np.linalg.det(h).real) / np.abs(det), "determinant error")
     inv_err = _finite_max(np.abs(

@@ -40,6 +40,7 @@ from .geometry import (
     _dbar,
     _interior,
     _interleave,
+    _oracle_error,
     radial_coefficients,
 )
 from .profiles import MAX_DERIV_ORDER, Profile, _finite_max, _scalar
@@ -196,15 +197,13 @@ def extremal_report(profile: Profile, n: int, spec: GridSpec | None = None,
     k = ORACLE_POINTS
     sub = z[:k]
     closed = -2.0 * _scaled(sub, c0[:k], c1[:k])[:, :, None] * sub[:, None, 1:]
-    fd = dbar_jacobian(sub, profile, step)[:, :, 1:]
-    oracle = _finite_max(np.max(np.abs(fd - closed), axis=(1, 2))
-                         / (1.0 + np.max(np.abs(closed), axis=(1, 2))),
-                         "extremality oracle error")
+    err, size = _oracle_error(dbar_jacobian(sub, profile, step)[:, :, 1:], closed)
+    oracle = _finite_max(err / size, "extremality oracle error")
     arg = int(np.argmax(per_point))
     xs = x_grid(profile, X_POINTS, spec)
     r1, r2 = reduced_conditions(profile, xs)
     return ExtremalReport(
-        profile=profile.describe(), n=n, grid=spec.describe(), step=step, tol=tol,
+        profile=profile.describe(), n=sample.n, grid=spec.describe(), step=step, tol=tol,
         max_residual=max_res, oracle_fiber_error=oracle, argmax_point=z[arg],
         x=xs, r1=np.asarray(r1), r2=np.asarray(r2),
         verdict="EXTREMAL" if max_res <= tol else "NOT_EXTREMAL",

@@ -247,42 +247,36 @@ def _fiber_diagonal(m: np.ndarray) -> np.ndarray:
     return m.reshape(m.shape[:-2] + (n * n,))[..., n + 1::n + 1]
 
 
-def _stencil(m: int) -> np.ndarray:
-    """Unit displacements of the central-difference stencil in ``m`` real coordinates.
+def _stencil(n: int) -> np.ndarray:
+    """Unit displacements of the FD stencil in the ``2n`` real coordinates ``(Re z, Im z)``.
 
-    Rows: ``+e_k, -e_k`` for each ``k``, then ``e_p + e_q, e_p - e_q,
-    -e_p + e_q, -e_p - e_q`` for each pair ``p < q`` in row-major order.
-    Each row is formed from unit vectors by those same additions, so its
-    signed zeros, scaled by the step, match a stencil built vector by vector.
+    One list of complex directions: ``e_a`` for each ``a``, then ``e_a + e_b``
+    and ``e_a + i e_b`` for each pair ``a < b``.  Each ``v`` gives the rows
+    ``+v, -v, +iv, -iv``, so the first ``4n`` rows are the axial ones.  Rows
+    are sums and negations of real unit vectors, so their signed zeros match
+    a stencil built vector by vector.
     """
-    e = np.eye(m)
-    p, q = np.triu_indices(m, 1)
-    ep, eq = e[p], e[q]
-    return np.concatenate([
-        np.stack([e, -e], axis=1).reshape(-1, m),
-        np.stack([ep + eq, ep - eq, -ep + eq, -ep - eq], axis=1).reshape(-1, m),
-    ])
+    e = np.eye(2 * n)
+    x, y = e[:n], e[n:]
+    a, b = np.triu_indices(n, 1)
+    v = np.concatenate([x, x[a] + x[b], x[a] + y[b]])
+    iv = np.concatenate([y, y[a] + y[b], y[a] - x[b]])
+    return np.stack([v, -v, iv, -iv], axis=1).reshape(-1, 2 * n)
 
 
-def _complex_hessian_once(vals, f0, n, step):
-    """Wirtinger Hessians ``(k, n, n)`` from one step's stencil values.
-
-    ``vals`` has shape ``(k, 8 n^2)``, its columns in the row order of
-    :func:`_stencil` over the ``m = 2n`` real coordinates; ``f0`` holds
-    the ``k`` centre values.
-    """
-    m = 2 * n
-    p, q = np.triu_indices(m, 1)
-    pairs = vals[:, 2 * m:].reshape(len(vals), -1, 4)
-    h = np.empty((len(vals), m, m))
-    diag = np.arange(m)
-    h[:, diag, diag] = (vals[:, 0:2 * m:2] - 2.0 * f0[:, None] + vals[:, 1:2 * m:2]) / step ** 2
-    h[:, p, q] = h[:, q, p] = (
-        pairs[..., 0] - pairs[..., 1] - pairs[..., 2] + pairs[..., 3]) / (4.0 * step ** 2)
-    hxx = h[:, :n, :n]
-    hyy = h[:, n:, n:]
-    hxy = h[:, :n, n:]
-    return 0.25 * ((hxx + hyy) + 1j * (hxy - np.swapaxes(hxy, -1, -2)))
+def _hessian_once(vals, f0, n, step):
+    """Wirtinger Hessians ``(k, n, n)`` by polarization (see :func:`wirtinger_hessian`)
+    from one step's values ``(k, 4 n^2)`` in the row order of :func:`_stencil`."""
+    q = (vals[:, 0::4] + vals[:, 1::4] + vals[:, 2::4] + vals[:, 3::4]
+         - 4.0 * f0[:, None]) / (4.0 * step ** 2)
+    a, b = np.triu_indices(n, 1)
+    diagonal = q[:, :n]
+    twice = q[:, n:].reshape(len(vals), 2, -1) - (diagonal[:, a] + diagonal[:, b])[:, None]
+    h = np.empty((len(vals), n, n), dtype=complex)
+    h[:, np.arange(n), np.arange(n)] = diagonal
+    h[:, a, b] = 0.5 * (twice[:, 0] + 1j * twice[:, 1])
+    h[:, b, a] = np.conj(h[:, a, b])
+    return h
 
 
 def _central_differences(f, z, step, disp, assemble):
@@ -330,27 +324,29 @@ def wirtinger_hessian(f, z, step: float = 1e-3) -> np.ndarray:
         Base step; the step-halved estimate is combined with it to cancel
         the leading error term (one Richardson step).
 
-    The stencil covers the ``2n`` real coordinates (centre, ``4n`` axial
-    and ``4n(2n - 1)`` diagonal displacements per step).  ``f`` is called
-    once, on the stencils of every point and both steps (``1 + 16 n^2``
-    points each, the centre shared), and each batch entry equals the
-    Hessian of that point alone bit for bit.  The second
-    derivatives are assembled into Wirtinger form
-    ``(Hxx + Hyy + i(Hxy - Hxy^T)) / 4``, which is exactly Hermitian as it
-    stands: ``Hxx`` and ``Hyy`` are symmetric and ``Hxy - Hxy^T`` is
-    antisymmetric entry for entry.  If any stencil point of any batch entry
+    The stencil (:func:`_stencil`) displaces each point along ``+-v`` and
+    ``+-iv`` for ``n^2`` complex directions ``v``.  ``f`` is called once, on
+    the stencils of every point and both steps (``1 + 8 n^2`` points each,
+    the centre shared), and each batch entry equals the Hessian of that
+    point alone bit for bit.  The entries are read by polarization:
+    ``q(v) = (f(v) + f(-v) + f(iv) + f(-iv) - 4 f0) / (4 h^2)`` is
+    ``v^T H conj(v)``, since the ``(2,0)`` part cancels, so ``H_aa = q(e_a)``,
+    and ``q(e_a + e_b)`` and ``q(e_a + i e_b)`` less ``H_aa + H_bb`` are
+    ``2 Re H_ab`` and ``2 Im H_ab``.  The mirror slot gets the conjugate,
+    so the result is exactly Hermitian.  If any stencil point of any batch entry
     leaves the domain of ``f`` (a ``DomainError``), the call raises ``StepError``.
     """
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
-    h = _central_differences(f, z, step, _stencil(2 * n), _complex_hessian_once)
+    h = _central_differences(f, z, step, _stencil(n), _hessian_once)
     return h.reshape(z.shape + (n,))
 
 
 def _dbar_once(vals, f0, n, step):
-    """``d f / dz~_c`` on axis 1 from one step's axial stencil values ``(k, 4n, ...)``."""
+    """``d f / dz~_c`` on axis 1 from one step's axial stencil values ``(k, 4n, ...)``,
+    in the row order ``+e_c, -e_c, +i e_c, -i e_c`` of :func:`_stencil`."""
     d = (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * step)
-    return 0.5 * (d[:, :n] + 1j * d[:, n:])
+    return 0.5 * (d[:, 0::2] + 1j * d[:, 1::2])
 
 
 def _dbar(f, z, step: float = 1e-3) -> np.ndarray:
@@ -362,8 +358,15 @@ def _dbar(f, z, step: float = 1e-3) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
-    d = _central_differences(f, z, step, _stencil(2 * n)[:4 * n], _dbar_once)
+    d = _central_differences(f, z, step, _stencil(n)[:4 * n], _dbar_once)
     return np.moveaxis(d, 1, -1).reshape(z.shape[:-1] + d.shape[2:] + (n,))
+
+
+def _oracle_error(fd, closed) -> tuple:
+    """The FD oracles' one error measure, per point over the last two axes:
+    ``max|fd - closed|`` and the size ``1 + max|closed|`` it is judged against."""
+    return (np.max(np.abs(fd - closed), axis=(-2, -1)),
+            1.0 + np.max(np.abs(closed), axis=(-2, -1)))
 
 
 def det_closed_form(z, profile: Profile):

@@ -222,7 +222,7 @@ def equivalence_check(profile: Profile, n: int = 2,
     min_levi, max_ind = float(levi[k, j]), float(ind[i])
     verdict = "CONSISTENT" if (min_levi > 0.0) == (max_ind < 0.0) else "INCONSISTENT"
     return EquivalenceReport(
-        profile=profile.describe(), n=n, samples=spec.points, seed=spec.seed,
+        profile=profile.describe(), n=pts.coords.shape[-1], samples=spec.points, seed=spec.seed,
         min_levi=min_levi, argmin_point=pts.coords[k, 0],
         argmin_direction=directions[k, j],
         max_indicator=max_ind, argmax_x=float(x[i]), verdict=verdict,

@@ -718,7 +718,9 @@ class TestReportWriter:
         # reference bytes of this config, written before the report writer and
         # the batched oracles replaced json.dumps and the per-point oracle loop;
         # re-recorded at schema 2, whose records carry L in place of the Ricci
-        # matrix (point, rho and scal kept their bytes)
+        # matrix (point, rho and scal kept their bytes), and again when the
+        # Hessian oracle read its entries by polarization (only the two FD
+        # oracle errors moved)
         golden = Path(__file__).parent / "data" / "curvature_report_exp_n3_40.json"
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.txt").write_text("command = curvature-report\nprofile.kind = exp\n"
@@ -876,13 +878,13 @@ def test_console_entry_point(tmp_path):
     assert "HYPERBOLIC" in proc.stdout
 
 
-def test_cli_imports_three_private_names():
+def test_cli_imports_four_private_names():
     # the CLI reads every closed form by its public name; the Ricci matrices
-    # of the records, the interleaved point spelling and the pipelines' one
-    # non-finite guard are its private needs
+    # of the records, the interleaved point spelling, the pipelines' one
+    # non-finite guard and the FD oracles' one error measure are its private needs
     import ast
     tree = ast.parse(Path(hartogs.cli.__file__).read_text())
     private = sorted(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                      for alias in node.names
                      if alias.name.startswith("_") and not alias.name.startswith("__"))
-    assert private == ["_finite_max", "_interleave", "_ricci"]
+    assert private == ["_finite_max", "_interleave", "_oracle_error", "_ricci"]

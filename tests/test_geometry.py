@@ -29,6 +29,7 @@ from hartogs import (
     profile_from_function,
     radial_coefficients,
     ricci_closed_form,
+    ricci_numeric,
     scalar_curvature,
     table_profile,
     wirtinger_hessian,
@@ -132,11 +133,20 @@ class TestMetric:
 
 class TestWirtingerHessian:
     def test_quadratic_is_exact(self):
-        prof = linear_profile(1.0, 1.0)
-        z = np.array([0.2 + 0.1j, 0.3 - 0.2j])
-        h = wirtinger_hessian(lambda p: np.abs(p[..., 0]) ** 2, z, 1e-3)
-        np.testing.assert_allclose(h, np.array([[1, 0], [0, 0]]), atol=1e-9)
-        del prof
+        # f = Re(z^H M z) + Re(z^T S z): the (2,0) part S drops out, and
+        # g_{a b~} = d^2 f / dz_a dz~_b reads M transposed (sign of Im H_ab)
+        rng = np.random.default_rng(5)
+        for n in range(2, MAX_N + 1):
+            c = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+            m, s = c[0] + c[0].conj().T, c[1] + c[1].T
+            z = (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))) / np.sqrt(2 * n)
+
+            def f(p):
+                return (np.einsum("ka,ab,kb->k", p.conj(), m, p)
+                        + np.einsum("ka,ab,kb->k", p, s, p)).real
+
+            h = wirtinger_hessian(f, z, 1e-3)
+            assert np.max(np.abs(h - m.T)) <= 1e-7, n
 
     def test_pluriharmonic_vanishes(self):
         z = np.array([0.2 + 0.1j, 0.3 - 0.2j])
@@ -424,7 +434,7 @@ def test_closed_forms_are_exactly_hermitian(oracle_profiles, n):
     # sampled points symmetrizing them changes no byte (a flipped signed zero
     # included); where a coordinate has an exactly zero part, a mirror entry
     # may hold -0.0 against +0.0, which hermitize itself rewrites.  The FD
-    # Hessian's Wirtinger assembly is Hermitian as it stands (a batch entry
+    # Hessian writes the conjugate into the mirror slot too (a batch entry
     # is the Hessian of its point bit for bit, so a few points suffice)
     closed_forms = (metric_closed_form, inverse_metric_closed_form, ricci_closed_form)
     for name, prof in oracle_profiles.items():
@@ -442,6 +452,17 @@ def dbar_stencil(z, profile):
     return dbar_jacobian(z, profile)
 
 
+def hessian_stencil(z, profile):
+    """The metric FD oracle: the potential on every stencil point of both steps."""
+    return wirtinger_hessian(lambda p: potential(p, profile), z)
+
+
+# Points per centre of each FD oracle's one derivative call at n = 3: the centre
+# and, at both steps, the 4n axial points or the 4n^2 points of the Hessian.
+STENCIL_POINTS = {dbar_stencil: 1 + 8 * 3, ricci_numeric: 1 + 8 * 3 ** 2,
+                  hessian_stencil: 1 + 8 * 3 ** 2}
+
+
 def _output_bytes(out) -> bytes:
     """The bytes of an evaluator's output; a record's are those of its array fields."""
     if isinstance(out, np.ndarray):
@@ -452,6 +473,7 @@ def _output_bytes(out) -> bytes:
 @pytest.mark.parametrize("evaluator", [
     metric_closed_form, inverse_metric_closed_form, ricci_closed_form,
     scalar_curvature, hamiltonian_field, curvature_record, dbar_stencil,
+    ricci_numeric, hessian_stencil,
 ])
 def test_one_derivative_evaluation_per_call(evaluator, expp, monkeypatch):
     calls = []
@@ -468,9 +490,8 @@ def test_one_derivative_evaluation_per_call(evaluator, expp, monkeypatch):
     for z in batches:
         calls.clear()
         evaluator(z, expp)
-        if evaluator is dbar_stencil:
-            # one call on the centre and the 4n axial points of both steps
-            assert calls == [(np.atleast_2d(z).shape[0] * (1 + 8 * 3),)]
+        if evaluator in STENCIL_POINTS:
+            assert calls == [(np.atleast_2d(z).shape[0] * STENCIL_POINTS[evaluator],)]
         else:
             assert calls == [np.shape(z)[:-1]], evaluator.__name__
     # the kept points: the sample answers for them, with the bits of the raw path
@@ -478,5 +499,5 @@ def test_one_derivative_evaluation_per_call(evaluator, expp, monkeypatch):
     want = _output_bytes(evaluator(pts, expp))
     calls.clear()
     assert _output_bytes(evaluator(kept, expp)) == want, evaluator.__name__
-    assert calls == ([(7 * (1 + 8 * 3),)] if evaluator is dbar_stencil else []), \
-        evaluator.__name__
+    assert calls == ([(7 * STENCIL_POINTS[evaluator],)] if evaluator in STENCIL_POINTS
+                     else []), evaluator.__name__

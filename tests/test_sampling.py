@@ -308,9 +308,13 @@ class TestGridSpecFields:
         grid = _grid_spec(spec).describe()
         assert grid == {"points": 30, "seed": 2, "a_margin": 0.1, "x_cap": 2.0}
         assert [type(v) for v in grid.values()] == [int, int, float, float]
-        for report in (extremal_report(expp, 2, spec), classify(expp, 2, spec),
-                       equivalence_check(expp, 2, spec)):
+        # n given as a numpy integer is reported as the Python int the pipeline read
+        n = np.int64(2)
+        for report in (extremal_report(expp, n, spec), classify(expp, n, spec),
+                       equivalence_check(expp, n, spec)):
+            assert type(report.n) is int, type(report).__name__
             json.dumps(report.to_json())
+        assert type(pullback_check(1, 1, n, spec).n) is int
 
     def test_config_ranges_are_the_library_table(self):
         # the keys grid.* and tolerances.* are bounded by the library's rules themselves
