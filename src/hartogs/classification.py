@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .extremal import _radial_parts, _radial_residual
-from .geometry import metric_closed_form, radial_coefficients
+from .geometry import _oracle_error, metric_closed_form, radial_coefficients
 from .curvature import _scal
 from .profiles import Profile, _finite_max, linear_profile
 from .sampling import _BOUNDS, GridSpec, _bounded, _interior_sample, x_grid
@@ -87,8 +87,10 @@ def pullback_check(c1: float, c2: float, n: int, spec: GridSpec | None = None,
 
     The Jacobian ``J`` of the rescaling is constant and diagonal, so the
     pullback is a congruence by a fixed real diagonal matrix; the identity
-    is exact up to roundoff when the profile really is ``c1 - c2 x``.  A ``tol``
-    not positive and finite raises ``ValueError``, a NaN or inf error ``NumericError``.
+    is exact up to roundoff when the profile really is ``c1 - c2 x``.
+    ``max_error`` is the largest per-point ``max|diff| / (1 + max|g|)``, the
+    FD oracles' measure, and passes at most ``tol``.  A ``tol`` not positive
+    and finite raises ``ValueError``, a NaN or inf error ``NumericError``.
     """
     tol = _bounded("tol", tol, _BOUNDS["tol"])
     spec, sample = _interior_sample(linear_profile(c1, c2), n, spec)
@@ -98,13 +100,15 @@ def pullback_check(c1: float, c2: float, n: int, spec: GridSpec | None = None,
 
 
 def _pullback_error(c1: float, c2: float, pts) -> float:
-    """Largest entry of ``|J^H g_hyp(phi(z)) J - g(z)|`` over ``pts`` for ``F = c1 - c2 x``."""
+    """Largest per-point ``max|J^H g_hyp(phi(z)) J - g(z)| / (1 + max|g(z)|)`` over ``pts``
+    for ``F = c1 - c2 x``: the oracles' measure (``_oracle_error``), so roundoff in
+    entries that grow like ``1/A^2`` near the boundary is judged against their size."""
     phi = HyperbolicMap(c1, c2)
     scales = phi.scales(pts.shape[-1])
     g_ball = hyperbolic_metric(phi(pts))
     pulled = scales[None, :, None] * g_ball * scales[None, None, :]
-    return _finite_max(np.abs(pulled - metric_closed_form(pts, linear_profile(c1, c2))),
-                       "pullback error")
+    err, size = _oracle_error(pulled, metric_closed_form(pts, linear_profile(c1, c2)))
+    return _finite_max(err / size, "pullback error")
 
 
 @dataclass(frozen=True)

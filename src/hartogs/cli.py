@@ -32,7 +32,7 @@ from .classification import classify
 from .config import VERDICTS, RunConfig, build_profile, load_config
 from .curvature import CurvatureRecord, _ricci, curvature_record, ricci_numeric, scalar_curvature
 from .errors import ConfigError, HartogsError, NumericError
-from .extremal import ORACLE_POINTS, extremal_report
+from .extremal import ORACLE_POINTS, _extremal_verdict, extremal_report
 from .geometry import (
     _interleave,
     _oracle_error,
@@ -184,25 +184,27 @@ def _run_classify(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
 
 
 def _run_full_suite(cfg: RunConfig) -> tuple[dict, str]:
+    # a row reads verdicts only: extremal-test carries the FD oracle and the
+    # reduced-conditions table, pseudoconvexity-test the worst sample
     rows = []
     ok = True
     for label, make, is_linear in _SUITE_PROFILES:
         profile = make()
         positivity, kahler = _run_check_kahler(cfg, profile)
-        cls, cls_verdict = _run_classify(cfg, profile)
-        ext, ext_verdict = _run_extremal(cfg, profile)
-        _, pc_verdict = _run_pseudoconvexity(cfg, profile)
+        cls = classify(profile, cfg.n, cfg.grid, tol=cfg.tolerances.classify)
+        *_, max_res, ext_verdict = _extremal_verdict(profile, cfg.n, cfg.grid,
+                                                     cfg.tolerances.extremal)
+        pc_verdict = equivalence_check(profile, cfg.n, cfg.grid).verdict
         expected_cls = "HYPERBOLIC" if is_linear else "NON_CONSTANT_CURVATURE"
         expected_ext = "EXTREMAL" if is_linear else "NOT_EXTREMAL"
         row_ok = (kahler == "KAHLER" and positivity["positivity_agrees"]
                   and pc_verdict == "CONSISTENT"
-                  and cls_verdict == expected_cls and ext_verdict == expected_ext)
+                  and cls.verdict == expected_cls and ext_verdict == expected_ext)
         ok = ok and row_ok
         rows.append({
-            "profile": label, "kahler": kahler, "classify": cls_verdict,
+            "profile": label, "kahler": kahler, "classify": cls.verdict,
             "extremal": ext_verdict, "pseudoconvexity": pc_verdict,
-            "max_residual": ext["max_residual"],
-            "max_abs_l": cls["L_grid"]["max_abs"], "as_expected": row_ok,
+            "max_residual": max_res, "max_abs_l": cls.max_abs_l, "as_expected": row_ok,
         })
     return {"profiles": rows}, "SUITE_PASS" if ok else "SUITE_FAIL"
 

@@ -29,12 +29,13 @@ takes its field's default, an ``int`` field takes an integral number, a
 ``float`` field a finite number, any other a string, and ``_RANGES``
 bounds the numbers; ``expect`` names one of the command's
 :data:`VERDICTS`.  ``profile.*`` holds ``kind`` and that kind's
-parameters (:func:`build_profile`); ``full-suite`` takes neither it nor
-the dumps.  Any other key, like anything else amiss, is a ConfigError.
+parameters (:func:`build_profile`); ``full-suite`` takes neither it,
+``fd_step`` nor the dumps.  Any other key, like anything else amiss, is a ConfigError.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -191,9 +192,14 @@ _RANGES = {"n": (f"in 2..{MAX_N}", lambda v: 2 <= v <= MAX_N),
            **{f"tolerances.{f.name}": _BOUNDS["tol"] for f in fields(Tolerances)}}
 
 
+@functools.cache   # one entry per config dataclass, filled on first use
+def _hints(cls) -> dict:
+    return get_type_hints(cls)
+
+
 def _build(cls, node: dict, prefix: str = "", unknown: tuple = ()):
     """``cls`` from the keys present in ``node``; the fields of ``cls`` are the known keys."""
-    hints = get_type_hints(cls)
+    hints = _hints(cls)
     values = {}
     for key, value in node.items():
         name = prefix + key
@@ -221,8 +227,8 @@ def _from_tree(tree: dict) -> RunConfig:
     command = tree["command"]
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose one of {COMMANDS}")
-    if command == "full-suite":   # it runs its own profiles and writes no dumps
-        cfg = _build(RunConfig, tree, unknown=("profile", "csv_dump", "curve_dump"))
+    if command == "full-suite":   # its own profiles, no FD oracle and no dumps
+        cfg = _build(RunConfig, tree, unknown=("profile", "fd_step", "csv_dump", "curve_dump"))
     elif "profile" not in tree:
         raise ConfigError("config needs a profile section")
     else:

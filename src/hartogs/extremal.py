@@ -103,6 +103,23 @@ def _radial_residual(c0, c1) -> tuple:
     return res, _finite_max(res, "radial extremality residual")
 
 
+def _extremal_verdict(profile: Profile, n: int, spec: GridSpec | None, tol: float) -> tuple:
+    """The extremality verdict on the kept interior sample: the one ``tol`` rule.
+
+    Returns ``(spec, sample, tol, (c0, c1), per_point, max_residual,
+    verdict)``: ``spec`` and ``tol`` checked, the radial parts and the
+    per-point residual of :func:`_radial_residual` over the sample, and
+    ``EXTREMAL`` when the largest residual is at most ``tol``, else
+    ``NOT_EXTREMAL``.  It computes no oracle.
+    """
+    tol = _bounded("tol", tol, _BOUNDS["tol"])
+    spec, sample = _interior_sample(profile, n, spec)
+    parts = _radial_parts(sample)
+    per_point, max_res = _radial_residual(*parts)
+    return (spec, sample, tol, parts, per_point, max_res,
+            "EXTREMAL" if max_res <= tol else "NOT_EXTREMAL")
+
+
 def hamiltonian_field(z, profile: Profile) -> np.ndarray:
     """(1,0)-part of the Hamiltonian field, ``X^a = sum_b g^{b a~} d scal/dz~_b``.
 
@@ -189,11 +206,9 @@ def extremal_report(profile: Profile, n: int, spec: GridSpec | None = None,
     against the closed fiber columns ``-2 A (r_a / B) z_a z_i``.  A ``tol`` not
     positive and finite raises ``ValueError``, a NaN or inf figure ``NumericError``.
     """
-    tol = _bounded("tol", tol, _BOUNDS["tol"])
-    spec, sample = _interior_sample(profile, n, spec)
+    spec, sample, tol, (c0, c1), per_point, max_res, verdict = _extremal_verdict(
+        profile, n, spec, tol)
     z = sample.points
-    c0, c1 = _radial_parts(sample)
-    per_point, max_res = _radial_residual(c0, c1)
     k = ORACLE_POINTS
     sub = z[:k]
     closed = -2.0 * _scaled(sub, c0[:k], c1[:k])[:, :, None] * sub[:, None, 1:]
@@ -205,6 +220,5 @@ def extremal_report(profile: Profile, n: int, spec: GridSpec | None = None,
     return ExtremalReport(
         profile=profile.describe(), n=sample.n, grid=spec.describe(), step=step, tol=tol,
         max_residual=max_res, oracle_fiber_error=oracle, argmax_point=z[arg],
-        x=xs, r1=np.asarray(r1), r2=np.asarray(r2),
-        verdict="EXTREMAL" if max_res <= tol else "NOT_EXTREMAL",
+        x=xs, r1=np.asarray(r1), r2=np.asarray(r2), verdict=verdict,
     )

@@ -21,10 +21,21 @@ seeded ``numpy`` generator (:func:`boundary_samples`).  Both samplers take
 that takes a ``GridSpec`` reads it through :func:`_grid_spec`, so ``None``
 is the default grid, and anything but a ``GridSpec`` or a field out of its
 range raises.
+
+Neither sampler's seeded stream depends on the profile, so each is drawn
+once for the runs that share it and kept in a one-entry memo
+(``functools.lru_cache(maxsize=1)``): the Halton digit permutations of
+:func:`_halton_terms`, keyed by dimension and seed, and the boundary
+draw of :func:`_boundary_draw` (the unit uniforms for ``x``, the phases
+and the unit fiber and tangent rows), keyed by count, ``n`` and seed.
+The ``full-suite`` profiles at one ``n`` and grid share both.  Each
+profile maps the unit uniforms onto its own range, and the memoised
+arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -69,7 +80,8 @@ def _real(v) -> bool:
 
 # The range of each bounded number the library takes: ``(text, test)`` on a value
 # of its type.  The config keys ``grid.*`` and ``tolerances.*`` read this table.
-_BOUNDS = {"points": (">= 1", lambda v: v >= 1), "seed": (">= 0", lambda v: v >= 0),
+_BOUNDS = {"points": ("in 1..100000", lambda v: 1 <= v <= 100_000),
+           "seed": (">= 0", lambda v: v >= 0),
            "a_margin": ("in (0, 1)", lambda v: 0 < v < 1),
            "x_cap": ("positive", lambda v: v > 0), "tol": ("positive", lambda v: v > 0)}
 
@@ -127,7 +139,8 @@ def _primes(count: int) -> list:
     return primes
 
 
-def _halton_terms(d: int, seed: int) -> list:
+@functools.lru_cache(maxsize=1)
+def _halton_terms(d: int, seed: int) -> tuple:
     """Per dimension of the scrambled Halton sequence, ``terms[j, digit] = perm[j, digit] r_j``.
 
     The same scrambling as SciPy's ``Halton(d, scramble=True, seed=seed)``
@@ -135,7 +148,7 @@ def _halton_terms(d: int, seed: int) -> list:
     Dimension ``i`` has base ``b``, the ``i``-th prime, and
     ``ceil(54 / log2 b) - 1`` digit permutations drawn row by row from
     ``default_rng(seed)``, base after base; ``r_0 = 1/b`` and
-    ``r_(j+1) = r_j / b``.
+    ``r_(j+1) = r_j / b``.  Memoised (one entry), so the arrays are read-only.
     """
     rng = np.random.default_rng(seed)
     terms = []
@@ -144,10 +157,11 @@ def _halton_terms(d: int, seed: int) -> list:
         perm = rng.permuted(np.tile(np.arange(base), (count, 1)), axis=1)
         r = np.divide.accumulate(np.full(count + 2, float(base)))[2:]   # b/b = 1, 1/b, ...
         terms.append(perm * r[:, None])
-    return terms
+        terms[-1].flags.writeable = False
+    return tuple(terms)
 
 
-def _halton(terms: list, k: np.ndarray) -> np.ndarray:
+def _halton(terms: tuple, k: np.ndarray) -> np.ndarray:
     """Points ``k`` (any indices) of the sequence of ``terms``, shape ``(len(k), len(terms))``.
 
     Bit for bit SciPy's points ``k``: point ``k`` is
@@ -261,6 +275,27 @@ def _unit_rows(re, im) -> np.ndarray:
     return v / _norm(v)[..., None]
 
 
+@functools.lru_cache(maxsize=1)
+def _boundary_draw(m: int, n: int, seed: int) -> tuple:
+    """The profile-free part of :func:`boundary_samples`, read-only.
+
+    ``(u, phase, fiber, tangent)`` from the generator seeded with ``seed``,
+    in its three block draws: ``u`` the ``m`` unit uniforms that place
+    ``x``, ``phase = e^(2 pi i v)`` for the next ``m`` uniforms ``v``, and
+    the unit rows of ``(m, 4, n-1)`` standard normals (real and imaginary
+    parts of the fiber direction, then of the tangent direction).
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=m)
+    phase = np.exp(2j * np.pi * rng.uniform(size=m))
+    normals = rng.standard_normal((m, 4, n - 1))
+    draw = (u, phase, _unit_rows(normals[:, 0], normals[:, 1]),
+            _unit_rows(normals[:, 2], normals[:, 3]))
+    for array in draw:
+        array.flags.writeable = False
+    return draw
+
+
 def boundary_samples(profile: Profile, n: int, spec: GridSpec | None = None) -> tuple:
     """Random abscissae, base points and unit fiber/tangent directions.
 
@@ -273,13 +308,14 @@ def boundary_samples(profile: Profile, n: int, spec: GridSpec | None = None) -> 
     The generator, seeded with ``spec.seed``, makes three block draws: all
     ``x``, all ``u``, then ``(m, 4, n-1)`` standard normals (real and
     imaginary parts of the fiber direction, then of the tangent direction).
+    The draw does not depend on the profile (:func:`_boundary_draw`), so
+    ``fiber`` and ``tangent`` are its read-only arrays, and ``x`` is
+    ``eps + ((xmax - eps) - eps) * u``, the bits of
+    ``rng.uniform(eps, xmax - eps)``.
     """
     spec = _checked(n, spec)
-    rng = np.random.default_rng(spec.seed)
+    u, phase, fiber, tangent = _boundary_draw(spec.points, n, spec.seed)
     xmax = min(profile.x0, spec.x_cap)
     eps = 1e-3 * xmax
-    x = rng.uniform(eps, xmax - eps, spec.points)
-    z0 = np.sqrt(x) * np.exp(2j * np.pi * rng.uniform(size=spec.points))
-    normals = rng.standard_normal((spec.points, 4, n - 1))
-    fiber = _unit_rows(normals[:, 0], normals[:, 1])
-    return x, z0, fiber, _unit_rows(normals[:, 2], normals[:, 3])
+    x = eps + ((xmax - eps) - eps) * u
+    return x, np.sqrt(x) * phase, fiber, tangent

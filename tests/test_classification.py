@@ -18,6 +18,7 @@ from hartogs import (
     scalar_curvature,
     wirtinger_hessian,
 )
+from hartogs.config import MAX_N
 from conftest import make_custom
 
 
@@ -110,6 +111,18 @@ class TestClassify:
 
         liar = make_custom(lie, x0=1.0, name="liar")
         assert classify(liar, 2).verdict == "INCONSISTENT"
+
+    @pytest.mark.parametrize("n", range(2, MAX_N + 1))
+    def test_linear_is_hyperbolic_near_the_boundary(self, n):
+        # non-unit scales at a tight margin: the metric entries grow like 1/A^2,
+        # and the pullback's roundoff is judged per point against their size
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            c1, c2 = rng.uniform(0.5, 3.0), rng.uniform(0.2, 2.0)
+            rep = classify(linear_profile(c1, c2), n,
+                           GridSpec(points=200, seed=int(rng.integers(1000)), a_margin=0.005))
+            assert rep.verdict == "HYPERBOLIC", (c1, c2, rep.pullback_max_error)
+            assert rep.pullback_max_error <= 1e-12
 
     def test_verdict_stable_under_tighter_tolerance(self):
         prof = linear_profile(2.0, 1.0)

@@ -115,6 +115,18 @@ class TestConfigParsing:
         assert main(["--config", cfg, "--quiet"]) == 2
         assert capsys.readouterr().err == "config error: grid.seed must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("command", ["check-kahler", "pseudoconvexity-test", "full-suite"])
+    def test_huge_point_count_exit_2(self, tmp_path, capsys, command):
+        # a count beyond the samplers' bound is a one-line config error, not a
+        # traceback from allocating the draw
+        profile = "" if command == "full-suite" else "profile.kind = exp\n"
+        huge = "1" + "0" * 40
+        cfg = write_config(tmp_path, "bad.txt", f"command = {command}\n{profile}"
+                           f"grid.points = {huge}\n")
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: grid.points must be in 1..100000, got {huge}\n")
+
     @pytest.mark.parametrize("line", ["grid.pointz = 5", "tolerances.clasify = 1",
                                       "fd_stepp = 1"])
     def test_unknown_key_exit_2(self, tmp_path, capsys, line):
@@ -135,11 +147,11 @@ class TestConfigParsing:
         assert main(["--config", cfg]) == 2
         assert capsys.readouterr().err == f"config error: unknown key {typo.split(' =')[0]!r}\n"
 
-    @pytest.mark.parametrize("line", ["profile.kind = power\nprofile.p = 3",
+    @pytest.mark.parametrize("line", ["profile.kind = power\nprofile.p = 3", "fd_step = 1e-4",
                                       "csv_dump = grid.csv", "curve_dump = curves"],
-                             ids=["profile", "csv_dump", "curve_dump"])
+                             ids=["profile", "fd_step", "csv_dump", "curve_dump"])
     def test_full_suite_rejects_unused_keys(self, tmp_path, capsys, line):
-        # full-suite runs its own profiles and writes no dumps
+        # full-suite runs its own profiles, runs no FD oracle and writes no dumps
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         cfg = write_config(run_dir, "c.txt",
@@ -631,6 +643,55 @@ class TestOneInteriorDraw:
         assert draws == []
 
 
+class TestSuiteReadsVerdicts:
+    """``full-suite`` computes only what its rows read, and each seeded stream once."""
+
+    SUITE = "command = full-suite\nn = 3\ngrid.points = 40\ngrid.seed = 5\n"
+
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
+        import hartogs.extremal
+        calls = []
+        for name in ("dbar_jacobian", "reduced_conditions"):
+            def spy(*args, _name=name, _fn=getattr(hartogs.extremal, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(hartogs.extremal, name, spy)
+        return calls
+
+    def test_no_oracle_in_the_suite(self, tmp_path, oracle_calls):
+        cfg = write_config(tmp_path, "c.txt", self.SUITE + f"output = {tmp_path / 'r.json'}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        assert oracle_calls == []
+        cfg = write_config(tmp_path, "e.txt", "command = extremal-test\nprofile.kind = exp\n"
+                           f"grid.points = 40\noutput = {tmp_path / 'e.json'}\n")
+        assert main(["--config", cfg, "--quiet"]) == 1
+        assert sorted(oracle_calls) == ["dbar_jacobian", "reduced_conditions"]
+
+    def test_rows_equal_the_reports(self, tmp_path):
+        from hartogs import GridSpec, equivalence_check, extremal_report
+        cfg = write_config(tmp_path, "c.txt", self.SUITE + f"output = {tmp_path / 'r.json'}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        rows = json.loads((tmp_path / "r.json").read_text())["report"]["profiles"]
+        spec = GridSpec(points=40, seed=5)
+        for row, (label, make, _) in zip(rows, hartogs.cli._SUITE_PROFILES):
+            ext = extremal_report(make(), 3, spec)
+            assert (row["profile"], row["max_residual"]) == (label, ext.max_residual)
+            assert row["extremal"] == ext.verdict
+            assert row["pseudoconvexity"] == equivalence_check(make(), 3, spec).verdict
+
+    def test_each_seeded_draw_once(self, tmp_path):
+        from hartogs.sampling import _boundary_draw, _halton_terms
+        _halton_terms.cache_clear()
+        _boundary_draw.cache_clear()
+        cfg = write_config(tmp_path, "c.txt", self.SUITE + f"output = {tmp_path / 'r.json'}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        # four profiles read each draw: one computed, three memo hits
+        for memo in (_halton_terms, _boundary_draw):
+            info = memo.cache_info()
+            assert (info.misses, info.hits) == (1, 3), memo.__name__
+
+
 class TestOneEvaluationPerRun:
     """A ``curvature-report`` run evaluates the metric and ``B`` of its sample once."""
 
@@ -762,7 +823,9 @@ class TestReportWriter:
     ], ids=["check-kahler", "classify-exp", "classify-linear", "extremal-test"])
     def test_command_report_golden(self, tmp_path, monkeypatch, name, body):
         # reference bytes of these configs, recorded before the closed forms
-        # took the run's interior sample in place of its points
+        # took the run's interior sample in place of its points; the
+        # classify-linear pullback_max_error re-recorded when the pullback
+        # took the oracles' per-point relative measure
         golden = Path(__file__).parent / "data" / name
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.txt").write_text(body + "n = 3\ngrid.points = 40\ngrid.seed = 1\n"
@@ -878,13 +941,15 @@ def test_console_entry_point(tmp_path):
     assert "HYPERBOLIC" in proc.stdout
 
 
-def test_cli_imports_four_private_names():
+def test_cli_imports_five_private_names():
     # the CLI reads every closed form by its public name; the Ricci matrices
     # of the records, the interleaved point spelling, the pipelines' one
-    # non-finite guard and the FD oracles' one error measure are its private needs
+    # non-finite guard, the FD oracles' one error measure and the full-suite's
+    # extremality verdict without the oracle are its private needs
     import ast
     tree = ast.parse(Path(hartogs.cli.__file__).read_text())
     private = sorted(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                      for alias in node.names
                      if alias.name.startswith("_") and not alias.name.startswith("__"))
-    assert private == ["_finite_max", "_interleave", "_oracle_error", "_ricci"]
+    assert private == ["_extremal_verdict", "_finite_max", "_interleave", "_oracle_error",
+                       "_ricci"]

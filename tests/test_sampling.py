@@ -230,7 +230,8 @@ def _grid_readers(expp):
 # number is an integer there, and text that reads as a number is one).
 HUGE = 10**400   # an integer beyond the float range
 OUT_OF_RANGE = [
-    ("points", 0, "grid.points must be >= 1, got 0"),
+    ("points", 0, "grid.points must be in 1..100000, got 0"),
+    ("points", 100_001, "grid.points must be in 1..100000, got 100001"),
     ("points", 20.0, None),
     ("points", True, "grid.points must be an integer, got True"),
     ("points", "20", None),
@@ -406,3 +407,47 @@ class TestHaltonDraw:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestBoundaryDraw:
+    """``boundary_samples`` through its one-entry memo against the direct generator calls."""
+
+    @staticmethod
+    def _direct(profile, n, spec):
+        rng = np.random.default_rng(spec.seed)
+        xmax = min(profile.x0, spec.x_cap)
+        eps = 1e-3 * xmax
+        x = rng.uniform(eps, xmax - eps, spec.points)
+        z0 = np.sqrt(x) * np.exp(2j * np.pi * rng.uniform(size=spec.points))
+        normals = rng.standard_normal((spec.points, 4, n - 1))
+        rows = []
+        for re_part, im_part in ((normals[:, 0], normals[:, 1]), (normals[:, 2], normals[:, 3])):
+            norm = np.sqrt(np.sum(np.square(re_part), axis=-1)
+                           + np.sum(np.square(im_part), axis=-1))
+            rows.append((re_part + 1j * im_part) / norm[:, None])
+        return x, z0, *rows
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    @pytest.mark.parametrize("seed", [0, 17, 1000003, 2**40 + 3])
+    def test_bits_equal_the_direct_draw(self, builtin_profiles, n, seed):
+        # x0 finite (the linear profiles, one of them below the cap) and infinite (exp)
+        for name, prof in builtin_profiles.items():
+            for spec in (GridSpec(points=50, seed=seed), GridSpec(points=7, seed=seed, x_cap=0.5)):
+                got, want = boundary_samples(prof, n, spec), self._direct(prof, n, spec)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, n, seed, spec)
+
+    def test_memoised_arrays_are_read_only(self, builtin_profiles):
+        spec = GridSpec(points=20, seed=3)
+        terms = hartogs.sampling._halton_terms(5, 3)
+        assert not any(term.flags.writeable for term in terms)
+        assert not any(a.flags.writeable for a in hartogs.sampling._boundary_draw(20, 2, 3))
+        first = None
+        for prof in builtin_profiles.values():
+            x, z0, fiber, tangent = boundary_samples(prof, 2, spec)
+            assert x.flags.writeable and z0.flags.writeable
+            assert not (fiber.flags.writeable or tangent.flags.writeable)
+            with pytest.raises(ValueError, match="read-only"):
+                fiber[0, 0] = 0.0
+            first = first or (fiber, tangent)
+            assert fiber is first[0] and tangent is first[1]   # one draw for every profile
