@@ -19,8 +19,8 @@ from .errors import DomainError
 from .extremal import _radial_parts, _radial_residual
 from .geometry import _oracle_error, metric_closed_form, radial_coefficients
 from .curvature import _scal
-from .profiles import Profile, _finite_max, linear_profile
-from .sampling import _BOUNDS, GridSpec, _bounded, _interior_sample, x_grid
+from .profiles import Profile, _bounded, _finite_max, linear_profile
+from .sampling import _BOUNDS, GridSpec, _interior_sample, x_grid
 
 __all__ = [
     "HyperbolicMap",

@@ -44,8 +44,8 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import ConfigError
-from .profiles import Profile, exp_profile, linear_profile, power_profile, table_profile
-from .sampling import _BOUNDS, GridSpec, _bounded
+from .profiles import Profile, _bounded, exp_profile, linear_profile, power_profile, table_profile
+from .sampling import _BOUNDS, GridSpec
 
 __all__ = ["RunConfig", "Tolerances", "parse_config_text", "load_config", "build_profile",
            "COMMANDS", "VERDICTS", "MAX_N"]

@@ -43,8 +43,8 @@ from .geometry import (
     _oracle_error,
     radial_coefficients,
 )
-from .profiles import MAX_DERIV_ORDER, Profile, _finite_max, _scalar
-from .sampling import _BOUNDS, GridSpec, _bounded, _interior_sample, x_grid
+from .profiles import MAX_DERIV_ORDER, Profile, _bounded, _finite_max, _scalar
+from .sampling import _BOUNDS, GridSpec, _interior_sample, x_grid
 
 __all__ = [
     "scal_conjugate_gradient",

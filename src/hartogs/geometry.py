@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularCoefficientError, StepError
-from .profiles import MAX_DERIV_ORDER, Profile, _scalar
+from .profiles import MAX_DERIV_ORDER, Profile, _bounded, _scalar
 
 __all__ = [
     "potential",
@@ -103,8 +103,8 @@ class RadialCoefficients:
     where ``B == 0``, so a record exists where ``B`` vanishes.  ``L`` and
     ``L'`` are expanded in ``B`` and its first three derivatives (the third
     involves ``F^(5)``, which is why profiles carry five orders), so
-    built-in profiles evaluate them in closed form.  The kept arrays are
-    read-only.
+    built-in profiles evaluate them in closed form.  Every term is a ratio to
+    ``B``, with no ``B^2``, which underflows first; the kept arrays are read-only.
     """
 
     x: np.ndarray
@@ -129,9 +129,9 @@ class RadialCoefficients:
         r1 = b1 / b
         r2 = b2 / b - np.square(r1)
         ell = r1 + x * r2
-        ell1 = 2.0 * r2 + x * (b3 / b - 3.0 * b1 * b2 / np.square(b) + 2.0 * np.power(r1, 3))
+        ell1 = 2.0 * r2 + x * (b3 / b - 3.0 * r1 * (b2 / b) + 2.0 * np.power(r1, 3))
         g = -ell * f / b
-        g1 = -(ell1 * f + ell * f1) / b + ell * f * b1 / np.square(b)
+        g1 = -(ell1 * f + ell * f1) / b + ell * (f / b) * r1
         return tuple(map(_kept, (ell, g, ell1, g1)))
 
     L = property(lambda self: self._curvature_terms[0])
@@ -390,6 +390,7 @@ def principal_minor(z, profile: Profile, alpha: int):
     ``A^2 h`` over rows and columns ``alpha..n-1`` equals
     ``A^(n-alpha) + A^(n-alpha-1) (|z_alpha|^2 + ... + |z_{n-1}|^2)``.
     """
+    alpha = _bounded("alpha", alpha, integer=True)
     p = _interior(z, profile, 0)
     z, a, n = p.points, p.A, p.n
     if not 1 <= alpha <= n - 1:

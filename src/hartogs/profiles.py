@@ -15,6 +15,8 @@ spline interpolation and are flagged as lower precision.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,6 +52,24 @@ def _finite_max(values, what: str) -> float:
     if not np.all(np.isfinite(values)):
         raise NumericError(f"non-finite {what}")
     return float(np.max(values))
+
+
+def _bounded(label: str, value, bound: tuple | None = None, integer: bool = False):
+    """``value`` as a Python ``int`` (``integer``) or ``float`` within ``bound``, a rule of
+    ``sampling._BOUNDS``; else a one-line ``ValueError``, ``<label> must be ..., got ...``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        typed = False
+    elif isinstance(value, numbers.Integral):   # exact: an int beyond the float range is not finite
+        typed = integer or abs(value) <= sys.float_info.max
+    else:
+        typed = not integer and math.isfinite(value)
+    if not typed:
+        raise ValueError(f"{label} must be {'an integer' if integer else 'a finite number'}, "
+                         f"got {value!r}")
+    value = int(value) if integer else float(value)
+    if bound and not bound[1](value):
+        raise ValueError(f"{label} must be {bound[0]}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

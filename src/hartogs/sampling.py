@@ -17,10 +17,10 @@ closed form called on them reads the sample.
 
 Boundary samples for the Levi-form test are three block draws from a
 seeded ``numpy`` generator (:func:`boundary_samples`).  Both samplers take
-``(profile, n, spec)`` and reject ``n < 2`` alike.  Every public function
-that takes a ``GridSpec`` reads it through :func:`_grid_spec`, so ``None``
-is the default grid, and anything but a ``GridSpec`` or a field out of its
-range raises.
+``(profile, n, spec)`` and reject ``n < 2`` alike.  A ``GridSpec`` is
+checked once, when it is made (:class:`GridSpec`); every public function
+that takes one reads it through :func:`_grid_spec`, which gates only its
+type: ``None`` is the default grid, and anything but a ``GridSpec`` raises.
 
 Neither sampler's seeded stream depends on the profile, so each is drawn
 once for the runs that share it and kept in a one-entry memo
@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -46,36 +44,9 @@ import numpy as np
 from . import geometry
 from .errors import DomainError
 from .geometry import _interior
-from .profiles import MAX_DERIV_ORDER, Profile
+from .profiles import MAX_DERIV_ORDER, Profile, _bounded
 
 __all__ = ["GridSpec", "interior_points", "x_grid", "boundary_samples"]
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Sweep parameters: size, seed, boundary margin, cap for unbounded domains."""
-
-    points: int = 200
-    seed: int = 0
-    a_margin: float = 0.05   # keep A >= a_margin * F(0)
-    x_cap: float = 5.0       # cap on |z_0|^2 when x0 = inf
-
-    def describe(self) -> dict:
-        return asdict(self)
-
-
-def _x_max(profile: Profile, spec: GridSpec) -> float:
-    return min(spec.x_cap, profile.x0 * (1.0 - 1e-2))
-
-
-def _integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _real(v) -> bool:
-    if isinstance(v, numbers.Integral):   # exact: an int beyond the float range is not finite
-        return _integer(v) and abs(v) <= sys.float_info.max
-    return isinstance(v, numbers.Real) and math.isfinite(v)
 
 
 # The range of each bounded number the library takes: ``(text, test)`` on a value
@@ -86,33 +57,41 @@ _BOUNDS = {"points": ("in 1..100000", lambda v: 1 <= v <= 100_000),
            "x_cap": ("positive", lambda v: v > 0), "tol": ("positive", lambda v: v > 0)}
 
 
-def _bounded(label: str, value, bound: tuple | None = None, integer: bool = False):
-    """``value`` as a Python ``int`` (``integer``) or ``float`` within ``bound``, a rule of
-    :data:`_BOUNDS`; else a one-line ``ValueError``, ``<label> must be ..., got ...``."""
-    kind, typed = ("an integer", _integer) if integer else ("a finite number", _real)
-    if not typed(value):
-        raise ValueError(f"{label} must be {kind}, got {value!r}")
-    value = int(value) if integer else float(value)
-    if bound and not bound[1](value):
-        raise ValueError(f"{label} must be {bound[0]}, got {value!r}")
-    return value
+@dataclass(frozen=True)
+class GridSpec:
+    """Sweep parameters: size, seed, boundary margin, cap for unbounded domains.
+
+    Checked once, when made or copied by ``dataclasses.replace``: each field is an
+    integer (``points``, ``seed``) or a finite number within its rule of :data:`_BOUNDS`,
+    kept as a Python number, or a one-line ``ValueError`` names it.
+    """
+
+    points: int = 200
+    seed: int = 0
+    a_margin: float = 0.05   # keep A >= a_margin * F(0)
+    x_cap: float = 5.0       # cap on |z_0|^2 when x0 = inf
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _bounded(f"GridSpec.{f.name}", getattr(self, f.name),
+                                                      _BOUNDS[f.name], f.type == "int"))
+
+    def describe(self) -> dict:
+        return asdict(self)
+
+
+def _x_max(profile: Profile, spec: GridSpec) -> float:
+    return min(spec.x_cap, profile.x0 * (1.0 - 1e-2))
 
 
 def _grid_spec(spec) -> GridSpec:
-    """``spec`` checked, or ``GridSpec()`` for ``None``: how every public function reads its grid.
-
-    Anything but a ``GridSpec`` raises ``TypeError``.  A field that is not
-    of its type (an integer, or a finite number) or is out of its range
-    (:data:`_BOUNDS`) raises a ``ValueError`` that names the field; the spec
-    returned holds Python numbers.
-    """
+    """``spec`` itself, or ``GridSpec()`` for ``None``: how every public function reads its grid.
+    A ``GridSpec`` is checked when made, so only the type is gated: else ``TypeError``."""
     if spec is None:
         return GridSpec()
     if not isinstance(spec, GridSpec):
         raise TypeError(f"spec must be a GridSpec or None, got {type(spec).__name__}")
-    return GridSpec(**{f.name: _bounded(f"GridSpec.{f.name}", getattr(spec, f.name),
-                                        _BOUNDS[f.name], f.type == "int")
-                       for f in fields(GridSpec)})
+    return spec
 
 
 def _checked(n: int, spec) -> GridSpec:
@@ -124,9 +103,9 @@ def _checked(n: int, spec) -> GridSpec:
 
 
 def x_grid(profile: Profile, count: int, spec: GridSpec | None = None) -> np.ndarray:
-    """Uniform abscissa grid in ``(0, min(x0, x_cap))`` away from endpoints."""
+    """``count`` (read as ``GridSpec.points``) uniform abscissae in ``(0, min(x0, x_cap))``."""
     hi = _x_max(profile, _grid_spec(spec))
-    return np.linspace(1e-3 * hi, hi, count)
+    return np.linspace(1e-3 * hi, hi, _bounded("count", count, _BOUNDS["points"], integer=True))
 
 
 def _primes(count: int) -> list:

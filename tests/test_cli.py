@@ -479,8 +479,9 @@ class TestCommands:
         # reference bytes of this config; re-recorded when the Hamiltonian
         # field stopped forming the inverse metric, which moved the two
         # non-linear residuals at roundoff (pinned in the next test), again
-        # when the rows' off-axis FD residual became the radial one, and at
-        # schema 2
+        # when the rows' off-axis FD residual became the radial one, at
+        # schema 2, and when the radial block stopped dividing by B^2, which
+        # moved the exp and power(2) residuals at roundoff
         golden = Path(__file__).parent / "data" / "full_suite_n2_40.json"
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.txt").write_text("command = full-suite\nn = 2\ngrid.points = 40\n"
@@ -537,12 +538,26 @@ class TestCommands:
         assert not any(row["as_expected"] for row in doc["report"]["profiles"])
         assert all(row["kahler"] == "KAHLER" for row in doc["report"]["profiles"])
 
+    @pytest.mark.parametrize("command, verdict", [("classify", "NON_CONSTANT_CURVATURE"),
+                                                  ("extremal-test", "NOT_EXTREMAL")])
+    def test_scaled_exp_gives_the_unscaled_verdict(self, tmp_path, command, verdict):
+        # exp(-50 x) is exp(-x) under z_0 -> sqrt(50) z_0; B ~ F^2 underflows
+        # on the x sweep (x' = 50 x up to 250), so no term may divide by B^2
+        for scale in (1, 50):
+            cfg = write_config(tmp_path, "c.txt", f"command = {command}\nprofile.kind = exp\n"
+                               f"profile.scale = {scale}\nn = 3\nexpect = {verdict}\n"
+                               f"output = {tmp_path / 'rep.json'}\n")
+            assert main(["--config", cfg, "--quiet"]) == 0, scale
+            assert json.loads((tmp_path / "rep.json").read_text())["verdict"] == verdict
+
     def test_zero_over_zero_is_a_numeric_error(self, tmp_path, capsys):
-        # exp(-70 x) underflows on the x table of the reduced conditions, where
-        # B^2 becomes 0: 0/0 must exit 2, not leave a NaN in a verdict's report
+        # exp(-200 x) underflows to 0 beyond x = 3.73 on the boundary draw (x up
+        # to 5): the fiber of such a boundary point is 0, and its unit direction
+        # 0/0 must exit 2, not leave a NaN in a verdict's report
         out = tmp_path / "rep.json"
-        cfg = write_config(tmp_path, "c.txt", "command = extremal-test\nprofile.kind = exp\n"
-                           f"profile.scale = 70\ngrid.points = 40\noutput = {out}\n")
+        cfg = write_config(tmp_path, "c.txt", "command = pseudoconvexity-test\n"
+                           "profile.kind = exp\nprofile.scale = 200\ngrid.points = 40\n"
+                           f"output = {out}\n")
         assert main(["--config", cfg, "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: floating-point error: invalid value encountered")
@@ -825,7 +840,9 @@ class TestReportWriter:
         # reference bytes of these configs, recorded before the closed forms
         # took the run's interior sample in place of its points; the
         # classify-linear pullback_max_error re-recorded when the pullback
-        # took the oracles' per-point relative measure
+        # took the oracles' per-point relative measure, and the classify-exp
+        # and extremal-test residuals (and the table's r1, r2) at roundoff
+        # when the radial block stopped dividing by B^2
         golden = Path(__file__).parent / "data" / name
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.txt").write_text(body + "n = 3\ngrid.points = 40\ngrid.seed = 1\n"

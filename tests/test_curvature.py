@@ -8,11 +8,14 @@ from hartogs import (
     NumericError,
     curvature_polynomial_coefficients,
     curvature_record,
+    det_closed_form,
+    exp_profile,
     generalized_scalars_closed,
     generalized_scalars_poly,
     interior_points,
     inverse_metric_closed_form,
     metric_closed_form,
+    profile_from_function,
     radial_coefficients,
     ricci_closed_form,
     ricci_numeric,
@@ -244,3 +247,67 @@ class TestCurvatureRecord:
                 assert batch.L[k] == one.L
                 assert batch.scal[k] == one.scal
                 np.testing.assert_array_equal(batch.rho[k], one.rho)
+
+
+def _relative(a, b) -> float:
+    """Largest per-point ``max|a - b| / max|b|`` over the trailing axes."""
+    a, b = np.asarray(a), np.asarray(b)
+    axes = tuple(range(1, a.ndim))
+    return float(np.max(np.max(np.abs(a - b), axis=axes, initial=0.0)
+                        / np.max(np.abs(b), axis=axes, initial=0.0)))
+
+
+def _scaled_pair(kind: str, s: float) -> tuple:
+    """A profile ``F`` and ``F_s(x) = F(s x)``: exp in closed form, or a jet-backed formula."""
+    if kind == "exp":
+        return exp_profile(1.0), exp_profile(s)
+
+    def formula(j):
+        return (2.0 - j) ** 1.5 * (-0.5 * j).exp()
+
+    return (profile_from_function(formula, 2.0),
+            profile_from_function(lambda j: formula(s * j), 2.0 / s))
+
+
+# The relative bound of the isometry oracle.  On the grids below (seed n) the
+# worst case is 7.2e-14, the radial block (G' of exp at s = 50, n = 4), then
+# det 6.5e-14, Ricci 1.6e-14, rho 1.2e-14, the metric 9.8e-15 and scal
+# 4.0e-15; over seeds n + 100, n + 200 and n + 300 it is 7.9e-14.
+ISOMETRY_RTOL = 2e-13
+
+
+class TestScalingIsometry:
+    """``phi(z) = (sqrt(s) z_0, z')`` maps ``D_(F_s)`` onto ``D_F`` for
+    ``F_s(x) = F(s x)``, since ``A_s = A o phi``: a step-free oracle at every
+    ``n``.  With ``J = diag(sqrt s, 1, ..., 1)`` the metric and Ricci pull back
+    as ``J g(phi(z)) J``, ``det_s = s det``, ``scal`` and ``rho`` are equal,
+    and the radial block goes as ``L_s(x) = s L(s x)``, ``G_s(x) = G(s x)``,
+    ``L_s'(x) = s^2 L'(s x)``, ``G_s'(x) = s G'(s x)``."""
+
+    @pytest.mark.parametrize("kind", ["exp", "jet"])
+    @pytest.mark.parametrize("s", [3.0, 50.0])
+    @pytest.mark.parametrize("n", range(2, MAX_N + 1))
+    def test_closed_forms_are_invariant(self, kind, s, n):
+        base, scaled = _scaled_pair(kind, s)
+        z = interior_points(scaled, n, GridSpec(points=100, seed=n))
+        w = z.copy()
+        w[:, 0] *= np.sqrt(s)
+        j = np.ones(n)
+        j[0] = np.sqrt(s)
+        jj = j[:, None] * j[None, :]
+        # the radial block on the samples' abscissae, not on a sweep: at
+        # x' = 250, r1 + x r2 cancels in L
+        x = np.square(np.abs(z[:, 0]))
+        mine, theirs = radial_coefficients(scaled, x), radial_coefficients(base, s * x)
+        errors = {
+            "metric": _relative(metric_closed_form(z, scaled), jj * metric_closed_form(w, base)),
+            "ricci": _relative(ricci_closed_form(z, scaled), jj * ricci_closed_form(w, base)),
+            "det": _relative(det_closed_form(z, scaled), s * det_closed_form(w, base)),
+            "scal": _relative(scalar_curvature(z, scaled), scalar_curvature(w, base)),
+            "rho": _relative(generalized_scalars_closed(z, scaled),
+                             generalized_scalars_closed(w, base)),
+            "radial": _relative(
+                np.stack([mine.L / s, mine.G, mine.dL / s**2, mine.dG / s], axis=-1),
+                np.stack([theirs.L, theirs.G, theirs.dL, theirs.dG], axis=-1)),
+        }
+        assert max(errors.values()) <= ISOMETRY_RTOL, errors

@@ -232,6 +232,12 @@ class TestPrincipalMinor:
     def test_argument_error(self, lin11):
         with pytest.raises(ValueError):
             principal_minor(np.zeros(2, complex), lin11, 2)
+        # alpha is read as an integer before its range check: a bool is not alpha = 1
+        z = np.zeros(3, complex)
+        for alpha in (1.5, True, 1.0):
+            with pytest.raises(ValueError, match=f"^alpha must be an integer, got {alpha!r}$"):
+                principal_minor(z, lin11, alpha)
+        assert principal_minor(z, lin11, np.int64(1)) == principal_minor(z, lin11, 1)
 
 
 class TestInverseMetric:

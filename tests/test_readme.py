@@ -1,5 +1,6 @@
 """The README's library tour names only what the package exports, and its code runs."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 
 import hartogs
 from hartogs.cli import main
+from hartogs.sampling import _BOUNDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,6 +33,16 @@ def test_library_tour_names_resolve():
     assert "extremal_report" in names
     missing = [name for name in names if not hasattr(hartogs, name)]
     assert missing == []
+
+
+def test_sampling_row_quotes_the_grid_rules():
+    # each GridSpec field's type and range rule, as the check words them, so a
+    # changed rule cannot leave the README stale
+    (contents,) = [contents for module, contents in tour_rows()
+                   if module == "`hartogs.sampling`"]
+    for field in dataclasses.fields(hartogs.GridSpec):
+        kind = "an integer" if field.type == "int" else "a finite number"
+        assert f"`GridSpec.{field.name}`: {kind}, {_BOUNDS[field.name][0]}" in contents, field.name
 
 
 def python_blocks():

@@ -34,6 +34,7 @@ from hartogs import (
 )
 import hartogs.geometry
 import hartogs.sampling
+from hartogs.cli import main
 from hartogs.config import _RANGES, Tolerances, load_config
 from hartogs.geometry import _interior
 from hartogs.profiles import MAX_DERIV_ORDER
@@ -253,18 +254,41 @@ CASE_IDS = [f"{field}-{'10**400' if value == HUGE else value}" for field, value,
 
 
 class TestGridSpecFields:
-    """Every public function that takes a ``GridSpec`` reads it one way: ``None``
-    is the default grid, anything else but a ``GridSpec`` is a ``TypeError``,
-    and a field out of its range is a ``ValueError`` that names the field."""
+    """A ``GridSpec`` is checked when it is made: a field out of its range is a
+    ``ValueError`` that names the field.  Every public function that takes one
+    reads it one way: ``None`` is the default grid, and anything else but a
+    ``GridSpec`` is a ``TypeError``."""
 
     @pytest.mark.parametrize("field, value", [(field, value) for field, value, _ in OUT_OF_RANGE],
                              ids=CASE_IDS)
-    def test_out_of_range_is_a_value_error_naming_the_field(self, expp, field, value):
-        spec = dataclasses.replace(SPEC, **{field: value})
-        for name, read in _grid_readers(expp).items():
+    def test_out_of_range_is_a_value_error_naming_the_field(self, field, value):
+        # made or copied, the spec raises before any reader can take it
+        for make in (lambda: GridSpec(**{field: value}),
+                     lambda: dataclasses.replace(SPEC, **{field: value})):
             with pytest.raises(ValueError, match=f"^GridSpec.{field} must be [^\n]*, "
                                                  f"got {re.escape(repr(value))}$"):
-                read(spec)
+                make()
+
+    def test_readers_take_the_spec_itself(self):
+        assert _grid_spec(SPEC) is SPEC
+        assert _grid_spec(None) == GridSpec()
+
+    def test_a_suite_run_checks_each_field_once(self, tmp_path, monkeypatch):
+        # the config builds the run's one spec, and the readers gate only its type
+        labels = []
+
+        def spy(label, *args, **kwargs):
+            labels.append(label)
+            return bounded(label, *args, **kwargs)
+
+        bounded = hartogs.sampling._bounded
+        monkeypatch.setattr(hartogs.sampling, "_bounded", spy)
+        path = tmp_path / "run.txt"
+        path.write_text("command = full-suite\nn = 2\ngrid.points = 500\n"
+                        f"output = {tmp_path / 'r.json'}\n")
+        assert main(["--config", str(path), "--quiet"]) == 0
+        assert sorted(label for label in labels if label.startswith("GridSpec.")) == sorted(
+            f"GridSpec.{field.name}" for field in dataclasses.fields(GridSpec))
 
     @pytest.mark.parametrize("field, value, message", OUT_OF_RANGE, ids=CASE_IDS)
     def test_config_keys_read_the_same_ranges(self, expp, tmp_path, field, value, message):
@@ -346,6 +370,16 @@ class TestRunArguments:
         for call in (interior_points, boundary_samples, classify, extremal_report):
             with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.0$"):
                 call(expp, 2.0, SPEC)
+
+    @pytest.mark.parametrize("count, rule", [(True, "an integer"), (2.5, "an integer"),
+                                             (41.0, "an integer"), (0, "in 1..100000"),
+                                             (100_001, "in 1..100000")])
+    def test_a_bad_count_is_a_value_error_naming_count(self, expp, count, rule):
+        # x_grid reads its count under the rule of GridSpec.points
+        with pytest.raises(ValueError, match=f"^count must be {re.escape(rule)}, "
+                                             f"got {re.escape(repr(count))}$"):
+            x_grid(expp, count, SPEC)
+        assert x_grid(expp, np.int64(41), SPEC).shape == (41,)
 
 
 class TestHaltonDraw:
