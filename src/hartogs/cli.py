@@ -74,18 +74,28 @@ def _curve_x(cfg: RunConfig, profile: Profile) -> np.ndarray:
     return x_grid(profile, max(cfg.grid.points, 101), cfg.grid)
 
 
-def _run_check_kahler(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
+def _kahler_verdict(cfg: RunConfig, profile: Profile) -> tuple:
+    """``(xs, ind, verdict, positivity_agrees)``: the indicator sweep, and whether its sign
+    matches the sample's metrics being positive definite, as one batched Cholesky decides."""
     xs = _curve_x(cfg, profile)
     ind = kahler_indicator(profile, xs)
-    max_ind = float(np.max(ind))
+    negative = float(np.max(ind)) < 0.0
+    try:
+        np.linalg.cholesky(metric_closed_form(interior_points(profile, cfg.n, cfg.grid), profile))
+        positive = True
+    except np.linalg.LinAlgError:
+        positive = False
+    return xs, ind, "KAHLER" if negative else "NOT_KAHLER", negative == positive
+
+
+def _run_check_kahler(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
+    xs, ind, verdict, agrees = _kahler_verdict(cfg, profile)
     h = metric_closed_form(interior_points(profile, cfg.n, cfg.grid), profile)
-    min_eig = float(np.min(np.linalg.eigvalsh(h)))
-    verdict = "KAHLER" if max_ind < 0.0 else "NOT_KAHLER"
     report = {
-        "max_indicator": max_ind,
+        "max_indicator": float(np.max(ind)),
         "argmax_x": float(xs[int(np.argmax(ind))]),
-        "min_metric_eigenvalue": min_eig,
-        "positivity_agrees": (max_ind < 0.0) == (min_eig > 0.0),
+        "min_metric_eigenvalue": float(np.min(np.linalg.eigvalsh(h))),
+        "positivity_agrees": agrees,
     }
     return report, verdict
 
@@ -184,20 +194,20 @@ def _run_classify(cfg: RunConfig, profile: Profile) -> tuple[dict, str]:
 
 
 def _run_full_suite(cfg: RunConfig) -> tuple[dict, str]:
-    # a row reads verdicts only: extremal-test carries the FD oracle and the
-    # reduced-conditions table, pseudoconvexity-test the worst sample
+    # a row reads verdicts only: check-kahler carries the smallest eigenvalue, extremal-test
+    # the FD oracle and the reduced-conditions table, pseudoconvexity-test the worst sample
     rows = []
     ok = True
     for label, make, is_linear in _SUITE_PROFILES:
         profile = make()
-        positivity, kahler = _run_check_kahler(cfg, profile)
+        *_, kahler, positivity_agrees = _kahler_verdict(cfg, profile)
         cls = classify(profile, cfg.n, cfg.grid, tol=cfg.tolerances.classify)
         *_, max_res, ext_verdict = _extremal_verdict(profile, cfg.n, cfg.grid,
                                                      cfg.tolerances.extremal)
         pc_verdict = equivalence_check(profile, cfg.n, cfg.grid).verdict
         expected_cls = "HYPERBOLIC" if is_linear else "NON_CONSTANT_CURVATURE"
         expected_ext = "EXTREMAL" if is_linear else "NOT_EXTREMAL"
-        row_ok = (kahler == "KAHLER" and positivity["positivity_agrees"]
+        row_ok = (kahler == "KAHLER" and positivity_agrees
                   and pc_verdict == "CONSISTENT"
                   and cls.verdict == expected_cls and ext_verdict == expected_ext)
         ok = ok and row_ok

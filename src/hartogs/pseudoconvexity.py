@@ -210,10 +210,13 @@ def equivalence_check(profile: Profile, n: int = 2,
     aligned = pts.fiber / _norm(pts.fiber)[..., None]
     directions = np.concatenate([tangent_dir[:, None], aligned], axis=1)
     free = pts.F[1][:, 0] == 0.0   # X_0 free: the Levi form on e_0 there
-    directions[free] = 0.0
-    levi = np.empty(directions.shape[:-1])
-    levi[~free] = restricted_levi(_rows(pts, ~free), directions[~free])
-    levi[free] = levi_form(_rows(pts, free), np.eye(n)[0])
+    if not free.any():   # the usual case: no rows to gather
+        levi = restricted_levi(pts, directions)
+    else:
+        directions[free] = 0.0
+        levi = np.empty(directions.shape[:-1])
+        levi[~free] = restricted_levi(_rows(pts, ~free), directions[~free])
+        levi[free] = levi_form(_rows(pts, free), np.eye(n)[0])
     ind = kahler_indicator(profile, x)
     for values in (levi, ind):
         _finite_max(values, "restricted Levi form or Kaehler indicator")

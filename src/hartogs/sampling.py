@@ -25,12 +25,13 @@ type: ``None`` is the default grid, and anything but a ``GridSpec`` raises.
 Neither sampler's seeded stream depends on the profile, so each is drawn
 once for the runs that share it and kept in a one-entry memo
 (``functools.lru_cache(maxsize=1)``): the Halton digit permutations of
-:func:`_halton_terms`, keyed by dimension and seed, and the boundary
-draw of :func:`_boundary_draw` (the unit uniforms for ``x``, the phases
-and the unit fiber and tangent rows), keyed by count, ``n`` and seed.
-The ``full-suite`` profiles at one ``n`` and grid share both.  Each
-profile maps the unit uniforms onto its own range, and the memoised
-arrays are read-only.
+:func:`_halton_terms`, keyed by dimension and seed; dimension 0 of an
+interior block (:func:`_halton_x`, the same in every dimension), keyed by
+seed and block; and the boundary draw of :func:`_boundary_draw` (the unit
+uniforms for ``x``, the phases and the unit fiber and tangent rows),
+keyed by count, ``n`` and seed.  The ``full-suite`` profiles at one ``n``
+and grid share all three.  Each profile maps the unit uniforms onto its
+own range, and the memoised arrays are read-only.
 """
 
 from __future__ import annotations
@@ -148,12 +149,13 @@ def _halton(terms: tuple, k: np.ndarray) -> np.ndarray:
     digits ``k_j``, added in that order, whatever other indices are asked
     for.  The levels up to the top digit of the largest index go through a
     table of partial sums, and the levels above it, whose digit is 0 at
-    every point, are added one at a time.  The result is C-contiguous, as
-    the row sums of the fiber weights need for their bits.
+    every point, are added one at a time.  Each dimension is summed in its own
+    contiguous row, and the result is their C-contiguous transpose, as the
+    row sums of the fiber weights need for their bits.
     """
-    out = np.zeros((k.size, len(terms)))
+    out = np.zeros((len(terms), k.size))   # one contiguous row per dimension
     last = int(k.max(initial=0))
-    for term, v in zip(terms, out.T):
+    for term, v in zip(terms, out):
         base = term.shape[1]
         top = 0   # levels up to the largest index's top digit
         while top < len(term) and base ** top <= last:
@@ -167,14 +169,25 @@ def _halton(terms: tuple, k: np.ndarray) -> np.ndarray:
             np.add(table[k % low], term[top - 1][k // low % base], out=v)
         for constant in term[top:, 0]:
             v += constant
-    return out
+    return np.ascontiguousarray(out.T)
+
+
+@functools.lru_cache(maxsize=1)
+def _halton_x(seed: int, start: int, rows: int) -> np.ndarray:
+    """Dimension 0 of the points ``start .. start + rows - 1``, read-only: base 2 and the
+    generator's first permutations whatever the dimension, so every profile and ``n`` share
+    it; the unmemoised ``_halton_terms`` leaves that memo's one entry alone."""
+    u = _halton(_halton_terms.__wrapped__(1, seed), np.arange(start, start + rows)).ravel()
+    u.flags.writeable = False
+    return u
 
 
 def _draw(profile: Profile, n: int, spec: GridSpec) -> np.ndarray:
     """The interior points of ``profile`` under a checked ``spec``, shape ``(spec.points, n)``.
 
     Halton points come in blocks of ``max(2 points, 64)`` indices, at most
-    64 blocks.  Dimension 0 places ``x = |z_0|^2`` for a whole block, and
+    64 blocks.  Dimension 0 places ``x = |z_0|^2`` for a whole block
+    (:func:`_halton_x`, which every profile's draw shares), and
     the points with ``F(x) <= a_margin F(0)`` are rejected; the other
     ``2n`` dimensions are evaluated and mapped only at the first
     ``spec.points`` indices that are kept.
@@ -188,11 +201,10 @@ def _draw(profile: Profile, n: int, spec: GridSpec) -> np.ndarray:
     rows = max(2 * spec.points, 64)
     kept, need = [], spec.points
     for start in range(0, 64 * rows, rows):
-        k = np.arange(start, start + rows)
-        x = xmin + _halton(terms[:1], k)[:, 0] * (xmax - xmin)
+        x = xmin + _halton_x(spec.seed, start, rows) * (xmax - xmin)
         f_here = profile.deriv(0, x)
         keep = np.flatnonzero(f_here > delta)[:need]
-        kept.append((k[keep], x[keep], f_here[keep]))
+        kept.append((start + keep, x[keep], f_here[keep]))
         need -= keep.size
         if not need:
             break

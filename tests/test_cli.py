@@ -707,6 +707,82 @@ class TestSuiteReadsVerdicts:
             assert (info.misses, info.hits) == (1, 3), memo.__name__
 
 
+    def test_dimension_0_once(self, tmp_path):
+        from hartogs import exp_profile, interior_points
+        from hartogs.sampling import GridSpec, _halton, _halton_terms, _halton_x
+        _halton_x.cache_clear()
+        cfg = write_config(tmp_path, "c.txt", self.SUITE + f"output = {tmp_path / 'r.json'}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        info = _halton_x.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        # the suite's block: seed 5, indices 0..79 (two per point, 40 points)
+        u = _halton_x(5, 0, 80)
+        assert not u.flags.writeable
+        for d in (5, 7, 25):   # dimension 0 of the sequence at n = 2, 3 and 12
+            assert u.tobytes() == _halton(_halton_terms(d, 5), np.arange(80))[:, 0].tobytes()
+        # a changed seed, block or block size misses; a changed n shares the entry
+        for seed, start, rows in ((6, 0, 80), (5, 80, 80), (5, 0, 82)):
+            misses = _halton_x.cache_info().misses
+            _halton_x(seed, start, rows)
+            assert _halton_x.cache_info().misses == misses + 1
+        interior_points(exp_profile(), 3, GridSpec(points=40, seed=5))
+        misses = _halton_x.cache_info().misses
+        interior_points(exp_profile(), 12, GridSpec(points=40, seed=5))
+        assert _halton_x.cache_info().misses == misses
+
+
+class TestPositivityRule:
+    """``check-kahler`` and ``full-suite`` decide positivity by one batched Cholesky
+    factorization of the sample's metrics; only ``check-kahler`` prints an eigenvalue."""
+
+    @pytest.fixture
+    def linalg_calls(self, monkeypatch):
+        calls = []
+        for name in ("eigvalsh", "cholesky"):
+            def spy(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        return calls
+
+    def test_the_suite_computes_no_eigenvalues(self, tmp_path, linalg_calls):
+        cfg = write_config(tmp_path, "s.txt", "command = full-suite\nn = 2\ngrid.points = 40\n"
+                           f"output = {tmp_path / 's.json'}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        assert (linalg_calls.count("eigvalsh"), linalg_calls.count("cholesky")) == (0, 4)
+        linalg_calls.clear()
+        cfg = write_config(tmp_path, "k.txt", _EXP + f"grid.points = 40\noutput = {tmp_path / 'k.json'}\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+        assert sorted(linalg_calls) == ["cholesky", "eigvalsh"]
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_one_rule_on_every_sample(self, tmp_path, monkeypatch, n):
+        from hartogs import (GridSpec, interior_points, linear_profile, metric_closed_form,
+                             profile_from_function)
+        # indicator -1 + 2x: positive beyond x = 0.5, so the metric is indefinite there
+        indefinite = profile_from_function(lambda j: (-j + 0.5 * j * j).exp(), x0=1.0)
+        cases = [(make(), "KAHLER") for _, make, _ in hartogs.cli._SUITE_PROFILES]
+        cases += [(linear_profile(1.0, 0.0), "NOT_KAHLER"), (indefinite, "NOT_KAHLER")]
+        out = tmp_path / "k.json"
+        cfg = write_config(tmp_path, "k.txt", _EXP + f"n = {n}\ngrid.points = 100\noutput = {out}\n")
+        for profile, verdict in cases:
+            monkeypatch.setattr(hartogs.cli, "build_profile", lambda *_, _p=profile: _p)
+            assert main(["--config", cfg, "--quiet"]) == (0 if verdict == "KAHLER" else 1)
+            document = json.loads(out.read_text())
+            assert document["verdict"] == verdict
+            assert document["report"]["positivity_agrees"] is True
+            h = metric_closed_form(interior_points(profile, n, GridSpec(points=100)), profile)
+            try:
+                np.linalg.cholesky(h)
+                positive = True
+            except np.linalg.LinAlgError:
+                positive = False
+            min_eig = document["report"]["min_metric_eigenvalue"]
+            assert positive == (np.linalg.eigvalsh(h).min() > 0) == (min_eig > 0)
+            assert positive == (verdict == "KAHLER")
+        assert min_eig < 0.0   # the indefinite profile's
+
+
 class TestOneEvaluationPerRun:
     """A ``curvature-report`` run evaluates the metric and ``B`` of its sample once."""
 

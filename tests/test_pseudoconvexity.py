@@ -261,6 +261,19 @@ class TestEquivalenceCheck:
         assert np.all(restricted_levi(bent, tangent[~flat]) > 0.0)
         assert np.all(restricted_levi(bent, bent.fiber) > 0.0)
 
+    def test_rows_are_gathered_only_on_the_flat_stratum(self, expp, constant_profile,
+                                                       monkeypatch):
+        import hartogs.pseudoconvexity
+        calls = []
+        rows = hartogs.pseudoconvexity._rows
+        monkeypatch.setattr(hartogs.pseudoconvexity, "_rows",
+                            lambda point, which: calls.append(which) or rows(point, which))
+        spec = GridSpec(points=30, seed=1)
+        equivalence_check(expp, 3, spec)   # F' < 0 everywhere: no stratum to split off
+        assert calls == []
+        equivalence_check(constant_profile, 3, spec)
+        assert len(calls) == 2
+
     def test_two_derivative_tables(self, expp, monkeypatch):
         # the boundary batch's table and the indicator's: the Levi form reads the former
         calls = []
