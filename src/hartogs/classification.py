@@ -83,7 +83,7 @@ class PullbackReport:
 
 def pullback_check(c1: float, c2: float, n: int, spec: GridSpec | None = None,
                    tol: float = PULLBACK_TOL) -> PullbackReport:
-    """Compare ``J^H g_hyp(phi(z)) J`` with the linear-profile metric.
+    """Compare ``J^H g_hyp(phi(z)) J`` with the kept metric of the linear profile's sample.
 
     The Jacobian ``J`` of the rescaling is constant and diagonal, so the
     pullback is a congruence by a fixed real diagonal matrix; the identity
@@ -94,20 +94,21 @@ def pullback_check(c1: float, c2: float, n: int, spec: GridSpec | None = None,
     """
     tol = _bounded("tol", tol, _BOUNDS["tol"])
     spec, sample = _interior_sample(linear_profile(c1, c2), n, spec)
-    err = _pullback_error(c1, c2, sample.points)
+    err = _pullback_error(c1, c2, sample)
     return PullbackReport(c1=c1, c2=c2, n=sample.n, grid=spec.describe(),
                           max_error=err, tol=tol, passed=err <= tol)
 
 
-def _pullback_error(c1: float, c2: float, pts) -> float:
-    """Largest per-point ``max|J^H g_hyp(phi(z)) J - g(z)| / (1 + max|g(z)|)`` over ``pts``
-    for ``F = c1 - c2 x``: the oracles' measure (``_oracle_error``), so roundoff in
-    entries that grow like ``1/A^2`` near the boundary is judged against their size."""
+def _pullback_error(c1: float, c2: float, sample) -> float:
+    """Largest per-point ``max|J^H g_hyp(phi(z)) J - g(z)| / (1 + max|g(z)|)`` over the
+    points of ``sample``, ``phi`` the map of ``F = c1 - c2 x`` and ``g`` the sample's kept metric:
+    the oracles' measure (``_oracle_error``), so roundoff in entries that grow like
+    ``1/A^2`` near the boundary is judged against their size."""
     phi = HyperbolicMap(c1, c2)
-    scales = phi.scales(pts.shape[-1])
-    g_ball = hyperbolic_metric(phi(pts))
+    scales = phi.scales(sample.n)
+    g_ball = hyperbolic_metric(phi(sample.points))
     pulled = scales[None, :, None] * g_ball * scales[None, None, :]
-    err, size = _oracle_error(pulled, metric_closed_form(pts, linear_profile(c1, c2)))
+    err, size = _oracle_error(pulled, sample.metric)
     return _finite_max(err / size, "pullback error")
 
 
@@ -153,7 +154,7 @@ def classify(profile: Profile, n: int = 2, spec: GridSpec | None = None,
     (the ``max_residual`` of :func:`hartogs.extremal.extremal_report`).  A
     vanishing ``L`` whose fit or pullback check fails yields INCONSISTENT:
     either the tolerances are misconfigured or the profile data violates
-    the standing hypotheses.  The pullback check runs on the interior grid.
+    the standing hypotheses.  The pullback check reads the kept interior metric of ``profile``.
     A ``tol`` not positive and finite raises ``ValueError``, a NaN or inf figure ``NumericError``.
     """
     tol = _bounded("tol", tol, _BOUNDS["tol"])
@@ -180,7 +181,7 @@ def classify(profile: Profile, n: int = 2, spec: GridSpec | None = None,
             **base, c1=c1, c2=c2, fit_error=fit_error, pullback_max_error=None,
             rho0_spread=None, extremal_max_residual=None, verdict="INCONSISTENT",
         )
-    pull_error = _pullback_error(c1, c2, sample.points)
+    pull_error = _pullback_error(c1, c2, sample)
     verdict = "HYPERBOLIC" if pull_error <= PULLBACK_TOL else "INCONSISTENT"
     return ClassificationReport(
         **base, c1=c1, c2=c2, fit_error=fit_error,

@@ -227,13 +227,16 @@ def table_profile(x: np.ndarray, f: np.ndarray, kind_params: dict | None = None)
 def kahler_indicator(profile: Profile, x) -> float:
     """Derivative of ``x F'(x)/F(x)``; the metric is Kaehler iff this is < 0.
 
-    Computed by the quotient rule from ``F, F', F''``:
-    ``(x F'/F)' = (F' + x F'')/F - x (F'/F)^2``.
+    By the quotient rule, from one ``derivs`` table: ``(x F'/F)' = (F' + x F'')/F - x (F'/F)^2``.
     """
     xa = np.asarray(x, dtype=float)
-    f, f1, f2 = profile.derivs(xa, 2)
+    return _indicator(xa, *profile.derivs(xa, 2))
+
+
+def _indicator(x, f, f1, f2):
+    """:func:`kahler_indicator` from a table ``F, F', F''`` at the array ``x``."""
     bad = np.asarray(f) <= 0.0
     if np.any(bad):
         raise ProfileError(f"profile non-positive at {np.count_nonzero(bad)} abscissa(e), "
-                           f"first {float(xa[bad].flat[0])!r}")
-    return _scalar((f1 + xa * f2) / f - xa * np.square(f1 / f))
+                           f"first {float(x[bad].flat[0])!r}")
+    return _scalar((f1 + x * f2) / f - x * np.square(f1 / f))

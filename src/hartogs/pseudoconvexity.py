@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import RadialCoefficients, _interleave
-from .profiles import Profile, _finite_max, _scalar, kahler_indicator
+from .profiles import Profile, _finite_max, _indicator, _scalar
 from .sampling import GridSpec, _grid_spec, _norm, boundary_samples
 
 __all__ = [
@@ -196,15 +196,16 @@ def equivalence_check(profile: Profile, n: int = 2,
     direction and on the fiber-aligned direction (the worst case of the
     Cauchy-Schwarz bound).  Where ``F' = 0`` tangency leaves ``X_0``
     free, so both entries of that sample are the Levi form on ``e_0``,
-    ``-T``, and its reported direction (the fiber part) is zero.  Verdict
-    is CONSISTENT when "restricted Levi positive at all samples" agrees
-    with "indicator negative at all samples", i.e. when the sampled
-    equivalence holds in either direction.
+    ``-T``, and its reported direction (the fiber part) is zero.  The
+    indicator is read at ``x = |z_0|^2`` from the batch's table, the one
+    the Levi form reads.  Verdict is CONSISTENT when "restricted Levi
+    positive at all samples" agrees with "indicator negative at all
+    samples", i.e. when the sampled equivalence holds in either direction.
     The worst sample is the first one in draw order (tangent direction
     before fiber-aligned); a NaN or inf raises ``NumericError``.
     """
     spec = _grid_spec(spec)
-    x, z0, fiber_dir, tangent_dir = boundary_samples(profile, n, spec)
+    _, z0, fiber_dir, tangent_dir = boundary_samples(profile, n, spec)
     # leading axes (m, 1): each point broadcasts over its two directions
     pts = boundary_point(profile, z0[:, None], fiber_dir[:, None])
     aligned = pts.fiber / _norm(pts.fiber)[..., None]
@@ -217,7 +218,7 @@ def equivalence_check(profile: Profile, n: int = 2,
         levi = np.empty(directions.shape[:-1])
         levi[~free] = restricted_levi(_rows(pts, ~free), directions[~free])
         levi[free] = levi_form(_rows(pts, free), np.eye(n)[0])
-    ind = kahler_indicator(profile, x)
+    ind = _indicator(pts.x, *pts.F)[:, 0]   # the batch's table, at x = |z_0|^2
     for values in (levi, ind):
         _finite_max(values, "restricted Levi form or Kaehler indicator")
     k, j = np.unravel_index(np.argmin(levi), levi.shape)
@@ -228,5 +229,5 @@ def equivalence_check(profile: Profile, n: int = 2,
         profile=profile.describe(), n=pts.coords.shape[-1], samples=spec.points, seed=spec.seed,
         min_levi=min_levi, argmin_point=pts.coords[k, 0],
         argmin_direction=directions[k, j],
-        max_indicator=max_ind, argmax_x=float(x[i]), verdict=verdict,
+        max_indicator=max_ind, argmax_x=float(pts.x[i, 0]), verdict=verdict,
     )

@@ -16,7 +16,7 @@ from hartogs import (
     table_profile,
 )
 from hartogs.geometry import RadialCoefficients
-from hartogs.profiles import Profile
+from hartogs.profiles import MAX_DERIV_ORDER, Profile
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +50,24 @@ def count_builds(monkeypatch):
         return built
 
     return install
+
+
+@pytest.fixture
+def derivs_calls(monkeypatch):
+    """The ``(np.shape(x), upto)`` of each ``Profile.derivs`` call, in call order.
+
+    The spy is installed when the test asks for the list, so calls made
+    before the test begins are not in it.
+    """
+    calls = []
+    derivs = Profile.derivs
+
+    def spy(self, x, upto=MAX_DERIV_ORDER):
+        calls.append((np.shape(x), upto))
+        return derivs(self, x, upto)
+
+    monkeypatch.setattr(Profile, "derivs", spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from hartogs import (
     scalar_curvature,
     wirtinger_hessian,
 )
+from hartogs.classification import PULLBACK_TOL
 from hartogs.config import MAX_N
 from conftest import make_custom
 
@@ -77,6 +78,13 @@ class TestPullback:
         rep = pullback_check(1.0, 4.0, 3, GridSpec(points=200, seed=3))
         assert rep.max_error <= 1e-10
 
+    def test_reads_the_linear_profiles_own_sample(self):
+        # the bits of the check when it built the metric of a fresh linear profile
+        spec = GridSpec(points=200, seed=11)
+        errors = [pullback_check(c1, c2, n, spec).max_error
+                  for c1, c2, n in ((1.0, 1.0, 2), (2.0, 0.5, 2), (2.0, 0.5, 3))]
+        assert errors == [0.0, 1.2899732567169359e-14, 1.2987701261298712e-14]
+
 
 class TestClassify:
     def test_linear_is_hyperbolic(self):
@@ -86,6 +94,21 @@ class TestClassify:
         assert rep.c2 == pytest.approx(0.5)
         assert rep.pullback_max_error <= 1e-10
         assert rep.max_abs_l == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_near_linear_member_reads_its_own_metric(self, n):
+        # F = (1 - x) exp(-eps x) passes the L sweep and the linear fit at each eps
+        # here, and its metric departs from that of 1 - x by about 38 eps: the
+        # pullback check compares the ball's metric with that metric, not the line's
+        spec = GridSpec(points=200, seed=1)
+        for eps, verdict in ((1e-9, "INCONSISTENT"), (1e-10, "INCONSISTENT"),
+                             (1e-11, "INCONSISTENT"), (1e-12, "HYPERBOLIC")):
+            prof = profile_from_function(lambda j, e=eps: (1.0 - j) * (j * -e).exp(), x0=1.0)
+            rep = classify(prof, n, spec)
+            assert rep.fit_error <= rep.tol and rep.max_abs_l <= rep.tol
+            assert rep.verdict == verdict, eps
+            assert rep.pullback_max_error == pytest.approx(38.3 * eps, rel=1e-3), eps
+            assert (rep.pullback_max_error > PULLBACK_TOL) == (verdict == "INCONSISTENT")
 
     def test_exponential_not_constant(self, expp):
         rep = classify(expp, 2)

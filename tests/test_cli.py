@@ -817,6 +817,40 @@ class TestOneEvaluationPerRun:
         assert [np.shape(record.x) for record in block_built] == [(40,)]
 
 
+class TestOneEvaluationPerBatch:
+    """A run evaluates each point batch once: its ``derivs`` calls and metric builds
+    (n = 2, 40 points, seed 1)."""
+
+    @pytest.fixture
+    def metric_builds(self, monkeypatch):
+        import hartogs.geometry
+        built = []
+        metric = hartogs.geometry._metric
+        monkeypatch.setattr(hartogs.geometry, "_metric",
+                            lambda p: built.append(p.points.shape) or metric(p))
+        return built
+
+    @pytest.mark.parametrize("command,profile,calls,builds", [
+        # the suite's linear rows read their kept metric; the boundary batch
+        # gives the Levi form and the indicator one table
+        ("full-suite", "", 28, 6),
+        ("pseudoconvexity-test", "exp", 1, 0),
+        ("classify", "linear", 6, 2),
+        ("classify", "exp", 4, 0),
+        ("check-kahler", "exp", 4, 1),
+        ("curvature-report", "exp", 5, 1),
+        ("extremal-test", "exp", 5, 0),
+    ])
+    def test_counts(self, tmp_path, derivs_calls, metric_builds, command, profile,
+                    calls, builds):
+        kind = {"": "", "exp": "profile.kind = exp\n",
+                "linear": "profile.kind = linear\nprofile.c1 = 1\nprofile.c2 = 1\n"}[profile]
+        cfg = write_config(tmp_path, "c.txt", f"command = {command}\n{kind}n = 2\n"
+                           f"grid.points = 40\ngrid.seed = 1\noutput = {tmp_path / 'r.json'}\n")
+        assert main(["--config", cfg, "--quiet"]) in (0, 1)
+        assert (len(derivs_calls), len(metric_builds)) == (calls, builds)
+
+
 _SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e308,
                    -1e308, 1e16, 1e-7, 0.1]
 _floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
@@ -883,7 +917,8 @@ class TestReportWriter:
 
     def test_pseudoconvexity_report_golden(self, tmp_path, monkeypatch):
         # reference bytes of this config, recorded when the boundary sampler
-        # began to draw its samples in three blocks; re-recorded at schema 2
+        # began to draw its samples in three blocks; re-recorded at schema 2,
+        # and when the indicator came to be read at |z_0|^2 (argmax_x moved)
         golden = Path(__file__).parent / "data" / "pseudoconvexity_exp_n3_200.json"
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.txt").write_text("command = pseudoconvexity-test\nprofile.kind = exp\n"
